@@ -11,7 +11,7 @@ for equivalences between quadruples up to conjugation and column scaling.
 from dataclasses import dataclass
 from typing import Optional
 
-from .matrices import Mat, invertible_element, power_traces, stacked_nullspace
+from .matrices import Mat, _scaled_conjugacy
 from .scalars import ONE, Q, Scalar
 
 __all__ = [
@@ -257,23 +257,6 @@ def classical_point(n: int = 4) -> GL2Rep:
     return GL2Rep(Mat.identity(n), Mat.zero(n), Mat.zero(n), Mat.identity(n))
 
 
-def _survivors(g1: Mat, g2: Mat, max_exponent: int) -> list:
-    t1, t2 = power_traces(g1, g1.n), power_traces(g2, g2.n)
-    out = []
-    for k in range(-max_exponent, max_exponent + 1):
-        alpha = Q ** k
-        p = ONE
-        good = True
-        for x1, x2 in zip(t1, t2):
-            p = p * alpha
-            if x2 != p * x1:
-                good = False
-                break
-        if good:
-            out.append(k)
-    return out
-
-
 def gl2_equivalent(r1: GL2Rep, r2: GL2Rep,
                    max_exponent: int = 4) -> Optional[tuple]:
     """Search for (u, alpha1, alpha2) with
@@ -288,36 +271,9 @@ def gl2_equivalent(r1: GL2Rep, r2: GL2Rep,
     """
     if r1.q != r2.q or r1.n != r2.n:
         return None
-    n = r1.n
-    cand1 = _survivors(r1.c11, r2.c11, max_exponent)
-    cand2 = _survivors(r1.c22, r2.c22, max_exponent)
-    tdet1 = power_traces(r1.detq(), n)
-    tdet2 = power_traces(r2.detq(), n)
-    for k1 in cand1:
-        for k2 in cand2:
-            prod = Q ** (k1 + k2)
-            p = ONE
-            good = True
-            for x1, x2 in zip(tdet1, tdet2):
-                p = p * prod
-                if x2 != p * x1:
-                    good = False
-                    break
-            if not good:
-                continue
-            a1, a2 = Q ** k1, Q ** k2
-            ops = []
-            for g1, g2, alpha in ((r1.c11, r2.c11, a1),
-                    (r1.c21, r2.c21, a1), (r1.c12, r2.c12, a2),
-                    (r1.c22, r2.c22, a2)):
-                ops.append([(None, g1.scale(alpha), ONE), (g2, None, -ONE)])
-            u = invertible_element(stacked_nullspace(n, ops))
-            if u is None:
-                continue
-            ui = u.inverse()
-            if (u * r1.c11 * ui * a1 == r2.c11
-                    and u * r1.c21 * ui * a1 == r2.c21
-                    and u * r1.c12 * ui * a2 == r2.c12
-                    and u * r1.c22 * ui * a2 == r2.c22):
-                return (u, a1, a2)
-    return None
+    return _scaled_conjugacy(
+        [(r1.c11, r2.c11, 0), (r1.c21, r2.c21, 0),
+         (r1.c12, r2.c12, 1), (r1.c22, r2.c22, 1)],
+        [(r1.c11, r2.c11, (1, 0)), (r1.c22, r2.c22, (0, 1)),
+         (r1.detq(), r2.detq(), (1, 1))],
+        max_exponent)

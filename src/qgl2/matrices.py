@@ -14,9 +14,10 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
+from itertools import product
 from typing import Iterable, Optional
 
-from .scalars import GaussRational, Scalar, parse_scalar, scalar
+from .scalars import ONE, Q, GaussRational, Scalar, parse_scalar, scalar
 
 
 def _entry(value):
@@ -244,6 +245,8 @@ class Mat:
         entries = obj["entries"]
         if not isinstance(n, int) or len(entries) != n or any(len(r) != n for r in entries):
             raise ValueError("entries must form an n x n grid")
+        if not all(isinstance(x, str) for row in entries for x in row):
+            raise ValueError("matrix entries must be strings")
         return cls([[parse_scalar(x) for x in row] for row in entries])
 
     def __str__(self):
@@ -554,4 +557,54 @@ def invertible_element(space: MatSpace, seed: int = 20260816,
                     combo = term if combo is None else combo + term
             if combo is not None and combo.is_invertible():
                 return combo
+    return None
+
+
+def _scaled_conjugacy(equations: list, filters: list,
+                      max_exponent: int) -> Optional[tuple]:
+    """Search for (u, alpha_0, alpha_1, ...) with g2 = u g1 u^-1 alpha_g
+    for every (g1, g2, g) in equations, each alpha_g a monomial q^k with
+    |k| <= max_exponent.
+
+    Each filter (m1, m2, weights) is the necessary condition
+    tr(m2^j) = alpha^j tr(m1^j), j = 1..n, with alpha the product of
+    alpha_g^weights[g]: conjugation preserves power traces.  It is
+    checked before any linear solve, at most once per exponent sum.
+    Exponent tuples run in itertools.product order (alpha_0 outermost).
+    Returns an exactly verified witness, or None when no witness exists
+    within those scalings.
+    """
+    n = equations[0][0].n
+    groups = 1 + max(g for _, _, g in equations)
+    traces = [(power_traces(m1, n), power_traces(m2, n))
+              for m1, m2, _ in filters]
+    verdicts = {}
+
+    def survives(f: int, s: int) -> bool:
+        if (f, s) not in verdicts:
+            alpha = Q ** s
+            p = ONE
+            ok = True
+            for x1, x2 in zip(*traces[f]):
+                p = p * alpha
+                if x2 != p * x1:
+                    ok = False
+                    break
+            verdicts[(f, s)] = ok
+        return verdicts[(f, s)]
+
+    exponents = range(-max_exponent, max_exponent + 1)
+    for ks in product(exponents, repeat=groups):
+        if not all(survives(f, sum(w * k for w, k in zip(weights, ks)))
+                   for f, (_, _, weights) in enumerate(filters)):
+            continue
+        alphas = tuple(Q ** k for k in ks)
+        u = invertible_element(stacked_nullspace(n, [
+            [(None, g1.scale(alphas[g]), ONE), (g2, None, -ONE)]
+            for g1, g2, g in equations]))
+        if u is None:
+            continue
+        ui = u.inverse()
+        if all(u * g1 * ui * alphas[g] == g2 for g1, g2, g in equations):
+            return (u,) + alphas
     return None

@@ -9,9 +9,9 @@ matrix c with c*b = q*b*c and c*a = q*a*c such that c*b is nonzero.
 from dataclasses import dataclass
 from typing import Optional
 
-from .matrices import Mat, MatSpace, invertible_element, operator_nullspace, \
-    power_traces, stacked_nullspace
-from .scalars import ONE, Q, Scalar
+from .matrices import Mat, MatSpace, _scaled_conjugacy, operator_nullspace, \
+    stacked_nullspace
+from .scalars import Q, Scalar
 
 __all__ = [
     "QSpinorRep",
@@ -102,25 +102,6 @@ def admissibility(a: Mat, b: Mat, q: Scalar = Q,
     return AdmissibilityWitness(witness is not None, space, witness)
 
 
-def _scaling_survives(t1: tuple, t2: tuple, alpha: Scalar) -> bool:
-    # conjugation preserves power traces, so tr(g2^k) must equal
-    # alpha^k * tr(g1^k); cheap necessary filter before solving
-    p = ONE
-    for x1, x2 in zip(t1, t2):
-        p = p * alpha
-        if x2 != p * x1:
-            return False
-    return True
-
-
-def _conjugation_space(pairs: list, n: int) -> MatSpace:
-    # joint solutions u of u*(alpha*g1) = g2*u over all (g1, g2, alpha)
-    ops = []
-    for g1, g2, alpha in pairs:
-        ops.append([(None, g1.scale(alpha), ONE), (g2, None, -ONE)])
-    return stacked_nullspace(n, ops)
-
-
 def spinor_equivalent(r1: QSpinorRep, r2: QSpinorRep,
                       max_exponent: int = 4) -> Optional[tuple]:
     """Search for (u, alpha) with r2.a = u r1.a u^-1 alpha and
@@ -134,21 +115,6 @@ def spinor_equivalent(r1: QSpinorRep, r2: QSpinorRep,
         return None
     if r1.a.n != r2.a.n:
         return None
-    n = r1.a.n
-    ta1, ta2 = power_traces(r1.a, n), power_traces(r2.a, n)
-    tb1, tb2 = power_traces(r1.b, n), power_traces(r2.b, n)
-    for k in range(-max_exponent, max_exponent + 1):
-        alpha = Q ** k
-        if not _scaling_survives(ta1, ta2, alpha):
-            continue
-        if not _scaling_survives(tb1, tb2, alpha):
-            continue
-        space = _conjugation_space(
-            [(r1.a, r2.a, alpha), (r1.b, r2.b, alpha)], n)
-        u = invertible_element(space)
-        if u is None:
-            continue
-        ui = u.inverse()
-        if u * r1.a * ui * alpha == r2.a and u * r1.b * ui * alpha == r2.b:
-            return (u, alpha)
-    return None
+    return _scaled_conjugacy([(r1.a, r2.a, 0), (r1.b, r2.b, 0)],
+                             [(r1.a, r2.a, (1,)), (r1.b, r2.b, (1,))],
+                             max_exponent)

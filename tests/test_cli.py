@@ -1,6 +1,7 @@
 """CLI behaviour: exit codes, output shapes, determinism, error paths."""
 
 import json
+import pathlib
 import subprocess
 import sys
 
@@ -110,6 +111,13 @@ class TestCommutant:
         assert main(["commutant", "no-such-file.json"]) == 2
         assert "error:" in capsys.readouterr().err
 
+    def test_number_entry(self, capsys, tmp_path):
+        path = write_json(tmp_path / "m.json", {
+            "n": 2, "entries": [[1, "0"], ["0", "1"]]})
+        assert main(["commutant", path]) == 2
+        assert capsys.readouterr().err == \
+            "error: matrix entries must be strings\n"
+
 
 class TestAdmissible:
     def test_yes(self, capsys, diag_file, spinor_b_file):
@@ -171,6 +179,14 @@ class TestEquiv:
         out = capsys.readouterr().out
         assert "equivalent: yes" in out
         assert "alpha1 = 1, alpha2 = 1" in out
+
+    def test_catalog_pair_witness_golden(self, capsys):
+        # the witness the search order finds, byte for byte
+        golden = pathlib.Path(__file__).parent / "golden" \
+            / "equiv_perturbed_a_b.json"
+        assert main(["equiv", "perturbed-a", "perturbed-b",
+                     "--format", "json"]) == 0
+        assert capsys.readouterr().out == golden.read_text()
 
     def test_catalog_pair_distinct(self, capsys):
         assert main(["equiv", "perturbed-a", "triangular-dim8"]) == 0

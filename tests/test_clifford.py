@@ -161,6 +161,16 @@ class TestInnerAction:
         assert module_algebra_shadow(build_action(case2()),
                                      pairs=seeded_pairs(3, seed=1))
 
+    def test_wrong_inverse_fails_certificate_and_oracle(self):
+        # the report takes the module-algebra verdict from unitality_ok;
+        # with m* not the inverse of m both checks must reject the action
+        action = build_action(case2())
+        (s00, s01), (s10, s11) = action.mstar
+        action.mstar = ((s01, s00), (s11, s10))
+        assert not unitality_ok(action)
+        assert not module_algebra_shadow(action,
+                                         pairs=seeded_pairs(3, seed=1))
+
 
 class TestInvariants:
     def test_counit_space_matches_centralizer_case1(self):

@@ -227,6 +227,8 @@ class TestEquivalenceSearch:
         assert u * r1.c21 * ui * a1 == r2.c21
         assert u * r1.c12 * ui * a2 == r2.c12
         assert u * r1.c22 * ui * a2 == r2.c22
+        # the search order fixes which witness is found
+        assert (u, a1, a2) == (u0, b1, b2)
 
     def test_case1_case2_witness_exists(self):
         # the two perturbed quadruples are genuinely equivalent: a

@@ -124,6 +124,19 @@ class TestEquivalenceSearch:
         ui = u.inverse()
         assert u * r1.a * ui * alpha == r2.a
         assert u * r1.b * ui * alpha == r2.b
+        # the search order fixes which witness is found
+        assert u == Mat([[1, 2, 4, 0], [0, 2, 4, 0], [0, 0, 2, 0],
+                         [0, 0, 0, 6]])
+
+    def test_first_scaling_in_search_order_wins(self):
+        # both generators nilpotent: every power trace is zero, so every
+        # scaling q^k passes the filter and the smallest k is tried first
+        r = QSpinorRep(e(1, 2), e(3, 4))
+        u, alpha = spinor_equivalent(r, r)
+        assert alpha == Q ** -4
+        ui = u.inverse()
+        assert u * r.a * ui * alpha == r.a
+        assert u * r.b * ui * alpha == r.b
 
     def test_identity_witness(self):
         r = QSpinorRep(A_CASE, B_CASE)
