@@ -24,7 +24,7 @@ from fractions import Fraction
 
 from .catalog import closure_generators, get_entry, instantiate, list_entries
 from .gl2 import GL2Rep, gl2_equivalent
-from .matrices import Mat, centralizer, subalgebra_closure
+from .matrices import MAX_EXPONENT, Mat, centralizer, subalgebra_closure
 from .report import build_report, render_table, report_exit_code
 from .spinors import QSpinorRep, admissibility, q_commutant, \
     spinor_equivalent
@@ -161,7 +161,7 @@ def _cmd_equiv(args) -> int:
         found = res is not None
         obj = {
             "equivalent": found,
-            "scaling_family": "q^k, |k| <= 4, per column",
+            "scaling_family": f"q^k, |k| <= {MAX_EXPONENT}, per column",
             "u": res[0].to_json() if found else None,
             "alpha1": str(res[1]) if found else None,
             "alpha2": str(res[2]) if found else None,
@@ -177,7 +177,7 @@ def _cmd_equiv(args) -> int:
         found = res is not None
         obj = {
             "equivalent": found,
-            "scaling_family": "q^k, |k| <= 4",
+            "scaling_family": f"q^k, |k| <= {MAX_EXPONENT}",
             "u": res[0].to_json() if found else None,
             "alpha": str(res[1]) if found else None,
         }

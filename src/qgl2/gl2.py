@@ -257,17 +257,17 @@ def classical_point(n: int = 4) -> GL2Rep:
     return GL2Rep(Mat.identity(n), Mat.zero(n), Mat.zero(n), Mat.identity(n))
 
 
-def gl2_equivalent(r1: GL2Rep, r2: GL2Rep,
-                   max_exponent: int = 4) -> Optional[tuple]:
+def gl2_equivalent(r1: GL2Rep, r2: GL2Rep) -> Optional[tuple]:
     """Search for (u, alpha1, alpha2) with
 
         r2.c11 = u r1.c11 u^-1 alpha1,   r2.c21 = u r1.c21 u^-1 alpha1,
         r2.c12 = u r1.c12 u^-1 alpha2,   r2.c22 = u r1.c22 u^-1 alpha2,
 
-    the scalings ranging over monomials q^k with |k| <= max_exponent.
-    Column rescaling preserves the defining relations, so this is the
-    natural equivalence for quadruples.  Returns an exactly verified
-    witness or None when no witness exists within those scalings.
+    the scalings ranging over monomials q^k with
+    |k| <= matrices.MAX_EXPONENT.  Column rescaling preserves the
+    defining relations, so this is the natural equivalence for
+    quadruples.  Returns an exactly verified witness or None when no
+    witness exists within those scalings.
     """
     if r1.q != r2.q or r1.n != r2.n:
         return None
@@ -275,5 +275,4 @@ def gl2_equivalent(r1: GL2Rep, r2: GL2Rep,
         [(r1.c11, r2.c11, 0), (r1.c21, r2.c21, 0),
          (r1.c12, r2.c12, 1), (r1.c22, r2.c22, 1)],
         [(r1.c11, r2.c11, (1, 0)), (r1.c22, r2.c22, (0, 1)),
-         (r1.detq(), r2.detq(), (1, 1))],
-        max_exponent)
+         (r1.detq(), r2.detq(), (1, 1))])

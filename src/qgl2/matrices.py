@@ -2,17 +2,22 @@
 
 Everything here is field-generic: entries may be Scalar (the default) or
 GaussRational (after numeric substitution), since both expose the same
-arithmetic protocol.  All decisions (rank, membership, dimension) are made
-by exact Gaussian elimination; nothing is ever approximated.
+arithmetic protocol.  Nothing is ever approximated.
 
-MatSpace keeps its basis in reduced row-echelon form under row-major
-flattening, so equal subspaces always have identical bases and space
-equality is structural.
+One row-reduction kernel, _insert (with _reduce), makes every decision:
+it adds a vector to a fully reduced echelon basis kept sorted by pivot
+column.  rref feeds rows through it, so every rank, inverse and kernel
+goes through it, and MatSpace keeps its basis in it under row-major
+flattening, so every span, closure and membership test does too.  The
+reduced echelon form is unique: equal subspaces always have identical
+bases and space equality is structural.  Only Mat.det eliminates on its
+own, because it needs the pivot values that the kernel normalises away.
 """
 
 from __future__ import annotations
 
 import random
+from bisect import bisect_left
 from fractions import Fraction
 from itertools import product
 from typing import Iterable, Optional
@@ -162,9 +167,6 @@ class Mat:
             k >>= 1
         return out
 
-    def transpose(self) -> "Mat":
-        return Mat(list(zip(*self.rows)))
-
     def trace(self):
         t = _zero_like(self.rows[0][0])
         for i in range(self.n):
@@ -177,7 +179,7 @@ class Mat:
     # -- elimination-backed queries ------------------------------------------
 
     def rank(self) -> int:
-        return rank_rows([list(row) for row in self.rows])
+        return len(rref(self.rows)[1])
 
     def det(self):
         n = self.n
@@ -225,8 +227,7 @@ class Mat:
 
     def nullspace(self) -> list:
         """Basis of {v : m v = 0}, as tuples of field elements."""
-        return nullspace_rows([list(row) for row in self.rows], self.n,
-                              _one_like(self.rows[0][0]))
+        return nullspace_rows(self.rows, self.n, _one_like(self.rows[0][0]))
 
     # -- substitution and I/O -------------------------------------------------
 
@@ -260,42 +261,48 @@ class Mat:
 
 
 # ---------------------------------------------------------------------------
-# generic elimination on rectangular row lists
+# the row-reduction kernel: a fully reduced echelon basis, kept as two
+# parallel lists sorted by pivot column
 
-def rref(rows: list) -> tuple:
-    """In-place reduced row echelon form.  Returns (rows, pivot_columns)."""
-    if not rows:
-        return rows, []
-    ncols = len(rows[0])
-    nrows = len(rows)
-    pivots = []
-    r = 0
-    for c in range(ncols):
-        piv = None
-        for k in range(r, nrows):
-            if rows[k][c]:
-                piv = k
-                break
-        if piv is None:
-            continue
-        rows[r], rows[piv] = rows[piv], rows[r]
-        pv = rows[r][c]
-        if pv != _one_like(pv):
-            inv = _one_like(pv) / pv
-            rows[r] = [inv * x for x in rows[r]]
-        for k in range(nrows):
-            if k != r and rows[k][c]:
-                f = rows[k][c]
-                rows[k] = [x - f * y for x, y in zip(rows[k], rows[r])]
-        pivots.append(c)
-        r += 1
-        if r == nrows:
-            break
-    return rows, pivots
+def _reduce(vectors: list, pivots: list, vec) -> list:
+    """vec minus its components along the basis, as a new list.  The
+    basis is fully reduced, so the coefficient on each basis vector is
+    the entry of vec in that vector's pivot column."""
+    vec = list(vec)
+    for piv, basis_vec in zip(pivots, vectors):
+        c = vec[piv]
+        if c:
+            vec = [x - c * y if y else x for x, y in zip(vec, basis_vec)]
+    return vec
 
 
-def rank_rows(rows: list) -> int:
-    return len(rref(rows)[1])
+def _insert(vectors: list, pivots: list, vec) -> bool:
+    """Add vec to the basis if it is independent, keeping the basis fully
+    reduced and sorted.  Returns True when the dimension grew."""
+    vec = _reduce(vectors, pivots, vec)
+    lead = next((k for k, x in enumerate(vec) if x), None)
+    if lead is None:
+        return False
+    inv = _one_like(vec[lead]) / vec[lead]
+    vec = [inv * x if x else x for x in vec]
+    for i, basis_vec in enumerate(vectors):
+        c = basis_vec[lead]
+        if c:
+            vectors[i] = [x - c * y if y else x
+                          for x, y in zip(basis_vec, vec)]
+    at = bisect_left(pivots, lead)
+    pivots.insert(at, lead)
+    vectors.insert(at, vec)
+    return True
+
+
+def rref(rows) -> tuple:
+    """Reduced row echelon form of a rectangular row list, which is left
+    unchanged.  Returns (nonzero reduced rows, pivot columns)."""
+    vectors, pivots = [], []
+    for row in rows:
+        _insert(vectors, pivots, row)
+    return vectors, pivots
 
 
 def nullspace_rows(rows: list, ncols: int, one) -> list:
@@ -338,35 +345,9 @@ class MatSpace:
             space._insert(m.flatten())
         return space
 
-    def _insert(self, vec: list) -> bool:
-        """Reduce vec against the basis; add it if independent.  Keeps the
-        basis fully reduced.  Returns True when the dimension grew."""
-        vec = list(vec)
-        for piv, basis_vec in zip(self._pivots, self._vectors):
-            c = vec[piv]
-            if c:
-                for k in range(len(vec)):
-                    if basis_vec[k]:
-                        vec[k] = vec[k] - c * basis_vec[k]
-        lead = None
-        for k, x in enumerate(vec):
-            if x:
-                lead = k
-                break
-        if lead is None:
-            return False
-        inv = _one_like(vec[lead]) / vec[lead]
-        vec = [inv * x for x in vec]
-        for i, basis_vec in enumerate(self._vectors):
-            c = basis_vec[lead]
-            if c:
-                self._vectors[i] = [x - c * y for x, y in zip(basis_vec, vec)]
-        at = 0
-        while at < len(self._pivots) and self._pivots[at] < lead:
-            at += 1
-        self._pivots.insert(at, lead)
-        self._vectors.insert(at, vec)
-        return True
+    def _insert(self, vec) -> bool:
+        """Add vec to the space; True when the dimension grew."""
+        return _insert(self._vectors, self._pivots, vec)
 
     @property
     def dim(self) -> int:
@@ -381,12 +362,7 @@ class MatSpace:
     def contains(self, m: Mat) -> bool:
         if m.n != self.n:
             return False
-        vec = m.flatten()
-        for piv, basis_vec in zip(self._pivots, self._vectors):
-            c = vec[piv]
-            if c:
-                vec = [x - c * y for x, y in zip(vec, basis_vec)]
-        return not any(vec)
+        return not any(_reduce(self._vectors, self._pivots, m.flatten()))
 
     def __le__(self, other: "MatSpace") -> bool:
         return all(other.contains(b) for b in self.basis)
@@ -434,7 +410,7 @@ def subalgebra_closure(generators: Iterable[Mat]) -> MatSpace:
     return space
 
 
-def _operator_rows(n: int, terms: list, one, z) -> list:
+def _operator_rows(n: int, terms: list, z) -> list:
     """Vectorize X -> sum(c * P X Q) as an n^2 x n^2 row list.
 
     Each term is (P, Q, c) with P, Q an n x n Mat or None for the identity.
@@ -482,10 +458,10 @@ def stacked_nullspace(n: int, operators: list, one=None) -> MatSpace:
     z = _zero_like(one)
     rows = []
     for terms in operators:
-        rows.extend(_operator_rows(n, terms, one, z))
+        rows.extend(_operator_rows(n, terms, z))
     space = MatSpace(n)
     for v in nullspace_rows(rows, n * n, one):
-        space._insert(list(v))
+        space._insert(v)
     return space
 
 
@@ -521,16 +497,24 @@ def power_traces(m: Mat, kmax: int) -> tuple:
     return tuple(out)
 
 
-def invertible_element(space: MatSpace, seed: int = 20260816,
-                       tries: int = 60) -> Optional[Mat]:
+# seed and length of the random stage of invertible_element
+INVERTIBLE_SEED = 20260816
+INVERTIBLE_TRIES = 60
+
+# _scaled_conjugacy searches the monomial scalings q^k, |k| <= MAX_EXPONENT
+MAX_EXPONENT = 4
+
+
+def invertible_element(space: MatSpace) -> Optional[Mat]:
     """Search a MatSpace for an invertible member.
 
     Deterministic: basis elements first, then geometric combinations of
-    the basis, then seeded random integer combinations.  Every candidate
-    is verified exactly, so a returned matrix is guaranteed invertible;
-    None only means the search failed, not that no invertible member
-    exists (for the spaces arising here the basis /geometric stages
-    already find one whenever the space contains any).
+    the basis, then INVERTIBLE_TRIES random integer combinations seeded
+    with INVERTIBLE_SEED.  Every candidate is verified exactly, so a
+    returned matrix is guaranteed invertible; None only means the search
+    failed, not that no invertible member exists (for the spaces arising
+    here the basis /geometric stages already find one whenever the space
+    contains any).
     """
     basis = space.basis
     if not basis:
@@ -547,8 +531,8 @@ def invertible_element(space: MatSpace, seed: int = 20260816,
                 combo = combo + m.scale(w)
             if combo.is_invertible():
                 return combo
-        rng = random.Random(seed)
-        for _ in range(tries):
+        rng = random.Random(INVERTIBLE_SEED)
+        for _ in range(INVERTIBLE_TRIES):
             combo = None
             for m in basis:
                 c = rng.randint(-9, 9)
@@ -560,11 +544,10 @@ def invertible_element(space: MatSpace, seed: int = 20260816,
     return None
 
 
-def _scaled_conjugacy(equations: list, filters: list,
-                      max_exponent: int) -> Optional[tuple]:
+def _scaled_conjugacy(equations: list, filters: list) -> Optional[tuple]:
     """Search for (u, alpha_0, alpha_1, ...) with g2 = u g1 u^-1 alpha_g
     for every (g1, g2, g) in equations, each alpha_g a monomial q^k with
-    |k| <= max_exponent.
+    |k| <= MAX_EXPONENT.
 
     Each filter (m1, m2, weights) is the necessary condition
     tr(m2^j) = alpha^j tr(m1^j), j = 1..n, with alpha the product of
@@ -593,7 +576,7 @@ def _scaled_conjugacy(equations: list, filters: list,
             verdicts[(f, s)] = ok
         return verdicts[(f, s)]
 
-    exponents = range(-max_exponent, max_exponent + 1)
+    exponents = range(-MAX_EXPONENT, MAX_EXPONENT + 1)
     for ks in product(exponents, repeat=groups):
         if not all(survives(f, sum(w * k for w, k in zip(weights, ks)))
                    for f, (_, _, weights) in enumerate(filters)):

@@ -175,10 +175,6 @@ def _pneg(a: tuple) -> tuple:
     return tuple(-c for c in a)
 
 
-def _psub(a: tuple, b: tuple) -> tuple:
-    return _padd(a, _pneg(b))
-
-
 def _pmul(a: tuple, b: tuple) -> tuple:
     if not a or not b:
         return ()
@@ -239,11 +235,8 @@ def _pgcd(a: tuple, b: tuple) -> tuple:
     if not b:
         return _pmonic(a)
     if _is_monomial(a) or _is_monomial(b):
-        k = min(_order(a), _order(b))
-        if _is_monomial(a) and _is_monomial(b):
-            return (GR_ZERO,) * k + (GR_ONE,)
-        # gcd(monomial, p) = q^min(k, ord(p)), still a monomial
-        return (GR_ZERO,) * k + (GR_ONE,)
+        # gcd(q^k c, p) = q^min(k, ord(p)), still a monomial
+        return (GR_ZERO,) * min(_order(a), _order(b)) + (GR_ONE,)
     while b:
         a, b = b, _pdivmod(a, b)[1]
     return _pmonic(a)
@@ -420,11 +413,6 @@ class Scalar:
 
     def is_constant(self) -> bool:
         return len(self.num) <= 1 and self.den == _P_ONE
-
-    def constant_value(self) -> GaussRational:
-        if not self.is_constant():
-            raise ValueError("not a constant")
-        return self.num[0] if self.num else GR_ZERO
 
     def eval(self, q0) -> GaussRational:
         """Exact substitution q -> q0.  Raises on a denominator root."""

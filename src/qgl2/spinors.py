@@ -102,11 +102,10 @@ def admissibility(a: Mat, b: Mat, q: Scalar = Q,
     return AdmissibilityWitness(witness is not None, space, witness)
 
 
-def spinor_equivalent(r1: QSpinorRep, r2: QSpinorRep,
-                      max_exponent: int = 4) -> Optional[tuple]:
+def spinor_equivalent(r1: QSpinorRep, r2: QSpinorRep) -> Optional[tuple]:
     """Search for (u, alpha) with r2.a = u r1.a u^-1 alpha and
     r2.b = u r1.b u^-1 alpha, with alpha ranging over the monomials q^k,
-    |k| <= max_exponent.
+    |k| <= matrices.MAX_EXPONENT.
 
     Returns the exactly verified witness pair, or None when no witness
     exists within that family of scalings.
@@ -116,5 +115,4 @@ def spinor_equivalent(r1: QSpinorRep, r2: QSpinorRep,
     if r1.a.n != r2.a.n:
         return None
     return _scaled_conjugacy([(r1.a, r2.a, 0), (r1.b, r2.b, 0)],
-                             [(r1.a, r2.a, (1,)), (r1.b, r2.b, (1,))],
-                             max_exponent)
+                             [(r1.a, r2.a, (1,)), (r1.b, r2.b, (1,))])

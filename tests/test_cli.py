@@ -202,6 +202,7 @@ class TestEquiv:
         obj = json.loads(capsys.readouterr().out)
         assert obj["equivalent"] is True
         assert obj["alpha"] == "1"
+        assert obj["scaling_family"] == "q^k, |k| <= 4"
 
     def test_kind_mismatch(self, capsys):
         assert main(["equiv", "perturbed-a", "admissible-a"]) == 2

@@ -3,11 +3,12 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from qgl2.matrices import (Mat, MatSpace, centralizer, invertible_element,
-                           operator_nullspace, power_traces, span,
+                           operator_nullspace, power_traces, rref, span,
                            stacked_nullspace, subalgebra_closure)
-from qgl2.scalars import GaussRational, ONE, Q, ZERO, scalar
+from qgl2.scalars import GaussRational, I, ONE, Q, ZERO, scalar
 
 
 def e(i, j, n=4):
@@ -200,3 +201,113 @@ class TestSearchHelpers:
     def test_invertible_element_deterministic(self):
         s = span([Mat.unit(3, 0, 1), Mat.unit(3, 1, 0), Mat.unit(3, 2, 2)])
         assert invertible_element(s) == invertible_element(s)
+
+
+# ---------------------------------------------------------------------------
+# properties of the row-reduction kernel, over Q(i)(q) and over Q(i)
+
+SCALAR_POOL = (ZERO, ONE, -ONE, scalar(2), I, Q, ONE / Q, Q + ONE,
+               ONE / (Q - ONE))
+GAUSS_POOL = tuple(GaussRational(re, im) for re, im in
+                   ((0, 0), (1, 0), (-1, 0), (2, 0), (0, 1),
+                    (Fraction(1, 3), 0), (1, 1), (Fraction(-2, 5), 3)))
+POOLS = pytest.mark.parametrize("pool", [SCALAR_POOL, GAUSS_POOL],
+                                ids=["scalar", "gauss"])
+PROPERTY = settings(derandomize=True, max_examples=25, deadline=None)
+
+
+@st.composite
+def row_lists(draw, pool, ncols=None, min_rows=1, max_rows=5):
+    """min_rows to max_rows rows of length ncols (1..5 when not given)
+    drawn from pool; some rows are combinations of earlier ones, so the
+    rank is often deficient."""
+    ncols = ncols or draw(st.integers(1, 5))
+    entry = st.sampled_from(pool)
+    rows = []
+    for _ in range(draw(st.integers(min_rows, max_rows))):
+        if len(rows) >= 2 and draw(st.booleans()):
+            i, j = draw(st.lists(st.integers(0, len(rows) - 1),
+                                 min_size=2, max_size=2))
+            a, b = draw(entry), draw(entry)
+            rows.append([a * x + b * y for x, y in zip(rows[i], rows[j])])
+        else:
+            rows.append(draw(st.lists(entry, min_size=ncols,
+                                      max_size=ncols)))
+    return rows
+
+
+def gauss_jordan(rows: list) -> tuple:
+    """Reference reduced row echelon form: column by column, take the
+    first remaining row with a nonzero entry, scale it to a leading one
+    and clear the column in every other row."""
+    rows = [list(row) for row in rows]
+    pivots = []
+    for c in range(len(rows[0])):
+        r = len(pivots)
+        piv = next((k for k in range(r, len(rows)) if rows[k][c]), None)
+        if piv is None:
+            continue
+        rows[r], rows[piv] = rows[piv], rows[r]
+        rows[r] = [x / rows[r][c] for x in rows[r]]
+        for k in range(len(rows)):
+            if k != r:
+                f = rows[k][c]
+                rows[k] = [x - f * y for x, y in zip(rows[k], rows[r])]
+        pivots.append(c)
+    return rows[:len(pivots)], pivots
+
+
+def as_mats(rows: list) -> list:
+    """Rows of length 4 read as 2 x 2 matrices."""
+    return [Mat([row[:2], row[2:]]) for row in rows]
+
+
+class TestKernelProperties:
+    @POOLS
+    @PROPERTY
+    @given(data=st.data())
+    def test_rref_matches_reference_in_any_row_order(self, pool, data):
+        rows = data.draw(row_lists(pool))
+        order = data.draw(st.permutations(range(len(rows))))
+        shuffled = [rows[k] for k in order]
+        before = [list(row) for row in shuffled]
+        assert rref(shuffled) == gauss_jordan(rows)
+        assert shuffled == before
+
+    @POOLS
+    @PROPERTY
+    @given(data=st.data())
+    def test_rref_is_reduced_echelon(self, pool, data):
+        reduced, pivots = rref(data.draw(row_lists(pool)))
+        one, zero = type(pool[0]).one(), type(pool[0]).zero()
+        assert len(reduced) == len(pivots)
+        assert all(a < b for a, b in zip(pivots, pivots[1:]))
+        for r, (row, pc) in enumerate(zip(reduced, pivots)):
+            assert row[pc] == one
+            assert all(x == zero for x in row[:pc])
+            assert all(reduced[k][pc] == zero
+                       for k in range(len(reduced)) if k != r)
+
+    @POOLS
+    @PROPERTY
+    @given(data=st.data())
+    def test_span_ignores_input_order(self, pool, data):
+        mats = as_mats(data.draw(row_lists(pool, ncols=4)))
+        order = data.draw(st.permutations(range(len(mats))))
+        a = MatSpace.span(mats)
+        b = MatSpace.span([mats[k] for k in order])
+        assert a == b
+        assert a._vectors == b._vectors
+
+    @POOLS
+    @PROPERTY
+    @given(data=st.data())
+    def test_contains_iff_dimension_unchanged(self, pool, data):
+        *mats, m = as_mats(data.draw(row_lists(pool, ncols=4, min_rows=2,
+                                               max_rows=6)))
+        space = MatSpace.span(mats)
+        vectors = [list(v) for v in space._vectors]
+        pivots = list(space._pivots)
+        inside = space.contains(m)
+        assert space._vectors == vectors and space._pivots == pivots
+        assert inside == (MatSpace.span(mats + [m]).dim == space.dim)
