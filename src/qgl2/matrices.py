@@ -10,8 +10,7 @@ column.  rref feeds rows through it, so every rank, inverse and kernel
 goes through it, and MatSpace keeps its basis in it under row-major
 flattening, so every span, closure and membership test does too.  The
 reduced echelon form is unique: equal subspaces always have identical
-bases and space equality is structural.  Only Mat.det eliminates on its
-own, because it needs the pivot values that the kernel normalises away.
+bases and space equality is structural.  No other code eliminates.
 """
 
 from __future__ import annotations
@@ -180,33 +179,6 @@ class Mat:
 
     def rank(self) -> int:
         return len(rref(self.rows)[1])
-
-    def det(self):
-        n = self.n
-        rows = [list(row) for row in self.rows]
-        one = _one_like(rows[0][0])
-        sign = one
-        det = one
-        for col in range(n):
-            piv = None
-            for r in range(col, n):
-                if rows[r][col]:
-                    piv = r
-                    break
-            if piv is None:
-                return _zero_like(one)
-            if piv != col:
-                rows[col], rows[piv] = rows[piv], rows[col]
-                sign = -sign
-            pv = rows[col][col]
-            det = det * pv
-            inv = one / pv
-            for r in range(col + 1, n):
-                f = rows[r][col]
-                if f:
-                    f = f * inv
-                    rows[r] = [x - f * y for x, y in zip(rows[r], rows[col])]
-        return det * sign
 
     def inverse(self) -> "Mat":
         n = self.n
@@ -388,25 +360,32 @@ def subalgebra_closure(generators: Iterable[Mat]) -> MatSpace:
     """Smallest subspace containing the generators and closed under the
     matrix product (non-unital: the identity enters only if generated).
 
-    Pairwise products are folded in until the dimension stabilizes; the
-    ambient bound n^2 caps the iteration.
+    That algebra is the span of all nonempty words in the generators,
+    which is the smallest subspace containing the generators and closed
+    under right multiplication by each of them.  So only words times
+    generators are formed: the independent generators seed the space and
+    the first round's words, and each round multiplies the words that
+    raised the dimension in the previous one by every kept generator.  A
+    dependent generator, or a dependent product w * g, adds nothing: it
+    is a combination of kept words, and so are its products with the
+    generators, by linearity.  The word matrices are multiplied, never
+    the reduced basis, whose entries are dense rational functions.  The
+    ambient dimension n^2 caps the iteration.
     """
     gens = list(generators)
     if not gens:
         raise ValueError("closure of an empty generating set")
-    space = MatSpace.span(gens)
-    fresh = list(space.basis)
-    while fresh:
-        basis_now = space.basis
+    space = MatSpace(gens[0].n)
+    multipliers = [g for g in gens if space._insert(g.flatten())]
+    fresh = multipliers
+    while fresh and space.dim < space.n * space.n:
         added = []
-        for x in basis_now:
-            for y in fresh:
-                for p in (x * y, y * x):
-                    if space._insert(p.flatten()):
-                        added.append(p)
+        for w in fresh:
+            for g in multipliers:
+                p = w * g
+                if space._insert(p.flatten()):
+                    added.append(p)
         fresh = added
-        if space.dim >= space.n * space.n:
-            break
     return space
 
 
@@ -487,13 +466,29 @@ def centralizer(s) -> MatSpace:
     return stacked_nullspace(
         n, [[(None, g, one), (g, None, -one)] for g in gens], one=one)
 
+
 def power_traces(m: Mat, kmax: int) -> tuple:
-    """(tr(m), tr(m^2), ..., tr(m^kmax)) computed exactly."""
-    out = []
-    p = m
-    for _ in range(kmax):
-        out.append(p.trace())
-        p = p * m
+    """(tr(m), tr(m^2), ..., tr(m^kmax)) computed exactly.
+
+    Only the powers m, ..., m^h with h = ceil(kmax / 2) are formed; each
+    higher trace is tr(m^h m^b) = sum_ik (m^h)_ik (m^b)_ki with b <= h,
+    which reads n^2 products instead of forming the full power.
+    """
+    h = (kmax + 1) // 2
+    powers = [m]
+    while len(powers) < h:
+        powers.append(powers[-1] * m)
+    out = [p.trace() for p in powers[:kmax]]
+    top = powers[-1].rows
+    for b in powers[:kmax - h]:
+        t = _zero_like(top[0][0])
+        for i, row in enumerate(top):
+            for k, a in enumerate(row):
+                if a:
+                    c = b.rows[k][i]
+                    if c:
+                        t = t + a * c
+        out.append(t)
     return tuple(out)
 
 

@@ -569,6 +569,11 @@ class _Tokenizer:
         return tok
 
 
+# a parsed power base^k must have |k| * max(1, degree of base) at most
+# this, so that an input cannot ask for a huge polynomial
+MAX_POWER_DEGREE = 1000
+
+
 def parse_scalar(text: str) -> Scalar:
     """Parse an expression over {integers, i, q, +, -, *, /, ^, ()}."""
     tz = _Tokenizer(text)
@@ -622,6 +627,10 @@ def _parse_power(tz) -> Scalar:
         kind, val, pos = tz.next()
         if kind != "int":
             raise ValueError(f"parse error at position {pos}: integer exponent expected")
+        degree = max(len(base.num), len(base.den)) - 1
+        if val * max(1, degree) > MAX_POWER_DEGREE:
+            raise ValueError(f"parse error at position {pos}: power of degree "
+                             f"over {MAX_POWER_DEGREE}")
         base = base ** (esign * val)
     return base
 

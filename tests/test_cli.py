@@ -4,6 +4,7 @@ import json
 import pathlib
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -117,6 +118,27 @@ class TestCommutant:
         assert main(["commutant", path]) == 2
         assert capsys.readouterr().err == \
             "error: matrix entries must be strings\n"
+
+    @pytest.mark.parametrize("power, pos", [("q^99999999", 2),
+                                            ("(q^999)^999", 8)])
+    def test_huge_exponent_exits_2_at_once(self, capsys, tmp_path, power,
+                                           pos):
+        path = write_json(tmp_path / "m.json", {
+            "n": 2, "entries": [[power, "0"], ["0", "1"]]})
+        start = time.perf_counter()
+        assert main(["commutant", path]) == 2
+        assert time.perf_counter() - start < 0.5
+        assert capsys.readouterr().err == (
+            f"error: parse error at position {pos}: power of degree "
+            "over 1000\n")
+
+    @pytest.mark.parametrize("power", ["q^1000", "q^-1000"])
+    def test_exponent_at_the_bound_parses(self, capsys, tmp_path, power):
+        path = write_json(tmp_path / "m.json", {
+            "n": 2, "entries": [[power, "0"], ["0", "1"]]})
+        assert main(["commutant", path, "--format", "json"]) == 0
+        # a X = q X a has no nonzero solution for a = diag(q^k, 1), k != 1
+        assert json.loads(capsys.readouterr().out)["dim"] == 0
 
 
 class TestAdmissible:

@@ -170,6 +170,15 @@ class TestTextEncoding:
             with pytest.raises(ValueError, match="parse error"):
                 parse_scalar(bad)
 
+    def test_exponent_bound(self):
+        assert parse_scalar("q^1000") == Q ** 1000
+        assert parse_scalar("q^-1000") == Q ** -1000
+        assert parse_scalar("(q^500)^2") == Q ** 1000
+        for bad in ("q^1001", "(q+1)^1001", "(q^2)^501", "(1/q^2)^-501",
+                    "2^1001"):
+            with pytest.raises(ValueError, match="power of degree over 1000"):
+                parse_scalar(bad)
+
     def test_division_by_zero_literal(self):
         with pytest.raises(ZeroDivisionError, match="zero divisor"):
             parse_scalar("1/0")
