@@ -7,10 +7,9 @@ the catalog of built-in representations and the command-line interface.
 """
 
 from .scalars import GaussRational, Scalar, Q, I, ONE, ZERO, scalar, \
-    parse_scalar, q_integer, eval_numeric
+    parse_scalar, q_integer
 from .matrices import Mat, MatSpace, span, centralizer, \
-    subalgebra_closure, operator_nullspace, stacked_nullspace, \
-    invertible_element
+    subalgebra_closure, stacked_nullspace, invertible_element
 from .spinors import QSpinorRep, AdmissibilityWitness, check_spinor, \
     q_commutant, admissibility, spinor_equivalent
 from .gl2 import GL2Rep, RelationReport, InvertibilityReport, \
@@ -19,7 +18,7 @@ from .gl2 import GL2Rep, RelationReport, InvertibilityReport, \
     quantum_plane_split, classical_point, gl2_equivalent
 from .clifford import CliffordAlgebra, InnerAction, BASIS_NAMES, \
     build_clifford, build_action, unitality_ok, module_algebra_shadow, \
-    seeded_pairs, invariants_from_generators, counit_invariance_space
+    seeded_pairs, counit_invariance_space
 from .catalog import CATALOG, CatalogEntry, Claims, Param, list_entries, \
     get_entry, instantiate, family_assignments, closure_generators
 from .report import build_report, render_table, report_exit_code
@@ -28,9 +27,9 @@ __version__ = "0.1.0"
 
 __all__ = [
     "GaussRational", "Scalar", "Q", "I", "ONE", "ZERO", "scalar",
-    "parse_scalar", "q_integer", "eval_numeric",
+    "parse_scalar", "q_integer",
     "Mat", "MatSpace", "span", "centralizer", "subalgebra_closure",
-    "operator_nullspace", "stacked_nullspace", "invertible_element",
+    "stacked_nullspace", "invertible_element",
     "QSpinorRep", "AdmissibilityWitness", "check_spinor", "q_commutant",
     "admissibility", "spinor_equivalent",
     "GL2Rep", "RelationReport", "InvertibilityReport",
@@ -39,8 +38,7 @@ __all__ = [
     "quantum_plane_split", "classical_point", "gl2_equivalent",
     "CliffordAlgebra", "InnerAction", "BASIS_NAMES", "build_clifford",
     "build_action", "unitality_ok", "module_algebra_shadow",
-    "seeded_pairs", "invariants_from_generators",
-    "counit_invariance_space",
+    "seeded_pairs", "counit_invariance_space",
     "CATALOG", "CatalogEntry", "Claims", "Param", "list_entries",
     "get_entry", "instantiate", "family_assignments",
     "closure_generators",

@@ -158,35 +158,23 @@ def _cmd_equiv(args) -> int:
         raise ValueError("cannot compare a quadruple with a q-spinor pair")
     if isinstance(r1, GL2Rep):
         res = gl2_equivalent(r1, r2)
-        found = res is not None
-        obj = {
-            "equivalent": found,
-            "scaling_family": f"q^k, |k| <= {MAX_EXPONENT}, per column",
-            "u": res[0].to_json() if found else None,
-            "alpha1": str(res[1]) if found else None,
-            "alpha2": str(res[2]) if found else None,
-        }
-        if found:
-            table = ("equivalent: yes\n"
-                     f"alpha1 = {res[1]}, alpha2 = {res[2]}\n"
-                     f"u:\n{res[0]}\n")
-        else:
-            table = "equivalent: none within monomial scalings\n"
+        keys, per = ("alpha1", "alpha2"), ", per column"
     else:
         res = spinor_equivalent(r1, r2)
-        found = res is not None
-        obj = {
-            "equivalent": found,
-            "scaling_family": f"q^k, |k| <= {MAX_EXPONENT}",
-            "u": res[0].to_json() if found else None,
-            "alpha": str(res[1]) if found else None,
-        }
-        if found:
-            table = ("equivalent: yes\n"
-                     f"alpha = {res[1]}\n"
-                     f"u:\n{res[0]}\n")
-        else:
-            table = "equivalent: none within monomial scalings\n"
+        keys, per = ("alpha",), ""
+    found = res is not None
+    alphas = [str(a) for a in res[1:]] if found else [None] * len(keys)
+    obj = {
+        "equivalent": found,
+        "scaling_family": f"q^k, |k| <= {MAX_EXPONENT}{per}",
+        "u": res[0].to_json() if found else None,
+    }
+    obj.update(zip(keys, alphas))
+    if found:
+        line = ", ".join(f"{k} = {a}" for k, a in zip(keys, alphas))
+        table = f"equivalent: yes\n{line}\nu:\n{res[0]}\n"
+    else:
+        table = "equivalent: none within monomial scalings\n"
     _emit(obj, args.format, table)
     return 0
 

@@ -422,18 +422,10 @@ def _operator_rows(n: int, terms: list, z) -> list:
     return rows
 
 
-def stacked_nullspace(n: int, operators: list, one=None) -> MatSpace:
+def stacked_nullspace(n: int, operators: list) -> MatSpace:
     """Joint kernel of several vectorized X -> sum(c * P X Q) operators,
-    each given as its term list."""
-    if one is None:
-        for terms in operators:
-            for _, _, c in terms:
-                one = _one_like(c)
-                break
-            if one is not None:
-                break
-    if one is None:
-        one = Scalar.one()
+    each given as its term list; the coefficients fix the field."""
+    one = _one_like(operators[0][0][2])
     z = _zero_like(one)
     rows = []
     for terms in operators:
@@ -442,11 +434,6 @@ def stacked_nullspace(n: int, operators: list, one=None) -> MatSpace:
     for v in nullspace_rows(rows, n * n, one):
         space._insert(v)
     return space
-
-
-def operator_nullspace(n: int, terms: list) -> MatSpace:
-    """Kernel of a single X -> sum(c * P X Q) operator."""
-    return stacked_nullspace(n, [terms])
 
 
 def centralizer(s) -> MatSpace:
@@ -464,7 +451,7 @@ def centralizer(s) -> MatSpace:
         return MatSpace.span([Mat.unit(n, i, j) for i in range(n) for j in range(n)])
     one = _one_like(gens[0].rows[0][0])
     return stacked_nullspace(
-        n, [[(None, g, one), (g, None, -one)] for g in gens], one=one)
+        n, [[(None, g, one), (g, None, -one)] for g in gens])
 
 
 def power_traces(m: Mat, kmax: int) -> tuple:

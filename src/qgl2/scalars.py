@@ -518,12 +518,6 @@ def q_integer(k: int) -> Scalar:
     return Scalar((GR_ONE,) * k, _P_ONE, _canonical=True)
 
 
-def eval_numeric(a: Scalar, q0) -> GaussRational:
-    """Exact evaluation of a at the sample point q0 (int, Fraction or
-    GaussRational)."""
-    return a.eval(q0)
-
-
 # ---------------------------------------------------------------------------
 # parsing
 
@@ -570,8 +564,20 @@ class _Tokenizer:
 
 
 # a parsed power base^k must have |k| * max(1, degree of base) at most
-# this, so that an input cannot ask for a huge polynomial
+# this, and so must the degree of every parsed sum, difference, product
+# and quotient, so that an input cannot ask for a huge polynomial
 MAX_POWER_DEGREE = 1000
+
+
+def _degree(value: Scalar) -> int:
+    return max(len(value.num), len(value.den)) - 1
+
+
+def _bounded(value: Scalar, pos: int, what: str) -> Scalar:
+    if _degree(value) > MAX_POWER_DEGREE:
+        raise ValueError(f"parse error at position {pos}: {what} of degree "
+                         f"over {MAX_POWER_DEGREE}")
+    return value
 
 
 def parse_scalar(text: str) -> Scalar:
@@ -587,23 +593,26 @@ def parse_scalar(text: str) -> Scalar:
 def _parse_sum(tz) -> Scalar:
     value = _parse_product(tz)
     while tz.peek()[0] in "+-":
-        op = tz.next()[0]
+        op, _, pos = tz.next()
         rhs = _parse_product(tz)
-        value = value + rhs if op == "+" else value - rhs
+        if op == "+":
+            value = _bounded(value + rhs, pos, "sum")
+        else:
+            value = _bounded(value - rhs, pos, "difference")
     return value
 
 
 def _parse_product(tz) -> Scalar:
     value = _parse_signed(tz)
     while tz.peek()[0] in "*/":
-        op = tz.next()[0]
+        op, _, pos = tz.next()
         rhs = _parse_signed(tz)
         if op == "*":
-            value = value * rhs
+            value = _bounded(value * rhs, pos, "product")
         else:
             if not rhs:
                 raise ZeroDivisionError("zero divisor")
-            value = value / rhs
+            value = _bounded(value / rhs, pos, "quotient")
     return value
 
 
@@ -627,8 +636,7 @@ def _parse_power(tz) -> Scalar:
         kind, val, pos = tz.next()
         if kind != "int":
             raise ValueError(f"parse error at position {pos}: integer exponent expected")
-        degree = max(len(base.num), len(base.den)) - 1
-        if val * max(1, degree) > MAX_POWER_DEGREE:
+        if val * max(1, _degree(base)) > MAX_POWER_DEGREE:
             raise ValueError(f"parse error at position {pos}: power of degree "
                              f"over {MAX_POWER_DEGREE}")
         base = base ** (esign * val)

@@ -9,8 +9,7 @@ matrix c with c*b = q*b*c and c*a = q*a*c such that c*b is nonzero.
 from dataclasses import dataclass
 from typing import Optional
 
-from .matrices import Mat, MatSpace, _scaled_conjugacy, operator_nullspace, \
-    stacked_nullspace
+from .matrices import Mat, MatSpace, _scaled_conjugacy, stacked_nullspace
 from .scalars import Q, Scalar
 
 __all__ = [
@@ -54,7 +53,7 @@ def q_commutant(a: Mat, q: Scalar = Q, reverse: bool = False) -> MatSpace:
         terms = [(None, a, one), (a, None, -q)]
     else:
         terms = [(a, None, one), (None, a, -q)]
-    return operator_nullspace(a.n, terms)
+    return stacked_nullspace(a.n, [terms])
 
 
 @dataclass(frozen=True)

@@ -29,6 +29,7 @@ from qgl2.report import build_report, render_table
 from qgl2.scalars import Q, scalar
 from qgl2.spinors import QSpinorRep, admissibility, q_commutant, \
     spinor_equivalent
+from test_clifford import antisymmetrized
 
 GL2_ENTRIES = ("perturbed-a", "perturbed-b", "triangular-dim8",
                "diagonal-dim3")
@@ -264,7 +265,7 @@ def test_criterion_08_action_layer():
         ident = Mat.identity(4)
         for mu in range(4):
             for nu in range(4):
-                want = cl._gamma2(mu, nu) + ident.scale(
+                want = antisymmetrized(cl.gammas, (mu, nu)) + ident.scale(
                     scalar(cl.metric[mu] if mu == nu else 0))
                 if cl.gammas[mu] * cl.gammas[nu] != want:
                     failures.append(f"grade-1 relation at ({mu},{nu})")

@@ -132,7 +132,22 @@ class TestCommutant:
             f"error: parse error at position {pos}: power of degree "
             "over 1000\n")
 
-    @pytest.mark.parametrize("power", ["q^1000", "q^-1000"])
+    @pytest.mark.parametrize("entry, pos, what", [
+        ("*".join(["q^1000"] * 100), 6, "product"),
+        ("+".join(f"1/(q^999+{j})" for j in range(1, 21)), 11, "sum"),
+    ], ids=["product", "sum"])
+    def test_huge_degree_exits_2_at_once(self, capsys, tmp_path, entry, pos,
+                                         what):
+        path = write_json(tmp_path / "m.json", {
+            "n": 2, "entries": [[entry, "0"], ["0", "1"]]})
+        start = time.perf_counter()
+        assert main(["commutant", path]) == 2
+        assert time.perf_counter() - start < 0.5
+        assert capsys.readouterr().err == (
+            f"error: parse error at position {pos}: {what} of degree "
+            "over 1000\n")
+
+    @pytest.mark.parametrize("power", ["q^1000", "q^-1000", "q^600*q^400"])
     def test_exponent_at_the_bound_parses(self, capsys, tmp_path, power):
         path = write_json(tmp_path / "m.json", {
             "n": 2, "entries": [[power, "0"], ["0", "1"]]})
@@ -195,6 +210,35 @@ class TestCentralizerAndClosure:
         assert "need matrix files or --entry" in capsys.readouterr().err
 
 
+SPINOR_EQUIV = {
+    ("admissible-b", "table"): (
+        "equivalent: yes\n"
+        "alpha = 1\n"
+        "u:\n"
+        "[ 1   0   0   0]\n"
+        "[ 0   0   1   0]\n"
+        "[ 0   2   4   0]\n"
+        "[ 0   0   0  -2]\n"),
+    ("admissible-b", "json"): json.dumps({
+        "equivalent": True,
+        "scaling_family": "q^k, |k| <= 4",
+        "u": {"n": 4, "entries": [["1", "0", "0", "0"],
+                                  ["0", "0", "1", "0"],
+                                  ["0", "2", "4", "0"],
+                                  ["0", "0", "0", "-2"]]},
+        "alpha": "1"}, indent=2) + "\n",
+    ("admissible-jordan", "table"):
+        "equivalent: none within monomial scalings\n",
+    ("admissible-jordan", "json"): (
+        '{\n'
+        '  "equivalent": false,\n'
+        '  "scaling_family": "q^k, |k| <= 4",\n'
+        '  "u": null,\n'
+        '  "alpha": null\n'
+        '}\n'),
+}
+
+
 class TestEquiv:
     def test_catalog_pair_equivalent(self, capsys):
         assert main(["equiv", "perturbed-a", "perturbed-b"]) == 0
@@ -225,6 +269,13 @@ class TestEquiv:
         assert obj["equivalent"] is True
         assert obj["alpha"] == "1"
         assert obj["scaling_family"] == "q^k, |k| <= 4"
+
+    @pytest.mark.parametrize("fmt", ["table", "json"])
+    @pytest.mark.parametrize("second", ["admissible-b", "admissible-jordan"])
+    def test_spinor_pair_bytes(self, capsys, second, fmt):
+        # q-spinor output, found and none, byte for byte
+        assert main(["equiv", "admissible-a", second, "--format", fmt]) == 0
+        assert capsys.readouterr().out == SPINOR_EQUIV[second, fmt]
 
     def test_kind_mismatch(self, capsys):
         assert main(["equiv", "perturbed-a", "admissible-a"]) == 2

@@ -3,18 +3,47 @@ quadruples on it, pinned against golden action tables."""
 
 import json
 import pathlib
+from fractions import Fraction
+from itertools import permutations
 
 import pytest
 
-from qgl2.clifford import (BASIS_NAMES, InnerAction, build_action,
-                           build_clifford, counit_invariance_space,
-                           invariants_from_generators, module_algebra_shadow,
+from qgl2 import clifford
+from qgl2.clifford import (BASIS_NAMES, CliffordAlgebra, InnerAction,
+                           build_action, build_clifford,
+                           counit_invariance_space, module_algebra_shadow,
                            seeded_pairs, unitality_ok)
 from qgl2.gl2 import GL2Rep
-from qgl2.matrices import Mat, span
-from qgl2.scalars import GaussRational, ONE, Q, parse_scalar, scalar
+from qgl2.matrices import Mat, centralizer, span, subalgebra_closure
+from qgl2.scalars import GaussRational, I, ONE, Q, parse_scalar, scalar
 
 GOLDEN = pathlib.Path(__file__).parent / "golden"
+
+
+def antisymmetrized(gammas, idx):
+    """Reference basis element: (1/k!) sum_perm sgn(perm) prod(gammas),
+    with the sign counted from inversions."""
+    n = gammas[0].n
+    if not idx:
+        return Mat.identity(n)
+    acc = Mat.zero(n)
+    count = 0
+    for perm in permutations(range(len(idx))):
+        sign = 1
+        for a in range(len(perm)):
+            for b in range(a + 1, len(perm)):
+                if perm[a] > perm[b]:
+                    sign = -sign
+        prod = gammas[idx[perm[0]]]
+        for p in perm[1:]:
+            prod = prod * gammas[idx[p]]
+        acc = acc + (prod if sign > 0 else -prod)
+        count += 1
+    return acc.scale(Fraction(1, count))
+
+
+def index_set(name):
+    return () if name == "1" else tuple(int(c) for c in name[1:])
 
 
 def e(i, j, n=4):
@@ -57,10 +86,93 @@ class TestAlgebra:
                 assert (a * b + b * a).is_zero()
 
     def test_basis_names(self):
-        assert len(BASIS_NAMES) == 16
-        assert BASIS_NAMES[0] == "1"
-        assert BASIS_NAMES[1:5] == ("g0", "g1", "g2", "g3")
-        assert BASIS_NAMES[-1] == "g0123"
+        assert BASIS_NAMES == (
+            "1", "g0", "g1", "g2", "g3",
+            "g01", "g02", "g03", "g12", "g13", "g23",
+            "g012", "g013", "g023", "g123",
+            "g0123")
+
+    def test_elements_match_antisymmetrized_oracle(self):
+        cl = build_clifford()
+        for name, m in zip(cl.names, cl.elements):
+            assert m == antisymmetrized(cl.gammas, index_set(name)), name
+
+    def test_grade1_product_rule(self):
+        # gamma_mu gamma_nu = g_mn + gamma_mn
+        cl = build_clifford()
+        g, gam = cl.metric, cl.gammas
+        for mu in range(4):
+            for nu in range(4):
+                want = antisymmetrized(gam, (mu, nu)) + Mat.identity(4).scale(
+                    scalar(g[mu] if mu == nu else 0))
+                assert gam[mu] * gam[nu] == want, (mu, nu)
+
+    def test_grade2_product_rule(self):
+        # gamma_r gamma_mn = g_rm gamma_n - g_rn gamma_m + gamma_rmn
+        cl = build_clifford()
+        g, gam = cl.metric, cl.gammas
+        for rho in range(4):
+            for mu in range(4):
+                for nu in range(mu + 1, 4):
+                    rhs = antisymmetrized(gam, (rho, mu, nu))
+                    if rho == mu:
+                        rhs = rhs + gam[nu].scale(scalar(g[rho]))
+                    if rho == nu:
+                        rhs = rhs - gam[mu].scale(scalar(g[rho]))
+                    lhs = gam[rho] * antisymmetrized(gam, (mu, nu))
+                    assert lhs == rhs, (rho, mu, nu)
+
+    def test_grade3_product_rule(self):
+        # gamma_l gamma_mnr = g_lm gamma_nr - g_ln gamma_mr + g_lr gamma_mn
+        #   + gamma_lmnr
+        cl = build_clifford()
+        g, gam = cl.metric, cl.gammas
+        for lam in range(4):
+            for mu in range(4):
+                for nu in range(mu + 1, 4):
+                    for rho in range(nu + 1, 4):
+                        rhs = antisymmetrized(gam, (lam, mu, nu, rho))
+                        if lam == mu:
+                            rhs = rhs + antisymmetrized(
+                                gam, (nu, rho)).scale(scalar(g[lam]))
+                        if lam == nu:
+                            rhs = rhs - antisymmetrized(
+                                gam, (mu, rho)).scale(scalar(g[lam]))
+                        if lam == rho:
+                            rhs = rhs + antisymmetrized(
+                                gam, (mu, nu)).scale(scalar(g[lam]))
+                        lhs = gam[lam] * antisymmetrized(gam, (mu, nu, rho))
+                        assert lhs == rhs, (lam, mu, nu, rho)
+
+    @pytest.mark.parametrize("where", ["1,3", "0,0"])
+    def test_broken_sign_fails_relation(self, monkeypatch, where):
+        # one flipped entry of g3 breaks its anticommutation with g1;
+        # i*g0 anticommutes like g0 but squares to -1
+        g0, g1, g2, g3 = clifford._gamma_matrices()
+        if where == "1,3":
+            rows = [list(r) for r in g3.rows]
+            rows[0][2] = -rows[0][2]
+            g3 = Mat(rows)
+        else:
+            g0 = g0.scale(I)
+        broken = (g0, g1, g2, g3)
+        monkeypatch.setattr(clifford, "_gamma_matrices", lambda: broken)
+        with pytest.raises(ArithmeticError,
+                           match=rf"Clifford relation failed at \({where}\)"):
+            CliffordAlgebra()
+        cl = build_clifford()
+        monkeypatch.setattr(cl, "gammas", broken)
+        with pytest.raises(ArithmeticError,
+                           match=rf"Clifford relation failed at \({where}\)"):
+            cl._verify_relations()
+
+    def test_dependent_gamma_does_not_span(self, monkeypatch):
+        g0, g1, g2, _ = clifford._gamma_matrices()
+        monkeypatch.setattr(clifford, "_gamma_matrices",
+                            lambda: (g0, g1, g2, g0))
+        with pytest.raises(ArithmeticError,
+                           match="basis does not span the matrix algebra"):
+            CliffordAlgebra()
 
     def test_basis_has_full_rank(self):
         cl = build_clifford()
@@ -176,7 +288,7 @@ class TestInvariants:
     def test_counit_space_matches_centralizer_case1(self):
         rep = case1()
         gens = list(rep.generators()) + [rep.detq().inverse()]
-        inv = invariants_from_generators(gens)
+        inv = centralizer(subalgebra_closure(gens))
         counit = counit_invariance_space(build_action(rep))
         assert counit == inv
         assert counit.dim == 1
@@ -190,7 +302,7 @@ class TestInvariants:
             Mat.zero(4),
             Mat.diag(Q ** 2, ONE, ONE, two.inverse()))
         gens = list(rep.generators()) + [rep.detq().inverse()]
-        inv = invariants_from_generators(gens)
+        inv = centralizer(subalgebra_closure(gens))
         counit = counit_invariance_space(build_action(rep))
         assert counit == inv
         assert counit.dim == 6

@@ -6,8 +6,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from qgl2.matrices import (Mat, MatSpace, centralizer, invertible_element,
-                           operator_nullspace, power_traces, rref, span,
-                           stacked_nullspace, subalgebra_closure)
+                           power_traces, rref, span, stacked_nullspace,
+                           subalgebra_closure)
 from qgl2.scalars import GaussRational, I, ONE, Q, ZERO, scalar
 
 
@@ -195,7 +195,7 @@ class TestClosuresAndCommutants:
     def test_operator_nullspace_twist(self):
         # solutions of a*X = q*X*a for a = diag(q, 1) form span{e12}
         a = Mat.diag(Q, ONE)
-        sol = operator_nullspace(2, [(a, None, ONE), (None, a, -Q)])
+        sol = stacked_nullspace(2, [[(a, None, ONE), (None, a, -Q)]])
         assert sol == span([Mat.unit(2, 0, 1)])
 
     def test_stacked_nullspace_intersection(self):

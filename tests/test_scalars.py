@@ -6,7 +6,7 @@ from fractions import Fraction
 import pytest
 
 from qgl2.scalars import (GaussRational, I, ONE, Q, Scalar, ZERO,
-                          eval_numeric, parse_scalar, q_integer, scalar)
+                          parse_scalar, q_integer, scalar)
 
 
 class TestGaussRational:
@@ -113,7 +113,7 @@ class TestScalar:
             s.eval(1)
 
     def test_eval_numeric(self):
-        assert eval_numeric(Q ** 2 + Q, 3) == GaussRational(12)
+        assert (Q ** 2 + Q).eval(3) == GaussRational(12)
 
 
 class TestQInteger:
@@ -177,6 +177,18 @@ class TestTextEncoding:
         for bad in ("q^1001", "(q+1)^1001", "(q^2)^501", "(1/q^2)^-501",
                     "2^1001"):
             with pytest.raises(ValueError, match="power of degree over 1000"):
+                parse_scalar(bad)
+
+    def test_operator_degree_bound(self):
+        # every +, -, * and / result is bounded after reduction
+        assert parse_scalar("q^600*q^400") == Q ** 1000
+        assert parse_scalar("q^1000*q^-1000") == ONE
+        assert parse_scalar("q^1000-q^1000+1") == ONE
+        for bad, what in (("q^1000*q", "product"), ("q^1000/q^-1", "quotient"),
+                          ("1/(q^999+1)+1/(q^999+2)", "sum"),
+                          ("1/(q^999+1)-1/(q^999+2)", "difference")):
+            with pytest.raises(ValueError,
+                               match=f"{what} of degree over 1000"):
                 parse_scalar(bad)
 
     def test_division_by_zero_literal(self):
