@@ -7,7 +7,7 @@ the catalog of built-in representations and the command-line interface.
 """
 
 from .scalars import GaussRational, Scalar, Q, I, ONE, ZERO, scalar, \
-    parse_scalar, q_integer
+    parse_scalar
 from .matrices import Mat, MatSpace, span, centralizer, \
     subalgebra_closure, stacked_nullspace, invertible_element
 from .spinors import QSpinorRep, AdmissibilityWitness, check_spinor, \
@@ -15,7 +15,7 @@ from .spinors import QSpinorRep, AdmissibilityWitness, check_spinor, \
 from .gl2 import GL2Rep, RelationReport, InvertibilityReport, \
     PowerCommutatorReport, QuantumPlaneReport, verify_relations, \
     invertibility_nilpotency_check, power_commutator_check, \
-    quantum_plane_split, classical_point, gl2_equivalent
+    quantum_plane_split, gl2_equivalent
 from .clifford import CliffordAlgebra, InnerAction, BASIS_NAMES, \
     build_clifford, build_action, unitality_ok, module_algebra_shadow, \
     seeded_pairs, counit_invariance_space
@@ -27,7 +27,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "GaussRational", "Scalar", "Q", "I", "ONE", "ZERO", "scalar",
-    "parse_scalar", "q_integer",
+    "parse_scalar",
     "Mat", "MatSpace", "span", "centralizer", "subalgebra_closure",
     "stacked_nullspace", "invertible_element",
     "QSpinorRep", "AdmissibilityWitness", "check_spinor", "q_commutant",
@@ -35,7 +35,7 @@ __all__ = [
     "GL2Rep", "RelationReport", "InvertibilityReport",
     "PowerCommutatorReport", "QuantumPlaneReport", "verify_relations",
     "invertibility_nilpotency_check", "power_commutator_check",
-    "quantum_plane_split", "classical_point", "gl2_equivalent",
+    "quantum_plane_split", "gl2_equivalent",
     "CliffordAlgebra", "InnerAction", "BASIS_NAMES", "build_clifford",
     "build_action", "unitality_ok", "module_algebra_shadow",
     "seeded_pairs", "counit_invariance_space",

@@ -68,7 +68,6 @@ class Claims:
     commutant_basis: Optional[tuple] = None
     commutant_rev_basis: Optional[tuple] = None
     distinct_class_from: Optional[str] = None
-    unchecked: bool = False
 
 
 @dataclass(frozen=True)
@@ -262,7 +261,6 @@ CATALOG = (
         claims=Claims(
             dim_operator_algebra=6,
             dim_invariants=2,
-            unchecked=True,
         ),
     ),
     CatalogEntry(
@@ -273,7 +271,6 @@ CATALOG = (
         claims=Claims(
             dim_operator_algebra=7,
             dim_invariants=1,
-            unchecked=True,
         ),
     ),
     CatalogEntry(

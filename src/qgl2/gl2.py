@@ -24,7 +24,6 @@ __all__ = [
     "invertibility_nilpotency_check",
     "power_commutator_check",
     "quantum_plane_split",
-    "classical_point",
     "gl2_equivalent",
 ]
 
@@ -248,13 +247,6 @@ def quantum_plane_split(rep: GL2Rep) -> QuantumPlaneReport:
             labels.append("yx=q*xy")
         pairs[f"{xn},{yn}"] = tuple(labels)
     return QuantumPlaneReport(elements=elements, pairs=pairs)
-
-
-def classical_point(n: int = 4) -> GL2Rep:
-    """The commutative quadruple: identity diagonal generators, zero
-    off-diagonal ones.  Useful as a baseline; its invariant space is the
-    whole matrix algebra."""
-    return GL2Rep(Mat.identity(n), Mat.zero(n), Mat.zero(n), Mat.identity(n))
 
 
 def gl2_equivalent(r1: GL2Rep, r2: GL2Rep) -> Optional[tuple]:

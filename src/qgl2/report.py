@@ -11,6 +11,7 @@ field, and again after substituting a rational sample value for q; a
 disagreement flags the sample point in the crosscheck block.
 """
 
+import dataclasses
 from fractions import Fraction
 from typing import Optional
 
@@ -20,32 +21,42 @@ from .clifford import build_action, counit_invariance_space, unitality_ok
 from .gl2 import gl2_equivalent, invertibility_nilpotency_check, \
     power_commutator_check, quantum_plane_split, verify_relations
 from .matrices import MatSpace, centralizer, subalgebra_closure
-from .scalars import GaussRational
+from .scalars import GaussRational, Q
 from .spinors import admissibility, check_spinor, q_commutant
 
 __all__ = ["build_report", "render_table", "report_exit_code"]
 
 POWER_COMMUTATOR_KMAX = 6
+_MODES = ("single", "family")
+_DIM_KEYS = ("operator_algebra", "invariants")
 
 
-def _gauss(q0: Fraction) -> GaussRational:
-    return GaussRational(q0, Fraction(0))
+def _check(got, claimed, message: str, disc: list) -> Optional[bool]:
+    """Compare got with claimed: None when nothing is claimed, else the
+    verdict, with message recorded in disc on a mismatch."""
+    if claimed is None:
+        return None
+    ok = got == claimed
+    if not ok:
+        disc.append(message)
+    return ok
 
 
-def _eval_mats(mats, q0):
-    return [m.eval(q0) for m in mats]
+def _span(basis: Optional[tuple]) -> Optional[MatSpace]:
+    return None if basis is None else MatSpace.span(list(basis))
 
 
-def _dims_at(gens, q0) -> tuple:
-    """(operator algebra dim, invariants dim) over the evaluated field."""
-    ev = _eval_mats(gens, q0)
-    alg = subalgebra_closure(ev)
-    return alg.dim, centralizer(alg).dim
+def _algebra(gens: list) -> tuple:
+    """(operator algebra, invariants): the closure of gens and its
+    centralizer."""
+    alg = subalgebra_closure(gens)
+    return alg, centralizer(alg)
 
 
-def _claim(ok: Optional[bool], message: str, discrepancies: list):
-    if ok is False:
-        discrepancies.append(message)
+def _spinor_spaces(a, b, q, orientation: str) -> tuple:
+    """(B(a), B'(a), admissibility witness) of the pair (a, b)."""
+    return (q_commutant(a, q=q), q_commutant(a, q=q, reverse=True),
+            admissibility(a, b, q=q, orientation=orientation))
 
 
 def _gl2_record(entry: CatalogEntry, q0: Fraction) -> dict:
@@ -55,88 +66,65 @@ def _gl2_record(entry: CatalogEntry, q0: Fraction) -> dict:
 
     rel = verify_relations(rep)
     for label, ok in rel.relations.items():
-        _claim(ok, f"defining relation failed: {label}", disc)
-    _claim(rel.detq_invertible, "quantum determinant not invertible", disc)
-    detq_claim = None
-    if claims.detq is not None:
-        detq_claim = rel.detq == claims.detq
-        _claim(detq_claim, "quantum determinant differs from claim", disc)
-    pert_claim = None
-    if claims.perturbation_nonzero is not None:
-        pert_claim = rel.perturbation_nonzero == claims.perturbation_nonzero
-        _claim(pert_claim, "perturbation zero/nonzero claim failed", disc)
+        _check(ok, True, f"defining relation failed: {label}", disc)
+    _check(rel.detq_invertible, True, "quantum determinant not invertible",
+           disc)
+    detq_claim = _check(rel.detq, claims.detq,
+                        "quantum determinant differs from claim", disc)
+    pert_claim = _check(rel.perturbation_nonzero, claims.perturbation_nonzero,
+                        "perturbation zero/nonzero claim failed", disc)
 
     cor = invertibility_nilpotency_check(rep)
-    _claim(cor.ok, "invertibility/nilpotency consequences failed: "
+    _check(cor.ok, True, "invertibility/nilpotency consequences failed: "
            + ", ".join(cor.failures), disc)
 
     pc = power_commutator_check(rep.c11, rep.c22, POWER_COMMUTATOR_KMAX)
     qp = quantum_plane_split(rep)
 
-    dims = {}
-    gens = {}
-    for mode in ("single", "family"):
-        g = closure_generators(entry, mode)
-        gens[mode] = g
-        alg = subalgebra_closure(g)
-        inv = centralizer(alg)
-        dims[mode] = {"operator_algebra": alg.dim, "invariants": inv.dim,
-                      "_alg": alg, "_inv": inv}
+    g = GaussRational(q0)
+    spaces, sampled = {}, {}
+    for mode in _MODES:
+        gens = closure_generators(entry, mode)
+        spaces[mode] = _algebra(gens)
+        sampled[mode] = _algebra([m.eval(g) for m in gens])
+    dims = {mode: {key: s.dim for key, s in zip(_DIM_KEYS, spaces[mode])}
+            for mode in _MODES}
+    alg, inv = spaces["family"]
 
-    if claims.dim_operator_algebra is not None:
-        _claim(dims["family"]["operator_algebra"]
-               == claims.dim_operator_algebra,
-               "operator algebra dimension differs from claim "
-               f"(got {dims['family']['operator_algebra']}, claimed "
-               f"{claims.dim_operator_algebra})", disc)
-    if claims.dim_invariants is not None:
-        _claim(dims["family"]["invariants"] == claims.dim_invariants,
-               "invariant dimension differs from claim "
-               f"(got {dims['family']['invariants']}, claimed "
-               f"{claims.dim_invariants})", disc)
-    op_space_claim = None
-    if claims.operator_space is not None:
-        op_space_claim = dims["family"]["_alg"] == MatSpace.span(
-            list(claims.operator_space))
-        _claim(op_space_claim, "operator algebra basis pattern differs "
-               "from claim", disc)
-    inv_space_claim = None
-    if claims.invariant_space is not None:
-        inv_space_claim = dims["family"]["_inv"] == MatSpace.span(
-            list(claims.invariant_space))
-        _claim(inv_space_claim, "invariant space differs from claimed "
-               "unit pattern", disc)
+    _check(alg.dim, claims.dim_operator_algebra,
+           "operator algebra dimension differs from claim "
+           f"(got {alg.dim}, claimed {claims.dim_operator_algebra})", disc)
+    _check(inv.dim, claims.dim_invariants,
+           "invariant dimension differs from claim "
+           f"(got {inv.dim}, claimed {claims.dim_invariants})", disc)
+    op_space_claim = _check(alg, _span(claims.operator_space),
+                            "operator algebra basis pattern differs "
+                            "from claim", disc)
+    inv_space_claim = _check(inv, _span(claims.invariant_space),
+                             "invariant space differs from claimed "
+                             "unit pattern", disc)
 
     action_ok = unital = False
-    counit_dim = None
-    counit_matches = None
+    counit_dim = counit_matches = None
     try:
         action = build_action(rep)
         action_ok = True
         unital = unitality_ok(action)
         counit = counit_invariance_space(action)
         counit_dim = counit.dim
-        counit_matches = counit == dims["single"]["_inv"]
+        counit_matches = counit == spaces["single"][1]
     except ValueError:
         pass
-    _claim(action_ok, "inner action undefined (block matrix singular)",
+    _check(action_ok, True, "inner action undefined (block matrix singular)",
            disc)
     if action_ok:
-        _claim(unital, "inner action is not unital", disc)
+        _check(unital, True, "inner action is not unital", disc)
 
-    g = _gauss(q0)
-    crosscheck = {"q0": str(q0)}
-    cc_ok = True
-    for mode in ("single", "family"):
-        a0, i0 = _dims_at(gens[mode], g)
-        crosscheck[mode] = {
-            "operator_algebra": [dims[mode]["operator_algebra"], a0],
-            "invariants": [dims[mode]["invariants"], i0],
-        }
-        cc_ok = cc_ok and a0 == dims[mode]["operator_algebra"] \
-            and i0 == dims[mode]["invariants"]
-    crosscheck["ok"] = cc_ok
-    _claim(cc_ok, f"dimension mismatch at sample point q = {q0}", disc)
+    pairs = {mode: {key: [exact.dim, at_q0.dim] for key, exact, at_q0
+                    in zip(_DIM_KEYS, spaces[mode], sampled[mode])}
+             for mode in _MODES}
+    cc_ok = all(x == y for mode in _MODES for x, y in pairs[mode].values())
+    _check(cc_ok, True, f"dimension mismatch at sample point q = {q0}", disc)
 
     return {
         "entry": entry.name,
@@ -148,30 +136,15 @@ def _gl2_record(entry: CatalogEntry, q0: Fraction) -> dict:
         "detq_matches_claim": detq_claim,
         "perturbation_nonzero": rel.perturbation_nonzero,
         "perturbation_claim_ok": pert_claim,
-        "consequences": {
-            "applicable": cor.applicable,
-            "c11_invertible": cor.c11_invertible,
-            "c22_invertible": cor.c22_invertible,
-            "c12_nilpotent": cor.c12_nilpotent,
-            "c21_nilpotent": cor.c21_nilpotent,
-            "offdiag_product_diag_zero": cor.offdiag_product_diag_zero,
-        },
+        "consequences": dataclasses.asdict(cor),
         "power_commutator": {
             "premise_holds": pc.premise_holds,
             "checked_to": len(pc.results),
             "ok": pc.ok,
         },
         "quantum_plane": {k: list(v) for k, v in qp.pairs.items()},
-        "dims": {
-            mode: {
-                "operator_algebra": dims[mode]["operator_algebra"],
-                "invariants": dims[mode]["invariants"],
-            } for mode in ("single", "family")
-        },
-        "mode_divergence":
-            dims["single"]["operator_algebra"]
-            != dims["family"]["operator_algebra"]
-            or dims["single"]["invariants"] != dims["family"]["invariants"],
+        "dims": dims,
+        "mode_divergence": dims["single"] != dims["family"],
         "operator_space_matches_claim": op_space_claim,
         "invariant_space_matches_claim": inv_space_claim,
         "action": {
@@ -185,7 +158,7 @@ def _gl2_record(entry: CatalogEntry, q0: Fraction) -> dict:
         },
         "counit_invariants_dim": counit_dim,
         "counit_matches_centralizer": counit_matches,
-        "crosscheck": crosscheck,
+        "crosscheck": {"q0": str(q0), **pairs, "ok": cc_ok},
         "discrepancies": disc,
     }
 
@@ -197,36 +170,32 @@ def _qspinor_record(entry: CatalogEntry, q0: Fraction,
     disc = []
 
     spinor_ok = check_spinor(rep)
-    _claim(spinor_ok, "pair does not satisfy the q-spinor relation", disc)
+    _check(spinor_ok, True, "pair does not satisfy the q-spinor relation",
+           disc)
 
-    com = q_commutant(rep.a)
-    comr = q_commutant(rep.a, reverse=True)
-    com_claim = comr_claim = None
-    if claims.commutant_basis is not None:
-        com_claim = com == MatSpace.span(list(claims.commutant_basis))
-        _claim(com_claim, "commutant differs from claimed basis", disc)
-    if claims.commutant_rev_basis is not None:
-        comr_claim = comr == MatSpace.span(list(claims.commutant_rev_basis))
-        _claim(comr_claim, "reverse commutant differs from claimed basis",
-               disc)
+    com, comr, wit = _spinor_spaces(rep.a, rep.b, Q, orientation)
+    com_claim = _check(com, _span(claims.commutant_basis),
+                       "commutant differs from claimed basis", disc)
+    comr_claim = _check(comr, _span(claims.commutant_rev_basis),
+                        "reverse commutant differs from claimed basis", disc)
+    # the published verdicts are for the default orientation only
+    adm_claim = _check(
+        wit.admissible,
+        claims.admissible if orientation == "default" else None,
+        f"admissibility verdict {wit.admissible} differs from "
+        f"claim {claims.admissible}", disc)
 
-    wit = admissibility(rep.a, rep.b, orientation=orientation)
-    adm_claim = None
-    if claims.admissible is not None and orientation == "default":
-        adm_claim = wit.admissible == claims.admissible
-        _claim(adm_claim,
-               f"admissibility verdict {wit.admissible} differs from "
-               f"claim {claims.admissible}", disc)
-
-    g = _gauss(q0)
-    a0, b0 = rep.a.eval(g), rep.b.eval(g)
-    com0 = q_commutant(a0, q=g)
-    comr0 = q_commutant(a0, q=g, reverse=True)
-    wit0 = admissibility(a0, b0, q=g, orientation=orientation)
-    cc_ok = (com0.dim == com.dim and comr0.dim == comr.dim
-             and wit0.c_space.dim == wit.c_space.dim
-             and wit0.admissible == wit.admissible)
-    _claim(cc_ok, f"dimension mismatch at sample point q = {q0}", disc)
+    g = GaussRational(q0)
+    com0, comr0, wit0 = _spinor_spaces(rep.a.eval(g), rep.b.eval(g), g,
+                                       orientation)
+    pairs = {
+        "commutant": [com.dim, com0.dim],
+        "commutant_rev": [comr.dim, comr0.dim],
+        "c_space": [wit.c_space.dim, wit0.c_space.dim],
+    }
+    cc_ok = wit0.admissible == wit.admissible \
+        and all(x == y for x, y in pairs.values())
+    _check(cc_ok, True, f"dimension mismatch at sample point q = {q0}", disc)
 
     return {
         "entry": entry.name,
@@ -242,13 +211,7 @@ def _qspinor_record(entry: CatalogEntry, q0: Fraction,
         "admissible": wit.admissible,
         "admissible_claim_ok": adm_claim,
         "c_space_dim": wit.c_space.dim,
-        "crosscheck": {
-            "q0": str(q0),
-            "commutant": [com.dim, com0.dim],
-            "commutant_rev": [comr.dim, comr0.dim],
-            "c_space": [wit.c_space.dim, wit0.c_space.dim],
-            "ok": cc_ok,
-        },
+        "crosscheck": {"q0": str(q0), **pairs, "ok": cc_ok},
         "discrepancies": disc,
     }
 

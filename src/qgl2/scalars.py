@@ -300,12 +300,6 @@ class Scalar:
             return ZERO
         return cls((g,), _P_ONE, _canonical=True)
 
-    @classmethod
-    def q_power(cls, k: int) -> "Scalar":
-        if k >= 0:
-            return cls((GR_ZERO,) * k + (GR_ONE,), _P_ONE, _canonical=True)
-        return cls((GR_ONE,), (GR_ZERO,) * (-k) + (GR_ONE,), _canonical=True)
-
     # -- coercion -----------------------------------------------------------
 
     @staticmethod
@@ -509,13 +503,6 @@ def scalar(value) -> Scalar:
     if s is None:
         raise TypeError(f"cannot make a Scalar from {type(value).__name__}")
     return s
-
-
-def q_integer(k: int) -> Scalar:
-    """The q-integer [k] = 1 + q + ... + q^(k-1) = (q^k - 1)/(q - 1)."""
-    if not isinstance(k, int) or k <= 0:
-        raise ValueError("undefined q-integer")
-    return Scalar((GR_ONE,) * k, _P_ONE, _canonical=True)
 
 
 # ---------------------------------------------------------------------------

@@ -7,6 +7,7 @@ from qgl2.catalog import (closure_generators, family_assignments, get_entry,
 from qgl2.clifford import build_action, counit_invariance_space, unitality_ok
 from qgl2.gl2 import GL2Rep, invertibility_nilpotency_check, verify_relations
 from qgl2.matrices import Mat, centralizer, span, subalgebra_closure
+from qgl2.report import build_report
 from qgl2.scalars import Q, scalar
 from qgl2.spinors import QSpinorRep, admissibility, check_spinor, q_commutant
 
@@ -224,9 +225,15 @@ class TestQSpinorClaims:
 class TestExternalEntries:
     @pytest.mark.parametrize("name", ["external-dim6", "external-dim7"])
     def test_unchecked_flag(self, name):
+        # the report keys on the kind: an external entry has no builder
+        # and is listed as unchecked
         entry = get_entry(name)
-        assert entry.claims.unchecked
+        assert entry.kind == "external"
         assert entry.builder is None
+        rep = build_report(["external-dim6", "external-dim7"])
+        rec = {r["entry"]: r for r in rep["entries"]}[name]
+        assert rec["status"] == "unchecked"
+        assert name in rep["summary"]["unchecked"]
 
     def test_claimed_dims_on_record(self):
         assert get_entry("external-dim6").claims.dim_operator_algebra == 6

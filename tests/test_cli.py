@@ -1,5 +1,6 @@
 """CLI behaviour: exit codes, output shapes, determinism, error paths."""
 
+import hashlib
 import json
 import pathlib
 import subprocess
@@ -30,6 +31,31 @@ def spinor_b_file(tmp_path):
         "n": 4,
         "entries": [["0", "0", "q", "0"], ["0", "0", "0", "-1"],
                     ["0", "0", "0", "0"], ["0", "0", "0", "0"]]})
+
+
+# sha256 of `verify-catalog` stdout: the full catalog at the defaults, and
+# a subset of two gl2 and two q-spinor entries at a second sample point
+# and at the flipped orientation
+CATALOG_DIGESTS = {
+    "table": "a3b87463005388579bf874b8ff912b56d86fb13a83e17885bfa0cb2a2e495755",
+    "json": "0384ff5df4d3175cd68461aba7cf850c01df5f1d9f754e2ce16de9ac465f4868",
+}
+SUBSET = ["--entry", "triangular-dim8", "--entry", "diagonal-dim3",
+          "--entry", "admissible-jordan", "--entry", "rejected-shifted-diag"]
+SUBSET_DIGESTS = {
+    ("table", "--q0", "3"):
+        "1d0a3246b504fad4462ed6834d9277f70dd526fea5d56b530d1fdd84241fdb62",
+    ("json", "--q0", "3"):
+        "0dab8b06738e5dd316a8b7d734685d475fe76bc7f6c6d77e22c44adadbab4f1f",
+    ("table", "--orientation", "flipped"):
+        "faddd79c3357a6178766fed0a63f917f5d7116f5de66e96bcbfab76b8fed12e7",
+    ("json", "--orientation", "flipped"):
+        "8fa7d05d0196e5239f82fe56be50c8119b0e60f5326cb683ed136afe63e20a2f",
+}
+
+
+def sha256(text):
+    return hashlib.sha256(text.encode("utf-8")).hexdigest()
 
 
 class TestVerifyCatalog:
@@ -72,6 +98,20 @@ class TestVerifyCatalog:
         assert "FAIL" in out
         assert "equivalence witness was found" in out
         assert "unchecked 2" in out
+        assert sha256(out) == CATALOG_DIGESTS["table"]
+
+    def test_full_run_json_bytes(self, capsys):
+        code = main(["verify-catalog", "--format", "json"])
+        out = capsys.readouterr().out
+        assert code == 1
+        assert sha256(out) == CATALOG_DIGESTS["json"]
+
+    @pytest.mark.parametrize("fmt,flag,value", sorted(SUBSET_DIGESTS))
+    def test_subset_bytes(self, capsys, fmt, flag, value):
+        code = main(["verify-catalog", *SUBSET, flag, value, "--format", fmt])
+        assert code == 0
+        assert sha256(capsys.readouterr().out) \
+            == SUBSET_DIGESTS[fmt, flag, value]
 
     def test_orientation_flag(self, capsys):
         code = main(["verify-catalog", "--entry", "admissible-a",

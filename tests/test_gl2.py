@@ -3,12 +3,13 @@ commutators, quantum-plane splitting, equivalence search."""
 
 import pytest
 
-from qgl2.gl2 import (GL2Rep, RELATION_LABELS, classical_point,
-                      gl2_equivalent, invertibility_nilpotency_check,
-                      power_commutator_check, quantum_plane_split,
-                      verify_relations)
+from qgl2.gl2 import (GL2Rep, RELATION_LABELS, gl2_equivalent,
+                      invertibility_nilpotency_check, power_commutator_check,
+                      quantum_plane_split, verify_relations)
 from qgl2.matrices import Mat, centralizer, subalgebra_closure
-from qgl2.scalars import GaussRational, ONE, Q, q_integer, scalar
+from qgl2.scalars import GaussRational, ONE, Q, scalar
+
+from oracles import classical_point, q_integer
 
 
 def e(i, j, n=4):

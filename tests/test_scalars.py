@@ -6,7 +6,9 @@ from fractions import Fraction
 import pytest
 
 from qgl2.scalars import (GaussRational, I, ONE, Q, Scalar, ZERO,
-                          parse_scalar, q_integer, scalar)
+                          parse_scalar, scalar)
+
+from oracles import q_integer
 
 
 class TestGaussRational:
