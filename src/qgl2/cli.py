@@ -184,6 +184,15 @@ def _add_format(p: argparse.ArgumentParser) -> None:
                    help="output format (default table)")
 
 
+def _rational(text: str) -> Fraction:
+    """argparse type of --q0: a rational such as 3, -1/2 or 0.5."""
+    try:
+        return Fraction(text)
+    except (ValueError, ZeroDivisionError):
+        raise argparse.ArgumentTypeError(
+            f"invalid Fraction value: {text!r}") from None
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="qgl2",
@@ -197,7 +206,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--entry", action="append", metavar="NAME",
                    help="restrict to this entry (repeatable); known: "
                         + ", ".join(list_entries()))
-    p.add_argument("--q0", type=Fraction, default=Fraction(2),
+    p.add_argument("--q0", type=_rational, default=Fraction(2),
                    metavar="RATIONAL",
                    help="sample point for the numeric crosscheck "
                         "(default 2)")

@@ -6,6 +6,13 @@ reduced form (numerator and denominator coprime, denominator monic and
 nonzero, zero represented as 0/1).  Equality of canonical forms is
 structural equality, so == decides mathematical equality exactly.
 
+A polynomial is a tuple of GaussRational coefficients, index = degree.
+A GaussRational is one reduced integer triple (a + b*i)/d with d > 0 and
+gcd(a, b, d) = 1, so its arithmetic is int arithmetic plus one gcd per
+result; fractions.Fraction appears only where values enter and leave.
+Polynomial products convolve the Gaussian-integer numerators over a
+common denominator per operand and reduce each output coefficient once.
+
 Scalars print to, and parse from, plain expression strings over the
 tokens {integers, i, q, +, -, *, /, ^, parentheses}, e.g. "q^2",
 "-(q - 1)/q", "1/2 + 3*i".  print -> parse is the identity on canonical
@@ -15,22 +22,36 @@ forms.
 from __future__ import annotations
 
 from fractions import Fraction
-
-_F0 = Fraction(0)
-_F1 = Fraction(1)
+from math import gcd as _gcd, lcm as _lcm
 
 
 class GaussRational:
-    """A Gaussian rational re + im*i with exact Fraction components."""
+    """A Gaussian rational (a + b*i)/d, stored as one reduced integer
+    triple: a, b and d are ints, d > 0 and gcd(a, b, d) = 1, so equal
+    values have equal triples.  Arithmetic uses only int operations and
+    at most one gcd per result.  The constructor takes int or Fraction
+    parts, and re and im give them back as Fractions."""
 
-    __slots__ = ("re", "im")
+    __slots__ = ("a", "b", "d")
 
     def __init__(self, re=0, im=0):
-        object.__setattr__(self, "re", re if isinstance(re, Fraction) else Fraction(re))
-        object.__setattr__(self, "im", im if isinstance(im, Fraction) else Fraction(im))
+        re, im = Fraction(re), Fraction(im)
+        # lcm of reduced denominators: the triple is already reduced
+        d = _lcm(re.denominator, im.denominator)
+        object.__setattr__(self, "a", re.numerator * (d // re.denominator))
+        object.__setattr__(self, "b", im.numerator * (d // im.denominator))
+        object.__setattr__(self, "d", d)
 
     def __setattr__(self, name, value):
         raise AttributeError("GaussRational is immutable")
+
+    @property
+    def re(self) -> Fraction:
+        return Fraction(self.a, self.d)
+
+    @property
+    def im(self) -> Fraction:
+        return Fraction(self.b, self.d)
 
     @classmethod
     def zero(cls) -> "GaussRational":
@@ -40,7 +61,8 @@ class GaussRational:
     def one(cls) -> "GaussRational":
         return GR_ONE
 
-    def _coerce(self, other):
+    @staticmethod
+    def _coerce(other):
         if isinstance(other, GaussRational):
             return other
         if isinstance(other, (int, Fraction)):
@@ -51,7 +73,8 @@ class GaussRational:
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        return GaussRational(self.re + o.re, self.im + o.im)
+        return _reduced(self.a * o.d + o.a * self.d,
+                        self.b * o.d + o.b * self.d, self.d * o.d)
 
     __radd__ = __add__
 
@@ -59,43 +82,50 @@ class GaussRational:
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        return GaussRational(self.re - o.re, self.im - o.im)
+        return _reduced(self.a * o.d - o.a * self.d,
+                        self.b * o.d - o.b * self.d, self.d * o.d)
 
     def __rsub__(self, other):
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        return GaussRational(o.re - self.re, o.im - self.im)
+        return o - self
 
     def __mul__(self, other):
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        return GaussRational(self.re * o.re - self.im * o.im,
-                             self.re * o.im + self.im * o.re)
+        return _reduced(self.a * o.a - self.b * o.b,
+                        self.a * o.b + self.b * o.a, self.d * o.d)
 
     __rmul__ = __mul__
 
     def inverse(self) -> "GaussRational":
-        n = self.re * self.re + self.im * self.im
-        if n == 0:
+        # d/(a + b*i) = d*(a - b*i)/(a^2 + b^2)
+        n = self.a * self.a + self.b * self.b
+        if not n:
             raise ZeroDivisionError("zero divisor")
-        return GaussRational(self.re / n, -self.im / n)
+        return _reduced(self.d * self.a, -self.d * self.b, n)
 
     def __truediv__(self, other):
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        return self * o.inverse()
+        # ((a + b*i)/d) / ((x + y*i)/e) = e*(a + b*i)*(x - y*i)/(d*(x^2 + y^2))
+        n = o.a * o.a + o.b * o.b
+        if not n:
+            raise ZeroDivisionError("zero divisor")
+        return _reduced(o.d * (self.a * o.a + self.b * o.b),
+                        o.d * (self.b * o.a - self.a * o.b), self.d * n)
 
     def __rtruediv__(self, other):
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        return o * self.inverse()
+        return o / self
 
     def __neg__(self):
-        return GaussRational(-self.re, -self.im)
+        return _gr(-self.a, -self.b, self.d)
 
     def __pow__(self, k: int):
         if not isinstance(k, int):
@@ -112,30 +142,59 @@ class GaussRational:
         return out
 
     def __bool__(self):
-        return bool(self.re) or bool(self.im)
+        return bool(self.a or self.b)
 
     def __eq__(self, other):
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        return self.re == o.re and self.im == o.im
+        return self.a == o.a and self.b == o.b and self.d == o.d
 
     def __hash__(self):
-        if not self.im:
-            return hash(self.re)
-        return hash((self.re, self.im))
+        if self.b:
+            return hash((self.a, self.b, self.d))
+        return hash(self.re)  # equal to the hash of the equal int or Fraction
 
     def __str__(self):
-        if not self.im:
+        if not self.b:
             return str(self.re)
-        if not self.re:
+        if not self.a:
             return _imag_str(self.im)
-        if self.im < 0:
+        if self.b < 0:
             return f"{self.re} - {_imag_str(-self.im)}"
         return f"{self.re} + {_imag_str(self.im)}"
 
     def __repr__(self):
         return f"GaussRational({self.re!r}, {self.im!r})"
+
+
+# _gr makes every arithmetic result, so it writes the slots through their
+# descriptors: with object.__setattr__, which looks each name up again,
+# the median wall_norm_s was 7-11% higher on every workload (BENCH_9.json,
+# "slot_setters")
+_set_a = GaussRational.a.__set__
+_set_b = GaussRational.b.__set__
+_set_d = GaussRational.d.__set__
+
+
+def _gr(a: int, b: int, d: int) -> GaussRational:
+    """The GaussRational of a triple that is already reduced."""
+    g = object.__new__(GaussRational)
+    _set_a(g, a)
+    _set_b(g, b)
+    _set_d(g, d)
+    return g
+
+
+def _reduced(a: int, b: int, d: int) -> GaussRational:
+    """The GaussRational (a + b*i)/d for any d > 0."""
+    if d != 1:
+        g = _gcd(a, b, d)
+        if g != 1:
+            a //= g
+            b //= g
+            d //= g
+    return _gr(a, b, d)
 
 
 def _imag_str(im: Fraction) -> str:
@@ -176,16 +235,29 @@ def _pneg(a: tuple) -> tuple:
 
 
 def _pmul(a: tuple, b: tuple) -> tuple:
+    """Convolve the Gaussian-integer numerators of a and b, each taken over
+    the lcm of its coefficient denominators, then reduce every output
+    coefficient once."""
     if not a or not b:
         return ()
-    out = [GR_ZERO] * (len(a) + len(b) - 1)
-    for j, aj in enumerate(a):
-        if not aj:
+    da = _lcm(*[c.d for c in a])
+    db = _lcm(*[c.d for c in b])
+    bs = [(k, c.a * (db // c.d), c.b * (db // c.d))
+          for k, c in enumerate(b) if c]
+    n = len(a) + len(b) - 1
+    re = [0] * n
+    im = [0] * n
+    for j, c in enumerate(a):
+        if not c:
             continue
-        for k, bk in enumerate(b):
-            if bk:
-                out[j + k] = out[j + k] + aj * bk
-    return _pnorm(out)
+        s = da // c.d
+        xr, xi = c.a * s, c.b * s
+        for k, yr, yi in bs:
+            re[j + k] += xr * yr - xi * yi
+            im[j + k] += xr * yi + xi * yr
+    den = da * db
+    return _pnorm([_reduced(x, y, den) if x or y else GR_ZERO
+                   for x, y in zip(re, im)])
 
 
 def _pscale(c: GaussRational, a: tuple) -> tuple:

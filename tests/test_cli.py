@@ -133,6 +133,19 @@ class TestVerifyCatalog:
         assert code == 2
         assert "evaluation pole" in err
 
+    @pytest.mark.parametrize("q0", ["1/0", "abc"])
+    def test_bad_q0_is_a_usage_error(self, capsys, q0):
+        # a zero denominator is rejected by argparse like any non-rational,
+        # with one error line and no traceback
+        with pytest.raises(SystemExit) as exc:
+            main(["verify-catalog", "--q0", q0])
+        err = capsys.readouterr().err
+        assert exc.value.code == 2
+        assert err.splitlines()[-1] == (
+            f"qgl2 verify-catalog: error: argument --q0: "
+            f"invalid Fraction value: '{q0}'")
+        assert err.count("error") == 1 and "Traceback" not in err
+
 
 class TestCommutant:
     def test_table(self, capsys, diag_file):

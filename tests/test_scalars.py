@@ -1,12 +1,15 @@
 """Exact scalar arithmetic: Gaussian rationals, rational functions in q,
 and the round-tripping text encoding."""
 
+import sys
 from fractions import Fraction
+from math import comb, gcd
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from qgl2.scalars import (GaussRational, I, ONE, Q, Scalar, ZERO,
-                          parse_scalar, scalar)
+from qgl2.scalars import (GR_ONE, GR_ZERO, GaussRational, I, ONE, Q, Scalar,
+                          ZERO, _pgcd, _pmul, _pnorm, parse_scalar, scalar)
 
 from oracles import q_integer
 
@@ -196,3 +199,218 @@ class TestTextEncoding:
     def test_division_by_zero_literal(self):
         with pytest.raises(ZeroDivisionError, match="zero divisor"):
             parse_scalar("1/0")
+
+
+# ---------------------------------------------------------------------------
+# properties of the coefficient type against a reference that keeps a
+# Gaussian rational as a pair of Fractions, and of Scalar as a field
+
+PROPERTY = settings(derandomize=True, max_examples=150, deadline=None)
+
+# small parts cancel often; large ones make multi-word gcds
+rationals = st.builds(
+    Fraction,
+    st.integers(-12, 12) | st.integers(-10 ** 25, 10 ** 25),
+    st.integers(1, 12) | st.integers(1, 10 ** 20))
+pairs = st.tuples(rationals, rationals | st.just(Fraction(0)))
+
+
+def ref_mul(x, y):
+    return (x[0] * y[0] - x[1] * y[1], x[0] * y[1] + x[1] * y[0])
+
+
+def ref_inverse(x):
+    n = x[0] * x[0] + x[1] * x[1]
+    return (x[0] / n, -x[1] / n)
+
+
+def ref_str(x):
+    def imag(v):
+        return "i" if v == 1 else "-i" if v == -1 else f"{v}*i"
+    re, im = x
+    if not im:
+        return str(re)
+    if not re:
+        return imag(im)
+    if im < 0:
+        return f"{re} - {imag(-im)}"
+    return f"{re} + {imag(im)}"
+
+
+def assert_canonical(g):
+    assert all(type(v) is int for v in (g.a, g.b, g.d))
+    assert g.d > 0 and gcd(g.a, g.b, g.d) == 1
+
+
+def assert_is(g, x):
+    """g is the canonical GaussRational of the Fraction pair x."""
+    assert_canonical(g)
+    assert (g.re, g.im) == x
+    assert str(g) == ref_str(x)
+
+
+class TestGaussRationalProperties:
+    @PROPERTY
+    @given(x=pairs, y=pairs)
+    def test_ops_match_fraction_pairs(self, x, y):
+        gx, gy = GaussRational(*x), GaussRational(*y)
+        assert_is(gx, x)
+        assert_is(gx + gy, (x[0] + y[0], x[1] + y[1]))
+        assert_is(gx - gy, (x[0] - y[0], x[1] - y[1]))
+        assert_is(gx * gy, ref_mul(x, y))
+        assert_is(-gx, (-x[0], -x[1]))
+        # mixed with int and Fraction operands, on either side
+        assert_is(y[0] - gx, (y[0] - x[0], -x[1]))
+        assert_is(gx + 3, (x[0] + 3, x[1]))
+        assert_is(y[0] * gx, (y[0] * x[0], y[0] * x[1]))
+        if any(y):
+            assert_is(gy.inverse(), ref_inverse(y))
+            assert_is(gx / gy, ref_mul(x, ref_inverse(y)))
+            assert_is(x[0] / gy, ref_mul((x[0], 0), ref_inverse(y)))
+        else:
+            for fail in (gy.inverse, lambda: gx / gy, lambda: 1 / gy):
+                with pytest.raises(ZeroDivisionError, match="zero divisor"):
+                    fail()
+
+    @PROPERTY
+    @given(x=pairs, k=st.integers(-5, 7))
+    def test_pow_matches_repeated_product(self, x, k):
+        if k < 0 and not any(x):
+            with pytest.raises(ZeroDivisionError):
+                GaussRational(*x) ** k
+            return
+        ref = (Fraction(1), Fraction(0))
+        for _ in range(abs(k)):
+            ref = ref_mul(ref, x if k > 0 else ref_inverse(x))
+        assert_is(GaussRational(*x) ** k, ref)
+
+    @PROPERTY
+    @given(x=pairs, y=pairs)
+    def test_equal_values_hash_equal(self, x, y):
+        gx, gy = GaussRational(*x), GaussRational(*y)
+        assert (gx == gy) == (x == y)
+        # the same value reached by other routes
+        routes = [(gx + gy) - gy, gx * 1] + ([gx * gy / gy] if any(y) else [])
+        for same in routes:
+            assert same == gx and hash(same) == hash(gx)
+        # real values agree with Fraction and int
+        real = GaussRational(x[0])
+        assert real == x[0] and hash(real) == hash(x[0])
+        n = x[0].numerator
+        assert GaussRational(n) == n and hash(GaussRational(n)) == hash(n)
+        assert hash(GaussRational(Fraction(n, 2))) == hash(Fraction(n, 2))
+
+    def test_hash_at_the_hash_modulus(self):
+        # a denominator with no inverse modulo the hash modulus, and the
+        # values whose hash would be -1
+        m = sys.hash_info.modulus
+        for v in (Fraction(1, m), Fraction(-5, 3 * m), Fraction(-1),
+                  Fraction(-1, m + 1), Fraction(-m - 1)):
+            assert hash(GaussRational(v)) == hash(v)
+
+    @PROPERTY
+    @given(x=pairs, y=pairs)
+    def test_immutable(self, x, y):
+        gx, gy = GaussRational(*x), GaussRational(*y)
+        triple = (gx.a, gx.b, gx.d)
+        for name in ("a", "b", "d", "re", "im", "other"):
+            with pytest.raises(AttributeError):
+                setattr(gx, name, 1)
+        # no operation changes its operands
+        gx + gy, gx - gy, gx * gy, -gx, gx ** 3, hash(gx), str(gx)
+        if gx:
+            gy / gx
+        assert (gx.a, gx.b, gx.d) == triple
+
+
+def pmul_reference(a, b):
+    """The per-coefficient product loop _pmul replaced: every partial
+    product is a reduced GaussRational added into its slot."""
+    if not a or not b:
+        return ()
+    out = [GR_ZERO] * (len(a) + len(b) - 1)
+    for j, aj in enumerate(a):
+        if not aj:
+            continue
+        for k, bk in enumerate(b):
+            if bk:
+                out[j + k] = out[j + k] + aj * bk
+    return _pnorm(out)
+
+
+coefficients = st.one_of(st.just(GR_ZERO), rationals.map(GaussRational),
+                         pairs.map(lambda x: GaussRational(*x)))
+polys = (st.lists(coefficients, max_size=6)
+         | st.lists(rationals.map(GaussRational), max_size=6)).map(_pnorm)
+
+
+class TestPolynomialProduct:
+    @PROPERTY
+    @given(a=polys, b=polys)
+    def test_pmul_matches_per_coefficient_loop(self, a, b):
+        out = _pmul(a, b)
+        assert out == pmul_reference(a, b)
+        assert not out or out[-1]
+        for c in out:
+            assert_canonical(c)
+
+    def test_dense_power_coefficients(self):
+        s = parse_scalar("(q/3+1/7)^60")
+        assert s.den == (GR_ONE,) and len(s.num) == 61
+        for k, c in enumerate(s.num):
+            assert c == GaussRational(Fraction(comb(60, k),
+                                               3 ** k * 7 ** (60 - k)))
+        s = parse_scalar("(q+1)^1000")
+        assert s.num == tuple(GaussRational(comb(1000, k))
+                              for k in range(1001))
+
+
+# Laurent scalars p/q^k and scalars with non-monomial denominators
+SMALL = tuple(GaussRational(*x) for x in
+              ((1, 0), (-1, 0), (2, 0), (Fraction(1, 3), 0), (0, 1),
+               (1, -1), (Fraction(-2, 5), 3)))
+small_polys = st.lists(st.sampled_from((GR_ZERO,) + SMALL), min_size=1,
+                       max_size=3)
+laurent = st.builds(lambda num, k: Scalar(num) / Q ** k, small_polys,
+                    st.integers(0, 3))
+non_monomial = st.builds(lambda num, c0, c1: Scalar(num, (c0, c1, GR_ONE)),
+                         small_polys, st.sampled_from(SMALL),
+                         st.sampled_from((GR_ZERO,) + SMALL))
+scalars = laurent | non_monomial
+
+
+def assert_canonical_scalar(x):
+    assert x.den and x.den[-1] == GR_ONE
+    assert not x.num or x.num[-1]
+    assert _pgcd(x.num, x.den) == (GR_ONE,)
+    for c in x.num + x.den:
+        assert_canonical(c)
+
+
+class TestScalarProperties:
+    @settings(derandomize=True, max_examples=100, deadline=None)
+    @given(x=scalars, y=scalars, z=scalars)
+    def test_field_axioms(self, x, y, z):
+        for v in (x + y, x * y, x - y, -x):
+            assert_canonical_scalar(v)
+        assert x + y == y + x and hash(x + y) == hash(y + x)
+        assert x * y == y * x
+        assert (x + y) + z == x + (y + z)
+        assert (x * y) * z == x * (y * z)
+        assert x * (y + z) == x * y + x * z
+        assert x + ZERO == x and x * ONE == x and x * ZERO == ZERO
+        assert x + (-x) == ZERO and x - y == x + (-y)
+        if x:
+            assert_canonical_scalar(x.inverse())
+            assert x * x.inverse() == ONE
+            assert (y / x) * x == y
+        else:
+            with pytest.raises(ZeroDivisionError):
+                x.inverse()
+
+    @settings(derandomize=True, max_examples=100, deadline=None)
+    @given(x=scalars)
+    def test_print_parse_round_trip(self, x):
+        text = str(x)
+        assert parse_scalar(text) == x
+        assert str(parse_scalar(text)) == text
