@@ -20,7 +20,7 @@ from typing import Callable, Optional
 
 from .gl2 import GL2Rep
 from .matrices import Mat
-from .scalars import Q, Scalar, scalar
+from .scalars import Q, scalar
 from .spinors import QSpinorRep
 
 __all__ = [

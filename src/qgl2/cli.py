@@ -32,9 +32,16 @@ from .spinors import QSpinorRep, admissibility, q_commutant, \
 __all__ = ["main"]
 
 
-def _load_matrix(path: str) -> Mat:
+def _read_json(path: str):
     with open(path, "r", encoding="utf-8") as fh:
-        obj = json.load(fh)
+        try:
+            return json.load(fh)
+        except RecursionError:
+            raise ValueError(f"{path}: JSON nested too deeply") from None
+
+
+def _load_matrix(path: str) -> Mat:
+    obj = _read_json(path)
     if not isinstance(obj, dict) or "entries" not in obj:
         raise ValueError(f"{path}: expected a matrix object with 'entries'")
     return Mat.from_json(obj)
@@ -43,8 +50,7 @@ def _load_matrix(path: str) -> Mat:
 def _load_rep(path: str):
     """A gl2 quadruple ({"c11": .., "c12": .., "c21": .., "c22": ..}) or a
     q-spinor pair ({"a": .., "b": ..})."""
-    with open(path, "r", encoding="utf-8") as fh:
-        obj = json.load(fh)
+    obj = _read_json(path)
     if not isinstance(obj, dict):
         raise ValueError(f"{path}: expected an object")
     if {"c11", "c12", "c21", "c22"} <= set(obj):

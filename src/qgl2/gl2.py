@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 from .matrices import Mat, _scaled_conjugacy
-from .scalars import ONE, Q, Scalar
+from .scalars import ONE, Q
 
 __all__ = [
     "GL2Rep",
@@ -34,7 +34,6 @@ class GL2Rep:
     c12: Mat
     c21: Mat
     c22: Mat
-    q: Scalar = Q
 
     def __post_init__(self):
         n = self.c11.n
@@ -56,7 +55,7 @@ class GL2Rep:
         """(q - 1) * c12 * c21, the defect of commutativity of the
         diagonal generators: c22*c11 - c11*c22 equals this when the
         relations hold."""
-        return (self.c12 * self.c21).scale(self.q - ONE)
+        return (self.c12 * self.c21).scale(Q - ONE)
 
     def block_matrix(self) -> Mat:
         """The 2n x 2n matrix with blocks [[c11, c12], [c21, c22]]."""
@@ -98,17 +97,17 @@ class RelationReport:
 
 
 def verify_relations(rep: GL2Rep) -> RelationReport:
-    a, b, c, d, q = rep.c11, rep.c12, rep.c21, rep.c22, rep.q
+    a, b, c, d = rep.generators()
+    pert = rep.perturbation()
     checks = (
         a * b == b * a,
-        c * a == (a * c).scale(q),
-        d * b == (b * d).scale(q),
+        c * a == (a * c).scale(Q),
+        d * b == (b * d).scale(Q),
         c * d == d * c,
-        c * b == (b * c).scale(q),
-        d * a - a * d == (b * c).scale(q - ONE),
+        c * b == (b * c).scale(Q),
+        d * a - a * d == pert,
     )
     detq = rep.detq()
-    pert = rep.perturbation()
     return RelationReport(
         relations=dict(zip(RELATION_LABELS, checks)),
         detq=detq,
@@ -149,15 +148,14 @@ class InvertibilityReport:
 def invertibility_nilpotency_check(rep: GL2Rep) -> InvertibilityReport:
     applicable = verify_relations(rep).ok
     prod = rep.c12 * rep.c21
-    z = rep.c11.rows[0][0] - rep.c11.rows[0][0]
     return InvertibilityReport(
         applicable=applicable,
         c11_invertible=rep.c11.is_invertible(),
         c22_invertible=rep.c22.is_invertible(),
         c12_nilpotent=rep.c12.is_nilpotent(),
         c21_nilpotent=rep.c21.is_nilpotent(),
-        offdiag_product_diag_zero=all(
-            prod.rows[i][i] == z for i in range(rep.n)),
+        offdiag_product_diag_zero=not any(
+            prod.rows[i][i] for i in range(rep.n)),
     )
 
 
@@ -178,22 +176,21 @@ class PowerCommutatorReport:
         return self.premise_holds and all(r for _, r in self.results)
 
 
-def power_commutator_check(x: Mat, y: Mat, kmax: int,
-                           q: Scalar = Q) -> PowerCommutatorReport:
+def power_commutator_check(x: Mat, y: Mat,
+                           kmax: int) -> PowerCommutatorReport:
     if x.n != y.n:
         raise ValueError("dimension mismatch")
     eps = x * y - y * x
-    if eps * x != (x * eps).scale(q):
+    if eps * x != (x * eps).scale(Q):
         return PowerCommutatorReport(premise_holds=False, results=())
     results = []
-    one = type(q).one()
-    coeff = one    # 1 + q + ... + q^(k-1)
-    qpow = one     # q^(k-1)
-    xk = Mat.identity(x.n, one=_one_of(x))   # x^(k-1)
-    xk1 = x                                  # x^k
+    coeff = ONE    # 1 + q + ... + q^(k-1)
+    qpow = ONE     # q^(k-1)
+    xk = Mat.identity(x.n)   # x^(k-1)
+    xk1 = x                  # x^k
     for k in range(1, kmax + 1):
         if k > 1:
-            qpow = qpow * q
+            qpow = qpow * Q
             coeff = coeff + qpow
         lhs = xk1 * y - y * xk1
         rhs = (xk * eps).scale(coeff)
@@ -201,10 +198,6 @@ def power_commutator_check(x: Mat, y: Mat, kmax: int,
         xk = xk1
         xk1 = xk1 * x
     return PowerCommutatorReport(premise_holds=True, results=tuple(results))
-
-
-def _one_of(m: Mat):
-    return type(m.rows[0][0]).one()
 
 
 _PAIR_ORDER = (
@@ -233,7 +226,6 @@ def quantum_plane_split(rep: GL2Rep) -> QuantumPlaneReport:
         "a12": inv * rep.c12,
         "a22": inv * rep.detq(),
     }
-    q = rep.q
     pairs = {}
     for xn, yn in _PAIR_ORDER:
         x, y = elements[xn], elements[yn]
@@ -241,9 +233,9 @@ def quantum_plane_split(rep: GL2Rep) -> QuantumPlaneReport:
         labels = []
         if xy == yx:
             labels.append("xy=yx")
-        if xy == yx.scale(q):
+        if xy == yx.scale(Q):
             labels.append("xy=q*yx")
-        if yx == xy.scale(q):
+        if yx == xy.scale(Q):
             labels.append("yx=q*xy")
         pairs[f"{xn},{yn}"] = tuple(labels)
     return QuantumPlaneReport(elements=elements, pairs=pairs)
@@ -261,7 +253,7 @@ def gl2_equivalent(r1: GL2Rep, r2: GL2Rep) -> Optional[tuple]:
     quadruples.  Returns an exactly verified witness or None when no
     witness exists within those scalings.
     """
-    if r1.q != r2.q or r1.n != r2.n:
+    if r1.n != r2.n:
         return None
     return _scaled_conjugacy(
         [(r1.c11, r2.c11, 0), (r1.c21, r2.c21, 0),

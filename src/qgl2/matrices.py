@@ -21,7 +21,8 @@ from fractions import Fraction
 from itertools import product
 from typing import Iterable, Optional
 
-from .scalars import ONE, Q, GaussRational, Scalar, parse_scalar, scalar
+from .scalars import ONE, Q, ZERO, GaussRational, Scalar, _power, \
+    parse_scalar, scalar
 
 
 def _entry(value):
@@ -32,14 +33,6 @@ def _entry(value):
     if isinstance(value, str):
         return parse_scalar(value)
     raise TypeError(f"bad matrix entry of type {type(value).__name__}")
-
-
-def _one_like(x):
-    return type(x).one()
-
-
-def _zero_like(x):
-    return type(x).zero()
 
 
 class Mat:
@@ -60,27 +53,25 @@ class Mat:
     # -- constructors -------------------------------------------------------
 
     @classmethod
-    def zero(cls, n: int, one=None) -> "Mat":
-        z = _zero_like(one) if one is not None else Scalar.zero()
-        return cls([[z] * n for _ in range(n)])
+    def zero(cls, n: int) -> "Mat":
+        return cls([[ZERO] * n for _ in range(n)])
 
     @classmethod
-    def identity(cls, n: int, one=None) -> "Mat":
-        one = one if one is not None else Scalar.one()
-        z = _zero_like(one)
+    def identity(cls, n: int, one=ONE) -> "Mat":
+        z = type(one).zero()
         return cls([[one if i == j else z for j in range(n)] for i in range(n)])
 
     @classmethod
     def unit(cls, n: int, i: int, j: int) -> "Mat":
         """Matrix unit e_ij (0-based indices)."""
-        rows = [[Scalar.zero()] * n for _ in range(n)]
-        rows[i][j] = Scalar.one()
+        rows = [[ZERO] * n for _ in range(n)]
+        rows[i][j] = ONE
         return cls(rows)
 
     @classmethod
     def diag(cls, *values) -> "Mat":
         vals = [_entry(v) for v in values]
-        z = _zero_like(vals[0])
+        z = type(vals[0]).zero()
         n = len(vals)
         return cls([[vals[i] if i == j else z for j in range(n)] for i in range(n)])
 
@@ -117,39 +108,27 @@ class Mat:
         return Mat([[-a for a in row] for row in self.rows])
 
     def __mul__(self, other):
-        if isinstance(other, Mat):
-            n = self.n
-            if other.n != n:
-                raise ValueError("dimension mismatch")
-            z = _zero_like(self.rows[0][0])
-            out = [[z] * n for _ in range(n)]
-            brows = other.rows
-            for i in range(n):
-                arow = self.rows[i]
-                orow = out[i]
-                for k in range(n):
-                    a = arow[k]
-                    if not a:
-                        continue
-                    brow = brows[k]
-                    for j in range(n):
-                        b = brow[j]
-                        if b:
-                            orow[j] = orow[j] + a * b
-            return Mat(out)
-        s = Scalar._coerce(other) if not isinstance(other, GaussRational) else other
-        if s is None:
+        if not isinstance(other, Mat):
             return NotImplemented
-        return self.scale(s)
-
-    def __rmul__(self, other):
-        # scalar * Mat
-        if isinstance(other, Mat):
-            return NotImplemented
-        s = Scalar._coerce(other) if not isinstance(other, GaussRational) else other
-        if s is None:
-            return NotImplemented
-        return self.scale(s)
+        n = self.n
+        if other.n != n:
+            raise ValueError("dimension mismatch")
+        z = type(self.rows[0][0]).zero()
+        out = [[z] * n for _ in range(n)]
+        brows = other.rows
+        for i in range(n):
+            arow = self.rows[i]
+            orow = out[i]
+            for k in range(n):
+                a = arow[k]
+                if not a:
+                    continue
+                brow = brows[k]
+                for j in range(n):
+                    b = brow[j]
+                    if b:
+                        orow[j] = orow[j] + a * b
+        return Mat(out)
 
     def scale(self, s) -> "Mat":
         return Mat([[s * x for x in row] for row in self.rows])
@@ -157,17 +136,11 @@ class Mat:
     def __pow__(self, k: int):
         if not isinstance(k, int) or k < 0:
             raise ValueError("nonnegative integer power expected")
-        out = Mat.identity(self.n, one=_one_like(self.rows[0][0]))
-        base = self
-        while k:
-            if k & 1:
-                out = out * base
-            base = base * base if k > 1 else base
-            k >>= 1
-        return out
+        return _power(self, k,
+                      Mat.identity(self.n, one=type(self.rows[0][0]).one()))
 
     def trace(self):
-        t = _zero_like(self.rows[0][0])
+        t = type(self.rows[0][0]).zero()
         for i in range(self.n):
             t = t + self.rows[i][i]
         return t
@@ -182,10 +155,8 @@ class Mat:
 
     def inverse(self) -> "Mat":
         n = self.n
-        one = _one_like(self.rows[0][0])
-        z = _zero_like(one)
-        aug = [list(self.rows[i]) + [one if i == j else z for j in range(n)]
-               for i in range(n)]
+        ident = Mat.identity(n, one=type(self.rows[0][0]).one()).rows
+        aug = [self.rows[i] + ident[i] for i in range(n)]
         reduced, pivots = rref(aug)
         if pivots != list(range(n)):
             raise ValueError("singular")
@@ -196,10 +167,6 @@ class Mat:
 
     def is_nilpotent(self) -> bool:
         return (self ** self.n).is_zero()
-
-    def nullspace(self) -> list:
-        """Basis of {v : m v = 0}, as tuples of field elements."""
-        return nullspace_rows(self.rows, self.n, _one_like(self.rows[0][0]))
 
     # -- substitution and I/O -------------------------------------------------
 
@@ -216,7 +183,10 @@ class Mat:
             raise ValueError("matrix object must have 'n' and 'entries'")
         n = obj["n"]
         entries = obj["entries"]
-        if not isinstance(n, int) or len(entries) != n or any(len(r) != n for r in entries):
+        if not isinstance(n, int) or not isinstance(entries, list) \
+                or len(entries) != n \
+                or not all(isinstance(r, list) and len(r) == n
+                           for r in entries):
             raise ValueError("entries must form an n x n grid")
         if not all(isinstance(x, str) for row in entries for x in row):
             raise ValueError("matrix entries must be strings")
@@ -255,7 +225,7 @@ def _insert(vectors: list, pivots: list, vec) -> bool:
     lead = next((k for k, x in enumerate(vec) if x), None)
     if lead is None:
         return False
-    inv = _one_like(vec[lead]) / vec[lead]
+    inv = vec[lead].inverse()
     vec = [inv * x if x else x for x in vec]
     for i, basis_vec in enumerate(vectors):
         c = basis_vec[lead]
@@ -275,21 +245,6 @@ def rref(rows) -> tuple:
     for row in rows:
         _insert(vectors, pivots, row)
     return vectors, pivots
-
-
-def nullspace_rows(rows: list, ncols: int, one) -> list:
-    """Basis of the right kernel of the row list, canonical order."""
-    reduced, pivots = rref(rows)
-    z = _zero_like(one)
-    free = [c for c in range(ncols) if c not in pivots]
-    basis = []
-    for fc in free:
-        v = [z] * ncols
-        v[fc] = one
-        for r, pc in enumerate(pivots):
-            v[pc] = -reduced[r][fc]
-        basis.append(tuple(v))
-    return basis
 
 
 # ---------------------------------------------------------------------------
@@ -319,6 +274,8 @@ class MatSpace:
 
     def _insert(self, vec) -> bool:
         """Add vec to the space; True when the dimension grew."""
+        if len(vec) != self.n * self.n:
+            raise ValueError("dimension mismatch")
         return _insert(self._vectors, self._pivots, vec)
 
     @property
@@ -424,34 +381,38 @@ def _operator_rows(n: int, terms: list, z) -> list:
 
 def stacked_nullspace(n: int, operators: list) -> MatSpace:
     """Joint kernel of several vectorized X -> sum(c * P X Q) operators,
-    each given as its term list; the coefficients fix the field."""
-    one = _one_like(operators[0][0][2])
-    z = _zero_like(one)
+    each given as its term list; the coefficients fix the field.  Every
+    P and Q must be n x n (ValueError "dimension mismatch" otherwise)."""
+    if any(m is not None and m.n != n
+           for terms in operators for p, q, _ in terms for m in (p, q)):
+        raise ValueError("dimension mismatch")
+    one = type(operators[0][0][2]).one()
+    z = type(one).zero()
     rows = []
     for terms in operators:
         rows.extend(_operator_rows(n, terms, z))
+    reduced, pivots = rref(rows)
     space = MatSpace(n)
-    for v in nullspace_rows(rows, n * n, one):
+    # one kernel vector per free column: 1 there, minus that column of
+    # the reduced rows at the pivots
+    for fc in range(n * n):
+        if fc in pivots:
+            continue
+        v = [z] * (n * n)
+        v[fc] = one
+        for r, pc in enumerate(pivots):
+            v[pc] = -reduced[r][fc]
         space._insert(v)
     return space
 
 
-def centralizer(s) -> MatSpace:
-    """All X with XG = GX for every G in s (a MatSpace or list of Mat)."""
-    if isinstance(s, MatSpace):
-        gens = s.basis
-        n = s.n
-    else:
-        gens = list(s)
-        if not gens:
-            raise ValueError("centralizer of an empty set")
-        n = gens[0].n
-    if not gens:
-        # centralizer of the zero space is everything
-        return MatSpace.span([Mat.unit(n, i, j) for i in range(n) for j in range(n)])
-    one = _one_like(gens[0].rows[0][0])
+def centralizer(mats: list) -> MatSpace:
+    """All X with XG = GX for every G in the nonempty list mats."""
+    if not mats:
+        raise ValueError("centralizer of an empty set")
+    one = type(mats[0].rows[0][0]).one()
     return stacked_nullspace(
-        n, [[(None, g, one), (g, None, -one)] for g in gens])
+        mats[0].n, [[(None, g, one), (g, None, -one)] for g in mats])
 
 
 def power_traces(m: Mat, kmax: int) -> tuple:
@@ -468,7 +429,7 @@ def power_traces(m: Mat, kmax: int) -> tuple:
     out = [p.trace() for p in powers[:kmax]]
     top = powers[-1].rows
     for b in powers[:kmax - h]:
-        t = _zero_like(top[0][0])
+        t = type(top[0][0]).zero()
         for i, row in enumerate(top):
             for k, a in enumerate(row):
                 if a:
@@ -569,7 +530,9 @@ def _scaled_conjugacy(equations: list, filters: list) -> Optional[tuple]:
             for g1, g2, g in equations]))
         if u is None:
             continue
-        ui = u.inverse()
-        if all(u * g1 * ui * alphas[g] == g2 for g1, g2, g in equations):
+        # u is invertible (invertible_element checked its rank), so
+        # g2 = u g1 u^-1 alpha is u g1 alpha = g2 u
+        if all((u * g1).scale(alphas[g]) == g2 * u
+               for g1, g2, g in equations):
             return (u,) + alphas
     return None

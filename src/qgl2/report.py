@@ -50,7 +50,7 @@ def _algebra(gens: list) -> tuple:
     """(operator algebra, invariants): the closure of gens and its
     centralizer."""
     alg = subalgebra_closure(gens)
-    return alg, centralizer(alg)
+    return alg, centralizer(alg.basis)
 
 
 def _spinor_spaces(a, b, q, orientation: str) -> tuple:
@@ -169,7 +169,7 @@ def _qspinor_record(entry: CatalogEntry, q0: Fraction,
     claims = entry.claims
     disc = []
 
-    spinor_ok = check_spinor(rep)
+    spinor_ok = check_spinor(rep.a, rep.b)
     _check(spinor_ok, True, "pair does not satisfy the q-spinor relation",
            disc)
 

@@ -25,6 +25,22 @@ from fractions import Fraction
 from math import gcd as _gcd, lcm as _lcm
 
 
+def _power(x, k: int, one):
+    """x^k by square and multiply for any x with * (and inverse, when
+    k < 0); one is returned for k = 0.  The powers of GaussRational,
+    Scalar and Mat all come from here."""
+    if k < 0:
+        x, k = x.inverse(), -k
+    out = None
+    while k:
+        if k & 1:
+            out = x if out is None else out * x
+        k >>= 1
+        if k:
+            x = x * x
+    return one if out is None else out
+
+
 class GaussRational:
     """A Gaussian rational (a + b*i)/d, stored as one reduced integer
     triple: a, b and d are ints, d > 0 and gcd(a, b, d) = 1, so equal
@@ -43,6 +59,9 @@ class GaussRational:
         object.__setattr__(self, "d", d)
 
     def __setattr__(self, name, value):
+        raise AttributeError("GaussRational is immutable")
+
+    def __delattr__(self, name):
         raise AttributeError("GaussRational is immutable")
 
     @property
@@ -130,16 +149,7 @@ class GaussRational:
     def __pow__(self, k: int):
         if not isinstance(k, int):
             return NotImplemented
-        base = self
-        if k < 0:
-            base, k = base.inverse(), -k
-        out = GR_ONE
-        while k:
-            if k & 1:
-                out = out * base
-            base = base * base
-            k >>= 1
-        return out
+        return _power(self, k, GR_ONE)
 
     def __bool__(self):
         return bool(self.a or self.b)
@@ -356,6 +366,9 @@ class Scalar:
     def __setattr__(self, name, value):
         raise AttributeError("Scalar is immutable")
 
+    def __delattr__(self, name):
+        raise AttributeError("Scalar is immutable")
+
     # -- constructors -------------------------------------------------------
 
     @classmethod
@@ -450,18 +463,7 @@ class Scalar:
     def __pow__(self, k: int):
         if not isinstance(k, int):
             return NotImplemented
-        if k == 0:
-            return ONE
-        base = self
-        if k < 0:
-            base, k = base.inverse(), -k
-        out = ONE
-        while k:
-            if k & 1:
-                out = out * base
-            base = base * base
-            k >>= 1
-        return out
+        return _power(self, k, ONE)
 
     # -- structure ----------------------------------------------------------
 
@@ -476,9 +478,6 @@ class Scalar:
 
     def __hash__(self):
         return hash((self.num, self.den))
-
-    def is_constant(self) -> bool:
-        return len(self.num) <= 1 and self.den == _P_ONE
 
     def eval(self, q0) -> GaussRational:
         """Exact substitution q -> q0.  Raises on a denominator root."""

@@ -29,16 +29,15 @@ class QSpinorRep:
 
     a: Mat
     b: Mat
-    q: Scalar = Q
 
     def __post_init__(self):
         if self.a.n != self.b.n:
             raise ValueError("dimension mismatch")
 
 
-def check_spinor(rep: QSpinorRep) -> bool:
-    """Whether rep.a * rep.b == rep.q * rep.b * rep.a holds exactly."""
-    return rep.a * rep.b == rep.q * (rep.b * rep.a)
+def check_spinor(a: Mat, b: Mat) -> bool:
+    """Whether a * b == q * b * a holds exactly."""
+    return a * b == (b * a).scale(Q)
 
 
 def q_commutant(a: Mat, q: Scalar = Q, reverse: bool = False) -> MatSpace:
@@ -48,7 +47,7 @@ def q_commutant(a: Mat, q: Scalar = Q, reverse: bool = False) -> MatSpace:
     q-spinor pair (a, b); the reverse orientation collects the b' with
     b'*a = q*a*b'.  Returns the canonical basis of the solution space.
     """
-    one = type(a.rows[0][0]).one()
+    one = type(q).one()
     if reverse:
         terms = [(None, a, one), (a, None, -q)]
     else:
@@ -83,10 +82,10 @@ def admissibility(a: Mat, b: Mat, q: Scalar = Q,
         raise ValueError(f"unknown orientation: {orientation!r}")
     if a.n != b.n:
         raise ValueError("dimension mismatch")
-    if not check_spinor(QSpinorRep(a, b, q)):
+    if a * b != (b * a).scale(q):
         raise ValueError("not a q-spinor")
     qq = q if orientation == "default" else q.inverse()
-    one = type(a.rows[0][0]).one()
+    one = type(q).one()
     space = stacked_nullspace(a.n, [
         [(None, b, one), (b, None, -qq)],
         [(None, a, one), (a, None, -qq)],
@@ -109,8 +108,6 @@ def spinor_equivalent(r1: QSpinorRep, r2: QSpinorRep) -> Optional[tuple]:
     Returns the exactly verified witness pair, or None when no witness
     exists within that family of scalings.
     """
-    if r1.q != r2.q:
-        return None
     if r1.a.n != r2.a.n:
         return None
     return _scaled_conjugacy([(r1.a, r2.a, 0), (r1.b, r2.b, 0)],

@@ -263,6 +263,53 @@ class TestCentralizerAndClosure:
         assert "need matrix files or --entry" in capsys.readouterr().err
 
 
+M2 = json.dumps({"n": 2, "entries": [["1", "q"], ["0", "1"]]})
+M3 = json.dumps({"n": 3, "entries": [["0", "0", "0"], ["0", "0", "0"],
+                                     ["0", "0", "1"]]})
+DEEP = "[" * 100000 + "]" * 100000
+
+# argv with {0}, {1} for the files, then the JSON text of each file (None
+# makes a directory); every case must exit 2 with one "error:" line
+ONE_FILE = ["commutant", "{0}"]
+BAD_INPUT = {
+    "entries-number": (ONE_FILE, ['{"n": 2, "entries": 5}']),
+    "entries-null": (ONE_FILE, ['{"n": 2, "entries": null}']),
+    "row-number": (ONE_FILE, ['{"n": 1, "entries": [5]}']),
+    "nested-matrix": (ONE_FILE, [DEEP]),
+    "nested-rep": (["equiv", "{0}", "perturbed-a"], [DEEP]),
+    "top-level-list": (ONE_FILE, ["[1, 2]"]),
+    "number-entry": (ONE_FILE, ['{"n": 1, "entries": [[5]]}']),
+    "wrong-n": (ONE_FILE, ['{"n": 3, "entries": [["1", "0"], ["0", "1"]]}']),
+    "bad-scalar": (ONE_FILE, ['{"n": 1, "entries": [["q^^2"]]}']),
+    "directory": (ONE_FILE, [None]),
+    "not-json": (ONE_FILE, ["{"]),
+    "no-n": (ONE_FILE, ['{"entries": [["1"]]}']),
+    "rep-mixed-sizes": (["equiv", "{0}", "admissible-a"],
+                        [f'{{"a": {M2}, "b": {M3}}}']),
+    "centralizer-2-3": (["centralizer", "{0}", "{1}"], [M2, M3]),
+    "centralizer-3-2": (["centralizer", "{0}", "{1}"], [M3, M2]),
+    "closure-2-3": (["closure", "{0}", "{1}"], [M2, M3]),
+    "closure-3-2": (["closure", "{0}", "{1}"], [M3, M2]),
+}
+
+
+@pytest.mark.parametrize("argv, files", BAD_INPUT.values(),
+                         ids=BAD_INPUT.keys())
+def test_bad_input_exits_2_with_one_line(capsys, tmp_path, argv, files):
+    paths = []
+    for k, text in enumerate(files):
+        path = tmp_path / f"{k}.json"
+        if text is None:
+            path.mkdir()
+        else:
+            path.write_text(text)
+        paths.append(str(path))
+    assert main([arg.format(*paths) for arg in argv]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ")
+    assert err.count("\n") == 1 and err.endswith("\n")
+
+
 SPINOR_EQUIV = {
     ("admissible-b", "table"): (
         "equivalent: yes\n"

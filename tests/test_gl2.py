@@ -7,7 +7,7 @@ from qgl2.gl2 import (GL2Rep, RELATION_LABELS, gl2_equivalent,
                       invertibility_nilpotency_check, power_commutator_check,
                       quantum_plane_split, verify_relations)
 from qgl2.matrices import Mat, centralizer, subalgebra_closure
-from qgl2.scalars import GaussRational, ONE, Q, scalar
+from qgl2.scalars import ONE, Q, scalar
 
 from oracles import classical_point, q_integer
 
@@ -145,13 +145,6 @@ class TestPowerCommutator:
         assert r.results == ()
         assert not r.ok
 
-    def test_numeric_field(self):
-        g = GaussRational
-        x = Mat([[g(1), g(0)], [g(0), g(2)]])
-        y = Mat([[g(0), g(1)], [g(0), g(0)]])
-        r = power_commutator_check(x, y, 6, q=g(2))
-        assert r.ok
-
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError, match="dimension mismatch"):
             power_commutator_check(Mat.identity(2), Mat.identity(3), 3)
@@ -190,7 +183,7 @@ class TestClassicalPoint:
         closure = subalgebra_closure(list(rep.generators())
                                      + [rep.detq().inverse()])
         assert closure.dim == 1
-        assert centralizer(closure).dim == 16
+        assert centralizer(closure.basis).dim == 16
 
 
 class TestEquivalenceSearch:
@@ -218,16 +211,18 @@ class TestEquivalenceSearch:
         u0 = Mat([[1, 0, 1, 0], [0, 2, 0, 0], [0, 0, 3, 0], [0, 0, 0, 1]])
         ui0 = u0.inverse()
         b1, b2 = Q ** -1, Q
-        r2 = GL2Rep(u0 * r1.c11 * ui0 * b1, u0 * r1.c12 * ui0 * b2,
-                    u0 * r1.c21 * ui0 * b1, u0 * r1.c22 * ui0 * b2)
+        r2 = GL2Rep((u0 * r1.c11 * ui0).scale(b1),
+                    (u0 * r1.c12 * ui0).scale(b2),
+                    (u0 * r1.c21 * ui0).scale(b1),
+                    (u0 * r1.c22 * ui0).scale(b2))
         found = gl2_equivalent(r1, r2)
         assert found is not None
         u, a1, a2 = found
         ui = u.inverse()
-        assert u * r1.c11 * ui * a1 == r2.c11
-        assert u * r1.c21 * ui * a1 == r2.c21
-        assert u * r1.c12 * ui * a2 == r2.c12
-        assert u * r1.c22 * ui * a2 == r2.c22
+        assert (u * r1.c11 * ui).scale(a1) == r2.c11
+        assert (u * r1.c21 * ui).scale(a1) == r2.c21
+        assert (u * r1.c12 * ui).scale(a2) == r2.c12
+        assert (u * r1.c22 * ui).scale(a2) == r2.c22
         # the search order fixes which witness is found
         assert (u, a1, a2) == (u0, b1, b2)
 

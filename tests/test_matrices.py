@@ -65,6 +65,11 @@ class TestMat:
         assert a * b == Mat([[2, 1], [4, 3]])
         assert a.scale(Q) == Mat([["q", "2*q"], ["3*q", "4*q"]])
         assert -b == b.scale(scalar(-1))
+        # a scaled matrix is spelled a.scale(s) only
+        with pytest.raises(TypeError):
+            a * Q
+        with pytest.raises(TypeError):
+            Q * a
 
     def test_unit_products(self):
         assert e(1, 2) * e(2, 3) == e(1, 3)
@@ -75,6 +80,9 @@ class TestMat:
         assert n ** 0 == Mat.identity(3)
         assert n ** 2 == e(1, 3, 3)
         assert n ** 3 == Mat.zero(3)
+        m = Mat([[1, 1], [0, 1]])
+        assert m ** 5 == Mat([[1, 5], [0, 1]])
+        assert type((m.eval(2) ** 0)[1, 1]) is GaussRational
 
     def test_trace_rank_det(self):
         assert Mat([[1, 2], [2, 4]]).rank() == 1
@@ -100,13 +108,6 @@ class TestMat:
         assert Mat.zero(2).is_nilpotent()
         assert not Mat.identity(2).is_nilpotent()
         assert not Mat.diag(Q, ZERO).is_nilpotent()
-
-    def test_nullspace(self):
-        ns = Mat([[1, 1], [1, 1]]).nullspace()
-        assert len(ns) == 1
-        # canonical kernel vector: free coordinate normalized to 1
-        assert ns[0] == (scalar(-1), ONE)
-        assert Mat.identity(2).nullspace() == []
 
     def test_flatten_row_major(self):
         m = Mat([[1, 2], [3, 4]])
@@ -191,6 +192,16 @@ class TestClosuresAndCommutants:
     def test_centralizer_requires_input(self):
         with pytest.raises(ValueError):
             centralizer([])
+
+    def test_mixed_sizes_are_rejected(self):
+        small, big = Mat.identity(2), Mat.diag(1, 2, 3)
+        for mats in ([small, big], [big, small]):
+            with pytest.raises(ValueError, match="dimension mismatch"):
+                centralizer(mats)
+            with pytest.raises(ValueError, match="dimension mismatch"):
+                subalgebra_closure(mats)
+            with pytest.raises(ValueError, match="dimension mismatch"):
+                span(mats)
 
     def test_operator_nullspace_twist(self):
         # solutions of a*X = q*X*a for a = diag(q, 1) form span{e12}

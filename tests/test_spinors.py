@@ -22,10 +22,10 @@ J3_UPPER = Mat(((Q, 1, 0, 0), (0, Q, 1, 0), (0, 0, Q, 0), (0, 0, 0, 1)))
 
 class TestSpinorPredicate:
     def test_holds(self):
-        assert check_spinor(QSpinorRep(A_CASE, B_CASE))
+        assert check_spinor(A_CASE, B_CASE)
 
     def test_fails(self):
-        assert not check_spinor(QSpinorRep(A_CASE, e(3, 1)))
+        assert not check_spinor(A_CASE, e(3, 1))
 
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError, match="dimension mismatch"):
@@ -75,8 +75,8 @@ class TestAdmissibility:
     def test_witness_satisfies_relations(self):
         w = admissibility(A_CASE, B_CASE)
         c = w.witness
-        assert c * B_CASE == Q * (B_CASE * c)
-        assert c * A_CASE == Q * (A_CASE * c)
+        assert c * B_CASE == (B_CASE * c).scale(Q)
+        assert c * A_CASE == (A_CASE * c).scale(Q)
 
     def test_rejected_jordan_pair(self):
         # c_space is nonzero but every member annihilates b
@@ -92,8 +92,8 @@ class TestAdmissibility:
         assert w.c_space.dim == 3
         qq = Q.inverse()
         c = w.witness
-        assert c * B_CASE == qq * (B_CASE * c)
-        assert c * A_CASE == qq * (A_CASE * c)
+        assert c * B_CASE == (B_CASE * c).scale(qq)
+        assert c * A_CASE == (A_CASE * c).scale(qq)
         assert not (c * B_CASE).is_zero()
 
     def test_not_a_spinor(self):
@@ -115,15 +115,15 @@ class TestEquivalenceSearch:
         ui0 = u0.inverse()
         alpha0 = Q ** 2
         r1 = QSpinorRep(A_CASE, B_CASE)
-        r2 = QSpinorRep(u0 * A_CASE * ui0 * alpha0,
-                        u0 * B_CASE * ui0 * alpha0)
+        r2 = QSpinorRep((u0 * A_CASE * ui0).scale(alpha0),
+                        (u0 * B_CASE * ui0).scale(alpha0))
         found = spinor_equivalent(r1, r2)
         assert found is not None
         u, alpha = found
         assert alpha == alpha0
         ui = u.inverse()
-        assert u * r1.a * ui * alpha == r2.a
-        assert u * r1.b * ui * alpha == r2.b
+        assert (u * r1.a * ui).scale(alpha) == r2.a
+        assert (u * r1.b * ui).scale(alpha) == r2.b
         # the search order fixes which witness is found
         assert u == Mat([[1, 2, 4, 0], [0, 2, 4, 0], [0, 0, 2, 0],
                          [0, 0, 0, 6]])
@@ -135,8 +135,8 @@ class TestEquivalenceSearch:
         u, alpha = spinor_equivalent(r, r)
         assert alpha == Q ** -4
         ui = u.inverse()
-        assert u * r.a * ui * alpha == r.a
-        assert u * r.b * ui * alpha == r.b
+        assert (u * r.a * ui).scale(alpha) == r.a
+        assert (u * r.b * ui).scale(alpha) == r.b
 
     def test_identity_witness(self):
         r = QSpinorRep(A_CASE, B_CASE)
@@ -154,9 +154,4 @@ class TestEquivalenceSearch:
     def test_size_mismatch(self):
         r1 = QSpinorRep(Mat.diag(Q, 1), Mat.unit(2, 0, 1))
         r2 = QSpinorRep(A_CASE, B_CASE)
-        assert spinor_equivalent(r1, r2) is None
-
-    def test_parameter_mismatch(self):
-        r1 = QSpinorRep(A_CASE, B_CASE)
-        r2 = QSpinorRep(A_CASE, B_CASE, q=Q ** 2)
         assert spinor_equivalent(r1, r2) is None
