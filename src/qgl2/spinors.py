@@ -80,8 +80,7 @@ def admissibility(a: Mat, b: Mat, q: Scalar = Q,
     """
     if orientation not in ("default", "flipped"):
         raise ValueError(f"unknown orientation: {orientation!r}")
-    if a.n != b.n:
-        raise ValueError("dimension mismatch")
+    # a * b raises ValueError "dimension mismatch" on sizes that differ
     if a * b != (b * a).scale(q):
         raise ValueError("not a q-spinor")
     qq = q if orientation == "default" else q.inverse()
