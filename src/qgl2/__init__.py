@@ -8,7 +8,7 @@ the catalog of built-in representations and the command-line interface.
 
 from .scalars import GaussRational, Scalar, Q, I, ONE, ZERO, scalar, \
     parse_scalar
-from .matrices import Mat, MatSpace, span, centralizer, \
+from .matrices import Mat, MatSpace, centralizer, \
     subalgebra_closure, stacked_nullspace, invertible_element
 from .spinors import QSpinorRep, AdmissibilityWitness, check_spinor, \
     q_commutant, admissibility, spinor_equivalent
@@ -28,7 +28,7 @@ __version__ = "0.1.0"
 __all__ = [
     "GaussRational", "Scalar", "Q", "I", "ONE", "ZERO", "scalar",
     "parse_scalar",
-    "Mat", "MatSpace", "span", "centralizer", "subalgebra_closure",
+    "Mat", "MatSpace", "centralizer", "subalgebra_closure",
     "stacked_nullspace", "invertible_element",
     "QSpinorRep", "AdmissibilityWitness", "check_spinor", "q_commutant",
     "admissibility", "spinor_equivalent",

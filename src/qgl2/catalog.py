@@ -435,7 +435,10 @@ def list_entries() -> tuple:
     return tuple(entry.name for entry in CATALOG)
 
 
-def get_entry(name: str) -> CatalogEntry:
+def get_entry(name) -> CatalogEntry:
+    """The catalog entry of that name; a CatalogEntry is returned as is."""
+    if isinstance(name, CatalogEntry):
+        return name
     try:
         return _BY_NAME[name]
     except KeyError:
@@ -461,7 +464,7 @@ def instantiate(name, **overrides):
     """Build the representation for a catalog entry at its default
     parameters, with keyword overrides.  Rejects unknown entries, unknown
     parameters and forbidden zero values."""
-    entry = name if isinstance(name, CatalogEntry) else get_entry(name)
+    entry = get_entry(name)
     if entry.builder is None:
         raise ValueError(f"entry {entry.name!r} is an external reference "
                          "and cannot be instantiated")
@@ -472,8 +475,7 @@ def family_assignments(entry) -> tuple:
     """The parameter assignments that make up family mode: one per
     parameter, that parameter set to 1 and the rest to 0, falling back to
     distinct nonzero values 2, 3, ... where a zero is forbidden."""
-    if isinstance(entry, str):
-        entry = get_entry(entry)
+    entry = get_entry(entry)
     if not entry.params:
         return ({},)
     out = []
@@ -497,8 +499,7 @@ def closure_generators(entry, mode: str = "single") -> list:
     generator matrices and the inverse quantum determinant of each
     instantiation (one at defaults in single mode, one per family
     assignment in family mode)."""
-    if isinstance(entry, str):
-        entry = get_entry(entry)
+    entry = get_entry(entry)
     if entry.kind != "gl2":
         raise ValueError(
             f"entry {entry.name!r} has no operator algebra (kind "

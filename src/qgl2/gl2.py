@@ -121,10 +121,9 @@ def verify_relations(rep: GL2Rep) -> RelationReport:
 class InvertibilityReport:
     """Consequences that must follow once the relations hold and detq is
     invertible: diagonal generators invertible, off-diagonal generators
-    nilpotent, and the diagonal of c12*c21 zero.  applicable records
-    whether the premises held; failures lists what broke."""
+    nilpotent, and the diagonal of c12*c21 zero.  Whether those premises
+    hold is verify_relations(rep).ok; failures lists what broke."""
 
-    applicable: bool
     c11_invertible: bool
     c22_invertible: bool
     c12_nilpotent: bool
@@ -140,16 +139,10 @@ class InvertibilityReport:
                 bad.append(label)
         return tuple(bad)
 
-    @property
-    def ok(self) -> bool:
-        return self.applicable and not self.failures
-
 
 def invertibility_nilpotency_check(rep: GL2Rep) -> InvertibilityReport:
-    applicable = verify_relations(rep).ok
     prod = rep.c12 * rep.c21
     return InvertibilityReport(
-        applicable=applicable,
         c11_invertible=rep.c11.is_invertible(),
         c22_invertible=rep.c22.is_invertible(),
         c12_nilpotent=rep.c12.is_nilpotent(),
@@ -248,15 +241,13 @@ def gl2_equivalent(r1: GL2Rep, r2: GL2Rep) -> Optional[tuple]:
         r2.c12 = u r1.c12 u^-1 alpha2,   r2.c22 = u r1.c22 u^-1 alpha2,
 
     the scalings ranging over monomials q^k with
-    |k| <= matrices.MAX_EXPONENT.  Column rescaling preserves the
-    defining relations, so this is the natural equivalence for
-    quadruples.  Returns an exactly verified witness or None when no
-    witness exists within those scalings.
+    |k| <= matrices.MAX_EXPONENT, each pinned first by the power traces
+    of its column (matrices._scaled_conjugacy).  Column rescaling
+    preserves the defining relations, so this is the natural equivalence
+    for quadruples.  Returns an exactly verified witness or None when no
+    witness exists within those scalings (always None for quadruples of
+    different sizes).
     """
-    if r1.n != r2.n:
-        return None
     return _scaled_conjugacy(
         [(r1.c11, r2.c11, 0), (r1.c21, r2.c21, 0),
-         (r1.c12, r2.c12, 1), (r1.c22, r2.c22, 1)],
-        [(r1.c11, r2.c11, (1, 0)), (r1.c22, r2.c22, (0, 1)),
-         (r1.detq(), r2.detq(), (1, 1))])
+         (r1.c12, r2.c12, 1), (r1.c22, r2.c22, 1)])

@@ -18,7 +18,7 @@ from __future__ import annotations
 import random
 from bisect import bisect_left
 from fractions import Fraction
-from itertools import product
+from itertools import chain, product
 from typing import Iterable, Optional
 
 from .scalars import ONE, Q, ZERO, GaussRational, Scalar, _power, \
@@ -309,10 +309,6 @@ class MatSpace:
         return f"MatSpace(n={self.n}, dim={self.dim})"
 
 
-def span(mats: Iterable[Mat], n: Optional[int] = None) -> MatSpace:
-    return MatSpace.span(mats, n)
-
-
 def subalgebra_closure(generators: Iterable[Mat]) -> MatSpace:
     """Smallest subspace containing the generators and closed under the
     matrix product (non-unital: the identity enters only if generated).
@@ -451,79 +447,60 @@ MAX_EXPONENT = 4
 def invertible_element(space: MatSpace) -> Optional[Mat]:
     """Search a MatSpace for an invertible member.
 
-    Deterministic: basis elements first, then geometric combinations of
-    the basis, then INVERTIBLE_TRIES random integer combinations seeded
-    with INVERTIBLE_SEED.  Every candidate is verified exactly, so a
-    returned matrix is guaranteed invertible; None only means the search
-    failed, not that no invertible member exists (for the spaces arising
-    here the basis /geometric stages already find one whenever the space
-    contains any).
+    Deterministic: one stream of combinations sum(c_j B_j) of the basis
+    B_1..B_d (c_j = 1 takes B_j itself): the basis elements, then
+    c_j = t^(j-1) for t = 2, 3, 5, 7, then INVERTIBLE_TRIES vectors of
+    random integers in -9..9 seeded with INVERTIBLE_SEED, drawn only when
+    that stage is reached; the last two stages only when d > 1.  Every
+    candidate is verified exactly, so a returned matrix is guaranteed
+    invertible; None only means the search failed, not that no invertible
+    member exists.
     """
     basis = space.basis
-    if not basis:
-        return None
-    for m in basis:
-        if m.is_invertible():
-            return m
-    if len(basis) > 1:
-        for t in (2, 3, 5, 7):
-            combo = basis[0]
-            w = 1
-            for m in basis[1:]:
-                w *= t
-                combo = combo + m.scale(w)
-            if combo.is_invertible():
-                return combo
+    d = len(basis)
+    stream = ([int(j == i) for j in range(d)] for i in range(d))
+    if d > 1:
         rng = random.Random(INVERTIBLE_SEED)
-        for _ in range(INVERTIBLE_TRIES):
-            combo = None
-            for m in basis:
-                c = rng.randint(-9, 9)
-                if c:
-                    term = m.scale(c)
-                    combo = term if combo is None else combo + term
-            if combo is not None and combo.is_invertible():
-                return combo
+        stream = chain(stream,
+                       ([t ** j for j in range(d)] for t in (2, 3, 5, 7)),
+                       ([rng.randint(-9, 9) for _ in range(d)]
+                        for _ in range(INVERTIBLE_TRIES)))
+    for coeffs in stream:
+        combo = None
+        for c, m in zip(coeffs, basis):
+            if c:
+                term = m if c == 1 else m.scale(c)
+                combo = term if combo is None else combo + term
+        if combo is not None and combo.is_invertible():
+            return combo
     return None
 
 
-def _scaled_conjugacy(equations: list, filters: list) -> Optional[tuple]:
+def _scaled_conjugacy(equations: list) -> Optional[tuple]:
     """Search for (u, alpha_0, alpha_1, ...) with g2 = u g1 u^-1 alpha_g
     for every (g1, g2, g) in equations, each alpha_g a monomial q^k with
-    |k| <= MAX_EXPONENT.
+    |k| <= MAX_EXPONENT.  Matrices of different sizes have no witness.
 
-    Each filter (m1, m2, weights) is the necessary condition
-    tr(m2^j) = alpha^j tr(m1^j), j = 1..n, with alpha the product of
-    alpha_g^weights[g]: conjugation preserves power traces.  It is
-    checked before any linear solve, at most once per exponent sum.
-    Exponent tuples run in itertools.product order (alpha_0 outermost).
-    Returns an exactly verified witness, or None when no witness exists
-    within those scalings.
+    Conjugation preserves power traces, so each equation gives the
+    necessary condition tr(g2^j) = q^(jk) tr(g1^j), j = 1..n, on the
+    exponent k of its group g.  Before any linear solve, each group keeps
+    the exponents that pass every condition of that group; the exponent
+    tuples then run in itertools.product order over those lists (alpha_0
+    outermost), a subsequence of the order over all exponents.  Returns
+    an exactly verified witness, or None when no witness exists within
+    those scalings.
     """
     n = equations[0][0].n
-    groups = 1 + max(g for _, _, g in equations)
-    traces = [(power_traces(m1, n), power_traces(m2, n))
-              for m1, m2, _ in filters]
-    verdicts = {}
-
-    def survives(f: int, s: int) -> bool:
-        if (f, s) not in verdicts:
-            alpha = Q ** s
-            p = ONE
-            ok = True
-            for x1, x2 in zip(*traces[f]):
-                p = p * alpha
-                if x2 != p * x1:
-                    ok = False
-                    break
-            verdicts[(f, s)] = ok
-        return verdicts[(f, s)]
-
+    if any(g1.n != n or g2.n != n for g1, g2, _ in equations):
+        return None
     exponents = range(-MAX_EXPONENT, MAX_EXPONENT + 1)
-    for ks in product(exponents, repeat=groups):
-        if not all(survives(f, sum(w * k for w, k in zip(weights, ks)))
-                   for f, (_, _, weights) in enumerate(filters)):
-            continue
+    allowed = [exponents] * (1 + max(g for *_, g in equations))
+    for g1, g2, g in equations:
+        pairs = list(zip(power_traces(g1, n), power_traces(g2, n)))
+        allowed[g] = [k for k in allowed[g]
+                      if all(x2 == Q ** (j * k) * x1
+                             for j, (x1, x2) in enumerate(pairs, 1))]
+    for ks in product(*allowed):
         alphas = tuple(Q ** k for k in ks)
         u = invertible_element(stacked_nullspace(n, [
             [(None, g1.scale(alphas[g]), ONE), (g2, None, -ONE)]

@@ -75,7 +75,8 @@ def _gl2_record(entry: CatalogEntry, q0: Fraction) -> dict:
                         "perturbation zero/nonzero claim failed", disc)
 
     cor = invertibility_nilpotency_check(rep)
-    _check(cor.ok, True, "invertibility/nilpotency consequences failed: "
+    _check(rel.ok and not cor.failures, True,
+           "invertibility/nilpotency consequences failed: "
            + ", ".join(cor.failures), disc)
 
     pc = power_commutator_check(rep.c11, rep.c22, POWER_COMMUTATOR_KMAX)
@@ -136,7 +137,7 @@ def _gl2_record(entry: CatalogEntry, q0: Fraction) -> dict:
         "detq_matches_claim": detq_claim,
         "perturbation_nonzero": rel.perturbation_nonzero,
         "perturbation_claim_ok": pert_claim,
-        "consequences": dataclasses.asdict(cor),
+        "consequences": {"applicable": rel.ok, **dataclasses.asdict(cor)},
         "power_commutator": {
             "premise_holds": pc.premise_holds,
             "checked_to": len(pc.results),

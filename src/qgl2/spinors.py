@@ -102,12 +102,11 @@ def admissibility(a: Mat, b: Mat, q: Scalar = Q,
 def spinor_equivalent(r1: QSpinorRep, r2: QSpinorRep) -> Optional[tuple]:
     """Search for (u, alpha) with r2.a = u r1.a u^-1 alpha and
     r2.b = u r1.b u^-1 alpha, with alpha ranging over the monomials q^k,
-    |k| <= matrices.MAX_EXPONENT.
+    |k| <= matrices.MAX_EXPONENT, pinned first by the power traces of a
+    and b (matrices._scaled_conjugacy).
 
     Returns the exactly verified witness pair, or None when no witness
-    exists within that family of scalings.
+    exists within that family of scalings (always None for pairs of
+    different sizes).
     """
-    if r1.a.n != r2.a.n:
-        return None
-    return _scaled_conjugacy([(r1.a, r2.a, 0), (r1.b, r2.b, 0)],
-                             [(r1.a, r2.a, (1,)), (r1.b, r2.b, (1,))])
+    return _scaled_conjugacy([(r1.a, r2.a, 0), (r1.b, r2.b, 0)])

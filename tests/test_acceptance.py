@@ -23,8 +23,7 @@ from qgl2.clifford import (build_action, build_clifford,
                            counit_invariance_space, unitality_ok)
 from qgl2.gl2 import (GL2Rep, gl2_equivalent, invertibility_nilpotency_check,
                       power_commutator_check, verify_relations)
-from qgl2.matrices import (Mat, MatSpace, centralizer, span,
-                           subalgebra_closure)
+from qgl2.matrices import Mat, MatSpace, centralizer, subalgebra_closure
 from qgl2.report import build_report, render_table
 from qgl2.scalars import Q, scalar
 from qgl2.spinors import QSpinorRep, admissibility, q_commutant, \
@@ -109,7 +108,8 @@ def test_criterion_03_invariant_dims(report):
         if got != expected:
             failures.append(f"{name}: invariant dim {got}, "
                             f"expected {expected}")
-    pattern = span([e(1, 1), e(2, 2), e(2, 3), e(3, 2), e(3, 3), e(4, 4)])
+    pattern = MatSpace.span([e(1, 1), e(2, 2), e(2, 3), e(3, 2), e(3, 3),
+                             e(4, 4)])
     algebra = subalgebra_closure(
         closure_generators("diagonal-dim3", "family"))
     if centralizer(algebra.basis) != pattern:
@@ -126,9 +126,9 @@ def test_criterion_04_commutant_spot_checks():
     failures = []
     lower = instantiate("rejected-j3-lower")
     upper = instantiate("rejected-j3-upper")
-    if q_commutant(lower.a) != span([e(4, 3)]):
+    if q_commutant(lower.a) != MatSpace.span([e(4, 3)]):
         failures.append("lower Jordan-3 commutant is not span{e43}")
-    if q_commutant(upper.a) != span([e(1, 4)]):
+    if q_commutant(upper.a) != MatSpace.span([e(1, 4)]):
         failures.append("upper Jordan-3 commutant is not span{e14}")
     for name in ADMISSIBLE_ENTRIES:
         rep = instantiate(name)
@@ -271,7 +271,7 @@ def test_criterion_08_action_layer():
                     scalar(cl.metric[mu] if mu == nu else 0))
                 if cl.gammas[mu] * cl.gammas[nu] != want:
                     failures.append(f"grade-1 relation at ({mu},{nu})")
-        if span(list(cl.elements)).dim != 16:
+        if MatSpace.span(list(cl.elements)).dim != 16:
             failures.append("basis rank is not 16")
     for name in GL2_ENTRIES:
         rep = instantiate(name)

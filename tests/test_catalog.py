@@ -6,7 +6,7 @@ from qgl2.catalog import (closure_generators, family_assignments, get_entry,
                           instantiate, list_entries)
 from qgl2.clifford import build_action, counit_invariance_space, unitality_ok
 from qgl2.gl2 import GL2Rep, invertibility_nilpotency_check, verify_relations
-from qgl2.matrices import Mat, centralizer, span, subalgebra_closure
+from qgl2.matrices import Mat, MatSpace, centralizer, subalgebra_closure
 from qgl2.report import build_report
 from qgl2.scalars import Q, scalar
 from qgl2.spinors import QSpinorRep, admissibility, check_spinor, q_commutant
@@ -150,7 +150,9 @@ class TestGL2Claims:
 
     @pytest.mark.parametrize("name", GL2_NAMES)
     def test_consequences(self, name):
-        assert invertibility_nilpotency_check(instantiate(name)).ok
+        rep = instantiate(name)
+        assert verify_relations(rep).ok
+        assert invertibility_nilpotency_check(rep).failures == ()
 
     @pytest.mark.parametrize("name", GL2_NAMES)
     def test_family_mode_dimensions(self, name):
@@ -171,12 +173,12 @@ class TestGL2Claims:
         entry = get_entry("triangular-dim8")
         algebra = subalgebra_closure(
             closure_generators(entry, "family"))
-        assert algebra == span(list(entry.claims.operator_space))
+        assert algebra == MatSpace.span(list(entry.claims.operator_space))
 
     def test_invariant_space_pattern(self):
         entry = get_entry("diagonal-dim3")
         algebra = subalgebra_closure(closure_generators(entry, "family"))
-        assert centralizer(algebra.basis) == span(
+        assert centralizer(algebra.basis) == MatSpace.span(
             list(entry.claims.invariant_space))
 
     @pytest.mark.parametrize("name", GL2_NAMES)
@@ -211,10 +213,10 @@ class TestQSpinorClaims:
         entry = get_entry(name)
         rep = instantiate(name)
         if entry.claims.commutant_basis is not None:
-            assert q_commutant(rep.a) == span(
+            assert q_commutant(rep.a) == MatSpace.span(
                 list(entry.claims.commutant_basis), n=rep.a.n)
         if entry.claims.commutant_rev_basis is not None:
-            assert q_commutant(rep.a, reverse=True) == span(
+            assert q_commutant(rep.a, reverse=True) == MatSpace.span(
                 list(entry.claims.commutant_rev_basis), n=rep.a.n)
 
     def test_rejected_count(self):

@@ -9,6 +9,7 @@ import time
 
 import pytest
 
+from qgl2.catalog import CATALOG
 from qgl2.cli import main
 
 
@@ -385,6 +386,29 @@ class TestEquiv:
         assert main(["equiv", "no-such-thing", "perturbed-a"]) == 2
         err = capsys.readouterr().err
         assert "neither a catalog entry nor a readable rep file" in err
+
+
+# sha256 of `equiv A B --format json` stdout concatenated over every
+# ordered pair of same-kind checkable catalog entries, in catalog order
+EQUIV_PAIRS_DIGEST = \
+    "7745933f2635fdc41989a9815d2723acab3055c4dd9c32ecf53027249e5d06cd"
+
+
+def test_equiv_catalog_pairs_bytes(capsys):
+    entries = [e for e in CATALOG if e.builder is not None]
+    out, pairs, found = [], 0, 0
+    for first in entries:
+        for second in entries:
+            if first.kind != second.kind:
+                continue
+            assert main(["equiv", first.name, second.name,
+                         "--format", "json"]) == 0
+            text = capsys.readouterr().out
+            found += json.loads(text)["equivalent"]
+            pairs += 1
+            out.append(text)
+    assert (pairs, found) == (185, 23)
+    assert sha256("".join(out)) == EQUIV_PAIRS_DIGEST
 
 
 class TestSubprocess:

@@ -14,7 +14,7 @@ from qgl2.clifford import (BASIS_NAMES, CliffordAlgebra, InnerAction,
                            counit_invariance_space, module_algebra_shadow,
                            seeded_pairs, unitality_ok)
 from qgl2.gl2 import GL2Rep
-from qgl2.matrices import Mat, centralizer, span, subalgebra_closure
+from qgl2.matrices import Mat, MatSpace, centralizer, subalgebra_closure
 from qgl2.scalars import I, ONE, Q, parse_scalar, scalar
 
 GOLDEN = pathlib.Path(__file__).parent / "golden"
@@ -176,7 +176,7 @@ class TestAlgebra:
 
     def test_basis_has_full_rank(self):
         cl = build_clifford()
-        assert span(list(cl.elements)).dim == 16
+        assert MatSpace.span(list(cl.elements)).dim == 16
 
     def test_element_lookup(self):
         cl = build_clifford()

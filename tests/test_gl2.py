@@ -3,6 +3,7 @@ commutators, quantum-plane splitting, equivalence search."""
 
 import pytest
 
+import qgl2.matrices
 from qgl2.gl2 import (GL2Rep, RELATION_LABELS, gl2_equivalent,
                       invertibility_nilpotency_check, power_commutator_check,
                       quantum_plane_split, verify_relations)
@@ -92,22 +93,19 @@ class TestStructuralConsequences:
     @pytest.mark.parametrize("rep", [case1(), case2(), classical_point()],
                              ids=["case1", "case2", "classical"])
     def test_consequences_hold(self, rep):
-        r = invertibility_nilpotency_check(rep)
-        assert r.applicable
-        assert r.ok
-        assert r.failures == ()
+        assert verify_relations(rep).ok
+        assert invertibility_nilpotency_check(rep).failures == ()
 
     def test_not_applicable_when_relations_break(self):
-        r = invertibility_nilpotency_check(
-            GL2Rep(e(1, 2), Mat.zero(4), Mat.zero(4), e(2, 1)))
-        assert not r.applicable
-        assert "c11_invertible" in r.failures
-        assert not r.ok
+        rep = GL2Rep(e(1, 2), Mat.zero(4), Mat.zero(4), e(2, 1))
+        assert not verify_relations(rep).ok
+        assert "c11_invertible" in invertibility_nilpotency_check(rep).failures
 
     def test_zero_quadruple(self):
         z = Mat.zero(4)
-        r = invertibility_nilpotency_check(GL2Rep(z, z, z, z))
-        assert not r.applicable          # detq is singular
+        rep = GL2Rep(z, z, z, z)
+        assert not verify_relations(rep).ok     # detq is singular
+        r = invertibility_nilpotency_check(rep)
         assert r.c12_nilpotent and r.c21_nilpotent
 
 
@@ -252,3 +250,17 @@ class TestEquivalenceSearch:
         small = GL2Rep(Mat.identity(2), Mat.zero(2),
                        Mat.zero(2), Mat.identity(2))
         assert gl2_equivalent(small, case1()) is None
+        assert gl2_equivalent(case1(), small) is None
+
+    def test_traces_rule_out_before_any_solve(self, monkeypatch):
+        # c11, c22 and detq agree, but tr(c12^j) is 0 against 1 for every
+        # j: no scaling of the second column passes, so nothing is solved
+        solves = []
+        solve = qgl2.matrices.stacked_nullspace
+        monkeypatch.setattr(qgl2.matrices, "stacked_nullspace",
+                            lambda *args: solves.append(1) or solve(*args))
+        z, d = Mat.zero(4), Mat.diag(Q, Q, 1, 1)
+        r1 = GL2Rep(Mat.identity(4), z, z, d)
+        r2 = GL2Rep(Mat.identity(4), e(1, 1), z, d)
+        assert gl2_equivalent(r1, r2) is None
+        assert solves == []

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from qgl2.matrices import (Mat, MatSpace, centralizer, invertible_element,
-                           power_traces, rref, span, stacked_nullspace,
+                           power_traces, rref, stacked_nullspace,
                            subalgebra_closure)
 from qgl2.scalars import GaussRational, I, ONE, Q, ZERO, scalar
 
@@ -135,27 +135,28 @@ class TestMat:
 
 class TestMatSpace:
     def test_span_and_dim(self):
-        s = span([e(1, 1), e(1, 2), e(1, 1) + e(1, 2)])
+        s = MatSpace.span([e(1, 1), e(1, 2), e(1, 1) + e(1, 2)])
         assert s.dim == 2
 
     def test_canonical_equality(self):
-        a = span([e(1, 1) + e(1, 2), e(1, 2)])
-        b = span([e(1, 1), e(1, 2)])
+        a = MatSpace.span([e(1, 1) + e(1, 2), e(1, 2)])
+        b = MatSpace.span([e(1, 1), e(1, 2)])
         assert a == b
-        assert span([e(1, 1).scale(scalar(2))]) == span([e(1, 1)])
+        assert MatSpace.span([e(1, 1).scale(scalar(2))]) \
+            == MatSpace.span([e(1, 1)])
 
     def test_basis_normalized(self):
-        s = span([e(2, 2).scale(Q)])
+        s = MatSpace.span([e(2, 2).scale(Q)])
         assert s.basis == [e(2, 2)]
 
     def test_contains(self):
-        s = span([e(1, 1), e(2, 2)])
+        s = MatSpace.span([e(1, 1), e(2, 2)])
         assert s.contains(e(1, 1) - e(2, 2).scale(Q))
         assert not s.contains(e(1, 2))
 
     def test_le(self):
-        small = span([e(1, 1)])
-        big = span([e(1, 1), e(1, 2)])
+        small = MatSpace.span([e(1, 1)])
+        big = MatSpace.span([e(1, 1), e(1, 2)])
         assert small <= big
         assert not big <= small
 
@@ -184,7 +185,7 @@ class TestClosuresAndCommutants:
         d = Mat.diag(1, 2, 3)
         c = centralizer([d])
         assert c.dim == 3
-        assert c == span([e(1, 1, 3), e(2, 2, 3), e(3, 3, 3)])
+        assert c == MatSpace.span([e(1, 1, 3), e(2, 2, 3), e(3, 3, 3)])
 
     def test_centralizer_of_identity(self):
         assert centralizer([Mat.identity(3)]).dim == 9
@@ -201,13 +202,13 @@ class TestClosuresAndCommutants:
             with pytest.raises(ValueError, match="dimension mismatch"):
                 subalgebra_closure(mats)
             with pytest.raises(ValueError, match="dimension mismatch"):
-                span(mats)
+                MatSpace.span(mats)
 
     def test_operator_nullspace_twist(self):
         # solutions of a*X = q*X*a for a = diag(q, 1) form span{e12}
         a = Mat.diag(Q, ONE)
         sol = stacked_nullspace(2, [[(a, None, ONE), (None, a, -Q)]])
-        assert sol == span([Mat.unit(2, 0, 1)])
+        assert sol == MatSpace.span([Mat.unit(2, 0, 1)])
 
     def test_stacked_nullspace_intersection(self):
         d = Mat.diag(1, 2)
@@ -216,7 +217,7 @@ class TestClosuresAndCommutants:
             [(Mat.unit(2, 0, 0), None, ONE)],        # killed by e11 on the left
         ]
         sol = stacked_nullspace(2, ops)
-        assert sol == span([Mat.unit(2, 1, 1)])
+        assert sol == MatSpace.span([Mat.unit(2, 1, 1)])
 
 
 class TestSearchHelpers:
@@ -226,17 +227,32 @@ class TestSearchHelpers:
 
     def test_invertible_element_from_singular_basis(self):
         # every basis element is singular but a combination is not
-        s = span([Mat.unit(2, 0, 0), Mat.unit(2, 1, 1)])
+        s = MatSpace.span([Mat.unit(2, 0, 0), Mat.unit(2, 1, 1)])
         x = invertible_element(s)
         assert x is not None
         assert x.is_invertible()
         assert s.contains(x)
 
     def test_invertible_element_none(self):
-        assert invertible_element(span([Mat.unit(2, 0, 1)])) is None
+        assert invertible_element(MatSpace.span([Mat.unit(2, 0, 1)])) is None
+
+    def test_invertible_element_stages(self):
+        # the matrix each stage of the candidate stream returns
+        u = Mat.unit
+        basis_stage = MatSpace.span([u(2, 0, 0) + u(2, 1, 1)])
+        assert invertible_element(basis_stage) == Mat.identity(2)
+        geometric_stage = MatSpace.span([u(2, 0, 0), u(2, 1, 1)])
+        assert invertible_element(geometric_stage) == Mat.diag(1, 2)
+        # every basis element and every sum of t^j B_j is singular here
+        random_stage = MatSpace.span([u(3, 0, 0) + u(3, 2, 2),
+                                      u(3, 0, 1) + u(3, 1, 0),
+                                      u(3, 1, 1) + u(3, 2, 2)])
+        assert invertible_element(random_stage) \
+            == Mat([[9, 6, 0], [6, 2, 0], [0, 0, 11]])
 
     def test_invertible_element_deterministic(self):
-        s = span([Mat.unit(3, 0, 1), Mat.unit(3, 1, 0), Mat.unit(3, 2, 2)])
+        s = MatSpace.span([Mat.unit(3, 0, 1), Mat.unit(3, 1, 0),
+                           Mat.unit(3, 2, 2)])
         assert invertible_element(s) == invertible_element(s)
 
 
@@ -443,12 +459,12 @@ class TestClosureProperties:
     def test_zero_generator(self):
         assert subalgebra_closure([Mat.zero(2)]).dim == 0
         assert subalgebra_closure([Mat.zero(2), e(1, 2, 2)]) == \
-            span([e(1, 2, 2)])
+            MatSpace.span([e(1, 2, 2)])
 
     def test_nilpotent_unit(self):
         c = subalgebra_closure([e(1, 2, 3)])
         assert c.dim == 1
-        assert c == span([e(1, 2, 3)])
+        assert c == MatSpace.span([e(1, 2, 3)])
 
     def test_stops_at_full_matrix_algebra(self, monkeypatch):
         products = []

@@ -2,7 +2,7 @@
 
 import pytest
 
-from qgl2.matrices import Mat, span
+from qgl2.matrices import Mat, MatSpace
 from qgl2.scalars import GaussRational, Q
 from qgl2.spinors import (QSpinorRep, admissibility, check_spinor,
                           q_commutant, spinor_equivalent)
@@ -34,24 +34,24 @@ class TestSpinorPredicate:
 
 class TestQCommutant:
     def test_weighted_diagonal(self):
-        assert q_commutant(A_CASE) == span(
+        assert q_commutant(A_CASE) == MatSpace.span(
             [e(1, 2), e(1, 3), e(2, 4), e(3, 4)])
 
     def test_weighted_diagonal_reverse(self):
-        assert q_commutant(A_CASE, reverse=True) == span(
+        assert q_commutant(A_CASE, reverse=True) == MatSpace.span(
             [e(2, 1), e(3, 1), e(4, 2), e(4, 3)])
 
     def test_simple_diagonal_rule(self):
         # a = diag(q,1,1,1): solutions live exactly where the eigenvalue
         # ratio is q
         a = Mat.diag(Q, 1, 1, 1)
-        assert q_commutant(a) == span([e(1, 2), e(1, 3), e(1, 4)])
+        assert q_commutant(a) == MatSpace.span([e(1, 2), e(1, 3), e(1, 4)])
 
     def test_jordan_blocks(self):
-        assert q_commutant(J3_LOWER) == span([e(4, 3)])
-        assert q_commutant(J3_LOWER, reverse=True) == span([e(1, 4)])
-        assert q_commutant(J3_UPPER) == span([e(1, 4)])
-        assert q_commutant(J3_UPPER, reverse=True) == span([e(4, 3)])
+        assert q_commutant(J3_LOWER) == MatSpace.span([e(4, 3)])
+        assert q_commutant(J3_LOWER, reverse=True) == MatSpace.span([e(1, 4)])
+        assert q_commutant(J3_UPPER) == MatSpace.span([e(1, 4)])
+        assert q_commutant(J3_UPPER, reverse=True) == MatSpace.span([e(4, 3)])
 
     def test_solutions_satisfy_relation(self):
         for x in q_commutant(A_CASE).basis:
@@ -61,14 +61,14 @@ class TestQCommutant:
         g = GaussRational
         a = Mat([[g(2), g(0)], [g(0), g(1)]])
         sol = q_commutant(a, q=g(2))
-        assert sol == span([Mat.unit(2, 0, 1)])
+        assert sol == MatSpace.span([Mat.unit(2, 0, 1)])
 
 
 class TestAdmissibility:
     def test_admissible_pair(self):
         w = admissibility(A_CASE, B_CASE)
         assert w.admissible
-        assert w.c_space == span([e(2, 1) - e(4, 3)])
+        assert w.c_space == MatSpace.span([e(2, 1) - e(4, 3)])
         assert w.witness == e(2, 1) - e(4, 3)
         assert w.witness * B_CASE == e(2, 3).scale(Q)
 
@@ -155,3 +155,4 @@ class TestEquivalenceSearch:
         r1 = QSpinorRep(Mat.diag(Q, 1), Mat.unit(2, 0, 1))
         r2 = QSpinorRep(A_CASE, B_CASE)
         assert spinor_equivalent(r1, r2) is None
+        assert spinor_equivalent(r2, r1) is None
