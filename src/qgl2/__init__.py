@@ -8,9 +8,9 @@ the catalog of built-in representations and the command-line interface.
 
 from .scalars import GaussRational, Scalar, Q, I, ONE, ZERO, scalar, \
     parse_scalar
-from .matrices import Mat, MatSpace, centralizer, \
+from .matrices import Mat, MatSpace, Verdict, centralizer, \
     subalgebra_closure, stacked_nullspace, invertible_element
-from .spinors import QSpinorRep, AdmissibilityWitness, check_spinor, \
+from .spinors import QSpinorRep, check_spinor, \
     q_commutant, admissibility, spinor_equivalent
 from .gl2 import GL2Rep, RelationReport, InvertibilityReport, \
     PowerCommutatorReport, QuantumPlaneReport, verify_relations, \
@@ -28,9 +28,9 @@ __version__ = "0.1.0"
 __all__ = [
     "GaussRational", "Scalar", "Q", "I", "ONE", "ZERO", "scalar",
     "parse_scalar",
-    "Mat", "MatSpace", "centralizer", "subalgebra_closure",
+    "Mat", "MatSpace", "Verdict", "centralizer", "subalgebra_closure",
     "stacked_nullspace", "invertible_element",
-    "QSpinorRep", "AdmissibilityWitness", "check_spinor", "q_commutant",
+    "QSpinorRep", "check_spinor", "q_commutant",
     "admissibility", "spinor_equivalent",
     "GL2Rep", "RelationReport", "InvertibilityReport",
     "PowerCommutatorReport", "QuantumPlaneReport", "verify_relations",

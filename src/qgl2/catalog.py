@@ -505,7 +505,7 @@ def closure_generators(entry, mode: str = "single") -> list:
             f"entry {entry.name!r} has no operator algebra (kind "
             f"{entry.kind})")
     if mode == "single":
-        assignments = ({p.name: scalar(p.default) for p in entry.params},)
+        assignments = (_coerce_params(entry, {}),)
     elif mode == "family":
         assignments = family_assignments(entry)
     else:

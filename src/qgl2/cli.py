@@ -116,19 +116,19 @@ def _cmd_commutant(args) -> int:
 def _cmd_admissible(args) -> int:
     a = _load_matrix(args.a)
     b = _load_matrix(args.b)
-    wit = admissibility(a, b, orientation=args.orientation)
+    c_space, verdict = admissibility(a, b, orientation=args.orientation)
     obj = {
-        "admissible": wit.admissible,
+        "admissible": verdict.found,
         "orientation": args.orientation,
-        "c_space": _space_json(wit.c_space),
-        "witness": wit.witness.to_json() if wit.witness else None,
+        "c_space": _space_json(c_space),
+        "witness": verdict.witness.to_json() if verdict.found else None,
     }
-    lines = [f"admissible: {'yes' if wit.admissible else 'no'} "
+    lines = [f"admissible: {'yes' if verdict.found else 'no'} "
              f"(orientation {args.orientation})"]
-    if wit.witness is not None:
+    if verdict.found:
         lines.append("witness c with c*b != 0:")
-        lines.append(str(wit.witness))
-    table = "\n".join(lines) + "\n" + _basis_table("c-space", wit.c_space)
+        lines.append(str(verdict.witness))
+    table = "\n".join(lines) + "\n" + _basis_table("c-space", c_space)
     _emit(obj, args.format, table)
     return 0
 
@@ -163,22 +163,22 @@ def _cmd_equiv(args) -> int:
     if isinstance(r1, GL2Rep) != isinstance(r2, GL2Rep):
         raise ValueError("cannot compare a quadruple with a q-spinor pair")
     if isinstance(r1, GL2Rep):
-        res = gl2_equivalent(r1, r2)
+        verdict = gl2_equivalent(r1, r2)
         keys, per = ("alpha1", "alpha2"), ", per column"
     else:
-        res = spinor_equivalent(r1, r2)
+        verdict = spinor_equivalent(r1, r2)
         keys, per = ("alpha",), ""
-    found = res is not None
-    alphas = [str(a) for a in res[1:]] if found else [None] * len(keys)
+    found = verdict.found
+    u, *alphas = verdict.witness if found else (None,) * (1 + len(keys))
     obj = {
         "equivalent": found,
         "scaling_family": f"q^k, |k| <= {MAX_EXPONENT}{per}",
-        "u": res[0].to_json() if found else None,
+        "u": u.to_json() if found else None,
     }
-    obj.update(zip(keys, alphas))
+    obj.update((k, str(a) if found else None) for k, a in zip(keys, alphas))
     if found:
         line = ", ".join(f"{k} = {a}" for k, a in zip(keys, alphas))
-        table = f"equivalent: yes\n{line}\nu:\n{res[0]}\n"
+        table = f"equivalent: yes\n{line}\nu:\n{u}\n"
     else:
         table = "equivalent: none within monomial scalings\n"
     _emit(obj, args.format, table)

@@ -242,12 +242,8 @@ def unitality_ok(action: InnerAction) -> bool:
     """act(i, j, 1) must be the identity for i == j and zero otherwise."""
     one = Mat.identity(action.n)
     zero = Mat.zero(action.n)
-    for i in range(2):
-        for j in range(2):
-            want = one if i == j else zero
-            if action.act(i, j, one) != want:
-                return False
-    return True
+    return all(action.act(i, j, one) == (one if i == j else zero)
+               for i in range(2) for j in range(2))
 
 
 def seeded_pairs(count: int = 20, seed: int = 977) -> list:

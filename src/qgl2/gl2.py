@@ -8,10 +8,9 @@ diagonal generators, nilpotency of the off-diagonal ones), and searches
 for equivalences between quadruples up to conjugation and column scaling.
 """
 
-from dataclasses import dataclass
-from typing import Optional
+from dataclasses import dataclass, fields
 
-from .matrices import Mat, _scaled_conjugacy
+from .matrices import Mat, Verdict, _scaled_conjugacy
 from .scalars import ONE, Q
 
 __all__ = [
@@ -59,13 +58,9 @@ class GL2Rep:
 
     def block_matrix(self) -> Mat:
         """The 2n x 2n matrix with blocks [[c11, c12], [c21, c22]]."""
-        n = self.n
-        rows = []
-        for i in range(n):
-            rows.append(tuple(self.c11.rows[i]) + tuple(self.c12.rows[i]))
-        for i in range(n):
-            rows.append(tuple(self.c21.rows[i]) + tuple(self.c22.rows[i]))
-        return Mat(tuple(rows))
+        halves = ((self.c11, self.c12), (self.c21, self.c22))
+        return Mat([r1 + r2 for left, right in halves
+                    for r1, r2 in zip(left.rows, right.rows)])
 
 
 RELATION_LABELS = (
@@ -132,12 +127,8 @@ class InvertibilityReport:
 
     @property
     def failures(self) -> tuple:
-        bad = []
-        for label in ("c11_invertible", "c22_invertible", "c12_nilpotent",
-                      "c21_nilpotent", "offdiag_product_diag_zero"):
-            if not getattr(self, label):
-                bad.append(label)
-        return tuple(bad)
+        return tuple(f.name for f in fields(self)
+                     if not getattr(self, f.name))
 
 
 def invertibility_nilpotency_check(rep: GL2Rep) -> InvertibilityReport:
@@ -234,7 +225,7 @@ def quantum_plane_split(rep: GL2Rep) -> QuantumPlaneReport:
     return QuantumPlaneReport(elements=elements, pairs=pairs)
 
 
-def gl2_equivalent(r1: GL2Rep, r2: GL2Rep) -> Optional[tuple]:
+def gl2_equivalent(r1: GL2Rep, r2: GL2Rep) -> Verdict:
     """Search for (u, alpha1, alpha2) with
 
         r2.c11 = u r1.c11 u^-1 alpha1,   r2.c21 = u r1.c21 u^-1 alpha1,
@@ -244,9 +235,9 @@ def gl2_equivalent(r1: GL2Rep, r2: GL2Rep) -> Optional[tuple]:
     |k| <= matrices.MAX_EXPONENT, each pinned first by the power traces
     of its column (matrices._scaled_conjugacy).  Column rescaling
     preserves the defining relations, so this is the natural equivalence
-    for quadruples.  Returns an exactly verified witness or None when no
-    witness exists within those scalings (always None for quadruples of
-    different sizes).
+    for quadruples.  Returns a Verdict whose witness is the exactly
+    verified triple.  A "no" carries its how; "search exhausted" is not a
+    proof.
     """
     return _scaled_conjugacy(
         [(r1.c11, r2.c11, 0), (r1.c21, r2.c21, 0),

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import random
 from bisect import bisect_left
+from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain, product
 from typing import Iterable, Optional
@@ -436,6 +437,28 @@ def power_traces(m: Mat, kmax: int) -> tuple:
     return tuple(out)
 
 
+# how a Verdict was reached; only "search exhausted" is not a proof
+HOWS = ("witness found", "proved exactly", "invariant differs",
+        "search exhausted")
+
+
+@dataclass(frozen=True)
+class Verdict:
+    """A decision: witness is the exactly verified object or None, and
+    how is one of HOWS, "witness found" exactly when there is a witness."""
+
+    witness: object
+    how: str
+
+    def __post_init__(self):
+        if self.how not in HOWS or self.found != (self.how == HOWS[0]):
+            raise ValueError(f"inconsistent verdict: {self.how!r}")
+
+    @property
+    def found(self) -> bool:
+        return self.witness is not None
+
+
 # seed and length of the random stage of invertible_element
 INVERTIBLE_SEED = 20260816
 INVERTIBLE_TRIES = 60
@@ -476,23 +499,26 @@ def invertible_element(space: MatSpace) -> Optional[Mat]:
     return None
 
 
-def _scaled_conjugacy(equations: list) -> Optional[tuple]:
+def _scaled_conjugacy(equations: list) -> Verdict:
     """Search for (u, alpha_0, alpha_1, ...) with g2 = u g1 u^-1 alpha_g
     for every (g1, g2, g) in equations, each alpha_g a monomial q^k with
-    |k| <= MAX_EXPONENT.  Matrices of different sizes have no witness.
+    |k| <= MAX_EXPONENT.
 
     Conjugation preserves power traces, so each equation gives the
     necessary condition tr(g2^j) = q^(jk) tr(g1^j), j = 1..n, on the
     exponent k of its group g.  Before any linear solve, each group keeps
     the exponents that pass every condition of that group; the exponent
     tuples then run in itertools.product order over those lists (alpha_0
-    outermost), a subsequence of the order over all exponents.  Returns
-    an exactly verified witness, or None when no witness exists within
-    those scalings.
+    outermost), a subsequence of the order over all exponents.  The
+    witness is the exactly verified tuple.  A "no" within those scalings
+    is "invariant differs" when the sizes differ or a group keeps no
+    exponent, "proved exactly" when every conjugator space searched has
+    dimension <= 1 (a singular basis element spans only singular
+    matrices), and otherwise "search exhausted", which proves nothing.
     """
     n = equations[0][0].n
     if any(g1.n != n or g2.n != n for g1, g2, _ in equations):
-        return None
+        return Verdict(None, "invariant differs")
     exponents = range(-MAX_EXPONENT, MAX_EXPONENT + 1)
     allowed = [exponents] * (1 + max(g for *_, g in equations))
     for g1, g2, g in equations:
@@ -500,16 +526,20 @@ def _scaled_conjugacy(equations: list) -> Optional[tuple]:
         allowed[g] = [k for k in allowed[g]
                       if all(x2 == Q ** (j * k) * x1
                              for j, (x1, x2) in enumerate(pairs, 1))]
+    if not all(allowed):
+        return Verdict(None, "invariant differs")
+    exhausted = False
     for ks in product(*allowed):
         alphas = tuple(Q ** k for k in ks)
-        u = invertible_element(stacked_nullspace(n, [
+        space = stacked_nullspace(n, [
             [(None, g1.scale(alphas[g]), ONE), (g2, None, -ONE)]
-            for g1, g2, g in equations]))
-        if u is None:
-            continue
+            for g1, g2, g in equations])
+        u = invertible_element(space)
         # u is invertible (invertible_element checked its rank), so
         # g2 = u g1 u^-1 alpha is u g1 alpha = g2 u
-        if all((u * g1).scale(alphas[g]) == g2 * u
-               for g1, g2, g in equations):
-            return (u,) + alphas
-    return None
+        if u is not None and all((u * g1).scale(alphas[g]) == g2 * u
+                                 for g1, g2, g in equations):
+            return Verdict((u,) + alphas, "witness found")
+        exhausted = exhausted or space.dim > 1
+    return Verdict(None, "search exhausted" if exhausted
+                   else "proved exactly")

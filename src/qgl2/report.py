@@ -13,6 +13,7 @@ disagreement flags the sample point in the crosscheck block.
 
 import dataclasses
 from fractions import Fraction
+from itertools import combinations
 from typing import Optional
 
 from .catalog import CATALOG, CatalogEntry, closure_generators, get_entry, \
@@ -54,9 +55,9 @@ def _algebra(gens: list) -> tuple:
 
 
 def _spinor_spaces(a, b, q, orientation: str) -> tuple:
-    """(B(a), B'(a), admissibility witness) of the pair (a, b)."""
+    """(B(a), B'(a), c-space, admissibility verdict) of the pair (a, b)."""
     return (q_commutant(a, q=q), q_commutant(a, q=q, reverse=True),
-            admissibility(a, b, q=q, orientation=orientation))
+            *admissibility(a, b, q=q, orientation=orientation))
 
 
 def _gl2_record(entry: CatalogEntry, q0: Fraction) -> dict:
@@ -174,27 +175,27 @@ def _qspinor_record(entry: CatalogEntry, q0: Fraction,
     _check(spinor_ok, True, "pair does not satisfy the q-spinor relation",
            disc)
 
-    com, comr, wit = _spinor_spaces(rep.a, rep.b, Q, orientation)
+    com, comr, cspace, adm = _spinor_spaces(rep.a, rep.b, Q, orientation)
     com_claim = _check(com, _span(claims.commutant_basis),
                        "commutant differs from claimed basis", disc)
     comr_claim = _check(comr, _span(claims.commutant_rev_basis),
                         "reverse commutant differs from claimed basis", disc)
     # the published verdicts are for the default orientation only
     adm_claim = _check(
-        wit.admissible,
+        adm.found,
         claims.admissible if orientation == "default" else None,
-        f"admissibility verdict {wit.admissible} differs from "
+        f"admissibility verdict {adm.found} differs from "
         f"claim {claims.admissible}", disc)
 
     g = GaussRational(q0)
-    com0, comr0, wit0 = _spinor_spaces(rep.a.eval(g), rep.b.eval(g), g,
-                                       orientation)
+    com0, comr0, cspace0, adm0 = _spinor_spaces(rep.a.eval(g),
+                                                 rep.b.eval(g), g, orientation)
     pairs = {
         "commutant": [com.dim, com0.dim],
         "commutant_rev": [comr.dim, comr0.dim],
-        "c_space": [wit.c_space.dim, wit0.c_space.dim],
+        "c_space": [cspace.dim, cspace0.dim],
     }
-    cc_ok = wit0.admissible == wit.admissible \
+    cc_ok = adm0.found == adm.found \
         and all(x == y for x, y in pairs.values())
     _check(cc_ok, True, f"dimension mismatch at sample point q = {q0}", disc)
 
@@ -209,9 +210,9 @@ def _qspinor_record(entry: CatalogEntry, q0: Fraction,
         "commutant_matches_claim": com_claim,
         "commutant_rev_dim": comr.dim,
         "commutant_rev_matches_claim": comr_claim,
-        "admissible": wit.admissible,
+        "admissible": adm.found,
         "admissible_claim_ok": adm_claim,
-        "c_space_dim": wit.c_space.dim,
+        "c_space_dim": cspace.dim,
         "crosscheck": {"q0": str(q0), **pairs, "ok": cc_ok},
         "discrepancies": disc,
     }
@@ -233,8 +234,9 @@ def _external_record(entry: CatalogEntry) -> dict:
 
 def _equivalence_classes(entries: list) -> dict:
     """Union-find over pairwise equivalence of the gl2 entries (at default
-    parameters).  Returns entry name -> representative name, in catalog
-    order."""
+    parameters), merging on a found witness only, so a "search exhausted"
+    verdict keeps two entries apart.  Returns entry name -> representative
+    name, in catalog order."""
     gl2 = [e for e in entries if e.kind == "gl2"]
     reps = {e.name: instantiate(e) for e in gl2}
     parent = {e.name: e.name for e in gl2}
@@ -244,14 +246,10 @@ def _equivalence_classes(entries: list) -> dict:
             x = parent[x]
         return x
 
-    names = [e.name for e in gl2]
-    for i in range(len(names)):
-        for j in range(i + 1, len(names)):
-            if find(names[i]) == find(names[j]):
-                continue
-            if gl2_equivalent(reps[names[i]], reps[names[j]]) is not None:
-                parent[find(names[j])] = find(names[i])
-    return {n: find(n) for n in names}
+    for x, y in combinations(parent, 2):
+        if find(x) != find(y) and gl2_equivalent(reps[x], reps[y]).found:
+            parent[find(y)] = find(x)
+    return {n: find(n) for n in parent}
 
 
 def build_report(names: Optional[list] = None, q0: Fraction = Fraction(2),
@@ -318,8 +316,7 @@ def _same_class(entry: CatalogEntry, other_name: str, classes: dict) -> bool:
     if other_name in classes:
         return classes[entry.name] == classes[other_name]
     # referenced entry not selected: compare the pair directly
-    return gl2_equivalent(instantiate(entry),
-                          instantiate(other_name)) is not None
+    return gl2_equivalent(instantiate(entry), instantiate(other_name)).found
 
 
 def report_exit_code(report: dict) -> int:

@@ -7,14 +7,13 @@ matrix c with c*b = q*b*c and c*a = q*a*c such that c*b is nonzero.
 """
 
 from dataclasses import dataclass
-from typing import Optional
 
-from .matrices import Mat, MatSpace, _scaled_conjugacy, stacked_nullspace
+from .matrices import Mat, MatSpace, Verdict, _scaled_conjugacy, \
+    stacked_nullspace
 from .scalars import Q, Scalar
 
 __all__ = [
     "QSpinorRep",
-    "AdmissibilityWitness",
     "check_spinor",
     "q_commutant",
     "admissibility",
@@ -55,28 +54,16 @@ def q_commutant(a: Mat, q: Scalar = Q, reverse: bool = False) -> MatSpace:
     return stacked_nullspace(a.n, [terms])
 
 
-@dataclass(frozen=True)
-class AdmissibilityWitness:
-    """Outcome of the admissibility test.
-
-    c_space is the space of all c with c*b = q'*b*c and c*a = q'*a*c for
-    the requested orientation (q' = q or 1/q); witness is a basis element
-    with witness*b != 0 when one exists, else None.
-    """
-
-    admissible: bool
-    c_space: MatSpace
-    witness: Optional[Mat]
-
-
 def admissibility(a: Mat, b: Mat, q: Scalar = Q,
-                  orientation: str = "default") -> AdmissibilityWitness:
+                  orientation: str = "default") -> tuple:
     """Decide admissibility of the q-spinor pair (a, b).
 
     The pair must satisfy a*b = q*b*a (ValueError "not a q-spinor"
     otherwise).  It is admissible when some c satisfies c*b = q'*b*c and
     c*a = q'*a*c with c*b nonzero, where q' is q for the default
-    orientation and 1/q for the flipped one.
+    orientation and 1/q for the flipped one.  Returns (c_space, verdict):
+    the space of all such c, and a Verdict whose witness is the first
+    basis element with c*b != 0; a "no" is "proved exactly".
     """
     if orientation not in ("default", "flipped"):
         raise ValueError(f"unknown orientation: {orientation!r}")
@@ -91,22 +78,18 @@ def admissibility(a: Mat, b: Mat, q: Scalar = Q,
     ])
     # c -> c*b is linear, so it vanishes on the whole space iff it
     # vanishes on every basis element
-    witness = None
-    for c in space.basis:
-        if not (c * b).is_zero():
-            witness = c
-            break
-    return AdmissibilityWitness(witness is not None, space, witness)
+    witness = next((c for c in space.basis if not (c * b).is_zero()), None)
+    return space, Verdict(witness, "witness found" if witness is not None
+                          else "proved exactly")
 
 
-def spinor_equivalent(r1: QSpinorRep, r2: QSpinorRep) -> Optional[tuple]:
+def spinor_equivalent(r1: QSpinorRep, r2: QSpinorRep) -> Verdict:
     """Search for (u, alpha) with r2.a = u r1.a u^-1 alpha and
     r2.b = u r1.b u^-1 alpha, with alpha ranging over the monomials q^k,
     |k| <= matrices.MAX_EXPONENT, pinned first by the power traces of a
     and b (matrices._scaled_conjugacy).
 
-    Returns the exactly verified witness pair, or None when no witness
-    exists within that family of scalings (always None for pairs of
-    different sizes).
+    Returns a Verdict whose witness is the exactly verified pair.  A "no"
+    carries its how; "search exhausted" is not a proof.
     """
     return _scaled_conjugacy([(r1.a, r2.a, 0), (r1.b, r2.b, 0)])

@@ -132,14 +132,14 @@ def test_criterion_04_commutant_spot_checks():
         failures.append("upper Jordan-3 commutant is not span{e14}")
     for name in ADMISSIBLE_ENTRIES:
         rep = instantiate(name)
-        if not admissibility(rep.a, rep.b).admissible:
+        if not admissibility(rep.a, rep.b)[1].found:
             failures.append(f"{name}: expected admissible")
     rejected = [n for n in list_entries() if n.startswith("rejected-")]
     if len(rejected) < 6:
         failures.append(f"only {len(rejected)} rejected entries on record")
     for name in rejected:
         rep = instantiate(name)
-        if admissibility(rep.a, rep.b).admissible:
+        if admissibility(rep.a, rep.b)[1].found:
             failures.append(f"{name}: expected not admissible")
     check(4, "Jordan-3 commutants span{e43}/span{e14}; admissibility yes "
              f"on 3 entries, no on all {len(rejected)} rejected entries",
@@ -194,7 +194,7 @@ def test_criterion_07_equivalence_search():
                           (u0 * rep.c12 * ui0).scale(b2),
                           (u0 * rep.c21 * ui0).scale(b1),
                           (u0 * rep.c22 * ui0).scale(b2))
-            found = gl2_equivalent(rep, copy)
+            found = gl2_equivalent(rep, copy).witness
             if found is None:
                 failures.append(f"{name}: witness not recovered")
             elif not gl2_witness_ok(rep, copy, found):
@@ -203,7 +203,7 @@ def test_criterion_07_equivalence_search():
             alpha0 = Q ** 2
             copy = QSpinorRep((u0 * rep.a * ui0).scale(alpha0),
                               (u0 * rep.b * ui0).scale(alpha0))
-            found = spinor_equivalent(rep, copy)
+            found = spinor_equivalent(rep, copy).witness
             if found is None:
                 failures.append(f"{name}: witness not recovered")
                 continue
@@ -225,7 +225,7 @@ def test_criterion_07_equivalence_search():
                             "and 3 does not carry perturbed-a onto "
                             "perturbed-b")
     pa, pb = instantiate("perturbed-a"), instantiate("perturbed-b")
-    found = gl2_equivalent(pa, pb)
+    found = gl2_equivalent(pa, pb).witness
     if found is None:
         failures.append("perturbed-a/perturbed-b: witness not found")
     elif not gl2_witness_ok(pa, pb, found):
@@ -235,7 +235,7 @@ def test_criterion_07_equivalence_search():
     for name in ("perturbed-a", "perturbed-b"):
         for other in ("triangular-dim8", "diagonal-dim3"):
             if gl2_equivalent(instantiate(name),
-                              instantiate(other)) is not None:
+                              instantiate(other)).found:
                 failures.append(f"{name}/{other}: witness found for "
                                 "inequivalent quadruples")
     recs = {r["entry"]: r

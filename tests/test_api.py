@@ -7,6 +7,7 @@ import importlib.util
 import pathlib
 
 import qgl2
+from qgl2.matrices import Mat, MatSpace, invertible_element
 
 TRACER = pathlib.Path(__file__).parent.parent / "perfbench" / "tracer.py"
 
@@ -37,3 +38,11 @@ def test_benchmark_names_resolve():
     assert len(names) > 1
     for module, path in names:
         assert callable(resolve(module, path)), f"{module}.{path}"
+
+
+def test_invertible_element_returns_mat_or_none():
+    # the benchmark's hit_ratio counts a hit as a result that is not None
+    hit = invertible_element(MatSpace.span([Mat.identity(2)]))
+    miss = invertible_element(MatSpace.span([Mat.unit(2, 0, 1)]))
+    assert isinstance(hit, Mat)
+    assert miss is None

@@ -1,15 +1,19 @@
 """Catalog integrity: every published claim is recomputed from scratch."""
 
+from itertools import product
+
 import pytest
 
 from qgl2.catalog import (closure_generators, family_assignments, get_entry,
                           instantiate, list_entries)
 from qgl2.clifford import build_action, counit_invariance_space, unitality_ok
-from qgl2.gl2 import GL2Rep, invertibility_nilpotency_check, verify_relations
-from qgl2.matrices import Mat, MatSpace, centralizer, subalgebra_closure
+from qgl2.gl2 import GL2Rep, gl2_equivalent, \
+    invertibility_nilpotency_check, verify_relations
+from qgl2.matrices import HOWS, MatSpace, centralizer, subalgebra_closure
 from qgl2.report import build_report
 from qgl2.scalars import Q, scalar
-from qgl2.spinors import QSpinorRep, admissibility, check_spinor, q_commutant
+from qgl2.spinors import QSpinorRep, admissibility, check_spinor, \
+    q_commutant, spinor_equivalent
 
 EXPECTED_NAMES = (
     "perturbed-a", "perturbed-b", "triangular-dim8", "diagonal-dim3",
@@ -203,9 +207,9 @@ class TestQSpinorClaims:
     def test_admissibility_verdict(self, name):
         entry = get_entry(name)
         rep = instantiate(name)
-        w = admissibility(rep.a, rep.b)
-        assert w.admissible == entry.claims.admissible
-        if w.admissible:
+        _, w = admissibility(rep.a, rep.b)
+        assert w.found == entry.claims.admissible
+        if w.found:
             assert not (w.witness * rep.b).is_zero()
 
     @pytest.mark.parametrize("name", QSPINOR_NAMES)
@@ -223,6 +227,52 @@ class TestQSpinorClaims:
         rejected = [n for n in QSPINOR_NAMES
                     if get_entry(n).claims.admissible is False]
         assert len(rejected) == 10
+
+
+# the ordered q-spinor pairs whose equivalence search gives up: some
+# exponent passes the trace pins, but invertible_element finds no
+# invertible member of a conjugator space of dimension 2 to 6
+SEARCH_EXHAUSTED = {
+    ("admissible-a", "admissible-jordan"),
+    ("admissible-b", "admissible-jordan"),
+    ("admissible-jordan", "admissible-a"),
+    ("admissible-jordan", "admissible-b"),
+    ("rejected-j3-lower", "rejected-diag-chain"),
+    ("rejected-j3-lower", "rejected-jordan-diag-unit"),
+    ("rejected-diag-chain", "rejected-j3-lower"),
+    ("rejected-diag-chain", "rejected-jordan-diag-unit"),
+    ("rejected-jordan-diag-unit", "rejected-j3-lower"),
+    ("rejected-jordan-diag-unit", "rejected-diag-chain"),
+}
+
+
+class TestVerdictLabels:
+    def test_equivalence_labels(self):
+        # all 185 ordered same-kind pairs of checkable entries, the pairs
+        # behind test_cli.py::test_equiv_catalog_pairs_bytes
+        reps = {n: instantiate(n) for n in GL2_NAMES + QSPINOR_NAMES}
+        hows = dict.fromkeys(HOWS, 0)
+        exhausted = set()
+        for names, search in ((GL2_NAMES, gl2_equivalent),
+                              (QSPINOR_NAMES, spinor_equivalent)):
+            for first, second in product(names, repeat=2):
+                verdict = search(reps[first], reps[second])
+                hows[verdict.how] += 1
+                if verdict.how == "search exhausted":
+                    exhausted.add((first, second))
+        assert hows == {"witness found": 23, "proved exactly": 0,
+                        "invariant differs": 152, "search exhausted": 10}
+        assert exhausted == SEARCH_EXHAUSTED
+        # no gl2 pair: the report's equivalence classes rest on proofs
+        assert not any(first in GL2_NAMES for first, _ in exhausted)
+
+    def test_admissibility_labels(self):
+        hows = dict.fromkeys(HOWS, 0)
+        for name in QSPINOR_NAMES:
+            rep = instantiate(name)
+            hows[admissibility(rep.a, rep.b)[1].how] += 1
+        assert hows == {"witness found": 3, "proved exactly": 10,
+                        "invariant differs": 0, "search exhausted": 0}
 
 
 class TestExternalEntries:

@@ -188,8 +188,8 @@ class TestEquivalenceSearch:
     def test_self_equivalence(self):
         r = case1()
         found = gl2_equivalent(r, r)
-        assert found is not None
-        u, a1, a2 = found
+        assert found.how == "witness found"
+        u, a1, a2 = found.witness
         assert a1 == ONE and a2 == ONE
         ui = u.inverse()
         assert u * r.c11 * ui == r.c11
@@ -200,8 +200,8 @@ class TestEquivalenceSearch:
         r2 = GL2Rep(r1.c11, r1.c12.scale(Q), r1.c21, r1.c22.scale(Q))
         assert verify_relations(r2).ok   # column scaling is harmless
         found = gl2_equivalent(r1, r2)
-        assert found is not None
-        u, a1, a2 = found
+        assert found.how == "witness found"
+        u, a1, a2 = found.witness
         assert (a1, a2) == (ONE, Q)
 
     def test_conjugated_and_scaled_copy(self):
@@ -214,8 +214,8 @@ class TestEquivalenceSearch:
                     (u0 * r1.c21 * ui0).scale(b1),
                     (u0 * r1.c22 * ui0).scale(b2))
         found = gl2_equivalent(r1, r2)
-        assert found is not None
-        u, a1, a2 = found
+        assert found.how == "witness found"
+        u, a1, a2 = found.witness
         ui = u.inverse()
         assert (u * r1.c11 * ui).scale(a1) == r2.c11
         assert (u * r1.c21 * ui).scale(a1) == r2.c21
@@ -228,8 +228,8 @@ class TestEquivalenceSearch:
         # the two perturbed quadruples are genuinely equivalent: a
         # permutation-like conjugation carries one to the other
         found = gl2_equivalent(case1(), case2())
-        assert found is not None
-        u, a1, a2 = found
+        assert found.how == "witness found"
+        u, a1, a2 = found.witness
         assert a1 == ONE and a2 == ONE
         r1, r2 = case1(), case2()
         ui = u.inverse()
@@ -244,13 +244,13 @@ class TestEquivalenceSearch:
             e(1, 2) + e(2, 3).scale(2) + e(2, 4).scale(3),
             Mat.zero(4),
             Mat.diag(Q ** 2, Q, 1, 1))
-        assert gl2_equivalent(case1(), tri) is None
+        assert not gl2_equivalent(case1(), tri).found
 
     def test_size_mismatch(self):
         small = GL2Rep(Mat.identity(2), Mat.zero(2),
                        Mat.zero(2), Mat.identity(2))
-        assert gl2_equivalent(small, case1()) is None
-        assert gl2_equivalent(case1(), small) is None
+        assert gl2_equivalent(small, case1()).how == "invariant differs"
+        assert gl2_equivalent(case1(), small).how == "invariant differs"
 
     def test_traces_rule_out_before_any_solve(self, monkeypatch):
         # c11, c22 and detq agree, but tr(c12^j) is 0 against 1 for every
@@ -262,5 +262,5 @@ class TestEquivalenceSearch:
         z, d = Mat.zero(4), Mat.diag(Q, Q, 1, 1)
         r1 = GL2Rep(Mat.identity(4), z, z, d)
         r2 = GL2Rep(Mat.identity(4), e(1, 1), z, d)
-        assert gl2_equivalent(r1, r2) is None
+        assert gl2_equivalent(r1, r2).how == "invariant differs"
         assert solves == []

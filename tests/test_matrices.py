@@ -5,9 +5,9 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from qgl2.matrices import (Mat, MatSpace, centralizer, invertible_element,
-                           power_traces, rref, stacked_nullspace,
-                           subalgebra_closure)
+from qgl2.matrices import (HOWS, Mat, MatSpace, Verdict, centralizer,
+                           invertible_element, power_traces, rref,
+                           stacked_nullspace, subalgebra_closure)
 from qgl2.scalars import GaussRational, I, ONE, Q, ZERO, scalar
 
 
@@ -254,6 +254,27 @@ class TestSearchHelpers:
         s = MatSpace.span([Mat.unit(3, 0, 1), Mat.unit(3, 1, 0),
                            Mat.unit(3, 2, 2)])
         assert invertible_element(s) == invertible_element(s)
+
+
+class TestVerdict:
+    def test_witness_exactly_when_found(self):
+        u = Mat.identity(2)
+        assert Verdict(u, "witness found").found
+        for how in HOWS[1:]:
+            assert not Verdict(None, how).found
+            with pytest.raises(ValueError, match="inconsistent verdict"):
+                Verdict(u, how)
+        with pytest.raises(ValueError, match="inconsistent verdict"):
+            Verdict(None, "witness found")
+
+    def test_unknown_how(self):
+        with pytest.raises(ValueError, match="inconsistent verdict"):
+            Verdict(None, "degenerate sample point")
+
+    def test_frozen(self):
+        v = Verdict(None, "proved exactly")
+        with pytest.raises(AttributeError):
+            v.how = "witness found"
 
 
 # ---------------------------------------------------------------------------

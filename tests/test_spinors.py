@@ -2,7 +2,8 @@
 
 import pytest
 
-from qgl2.matrices import Mat, MatSpace
+import qgl2.matrices
+from qgl2.matrices import Mat, MatSpace, Verdict
 from qgl2.scalars import GaussRational, Q
 from qgl2.spinors import (QSpinorRep, admissibility, check_spinor,
                           q_commutant, spinor_equivalent)
@@ -66,30 +67,34 @@ class TestQCommutant:
 
 class TestAdmissibility:
     def test_admissible_pair(self):
-        w = admissibility(A_CASE, B_CASE)
-        assert w.admissible
-        assert w.c_space == MatSpace.span([e(2, 1) - e(4, 3)])
+        c_space, w = admissibility(A_CASE, B_CASE)
+        assert w.how == "witness found"
+        assert c_space == MatSpace.span([e(2, 1) - e(4, 3)])
         assert w.witness == e(2, 1) - e(4, 3)
         assert w.witness * B_CASE == e(2, 3).scale(Q)
 
     def test_witness_satisfies_relations(self):
-        w = admissibility(A_CASE, B_CASE)
+        _, w = admissibility(A_CASE, B_CASE)
         c = w.witness
         assert c * B_CASE == (B_CASE * c).scale(Q)
         assert c * A_CASE == (A_CASE * c).scale(Q)
 
     def test_rejected_jordan_pair(self):
-        # c_space is nonzero but every member annihilates b
-        w = admissibility(J3_LOWER, e(4, 3))
-        assert not w.admissible
-        assert w.witness is None
-        for c in w.c_space.basis:
-            assert (c * e(4, 3)).is_zero()
+        # c_space is zero in the default orientation; in the flipped one
+        # it is nonzero but every member annihilates b
+        for orientation, dim in (("default", 0), ("flipped", 1)):
+            c_space, w = admissibility(J3_LOWER, e(4, 3),
+                                       orientation=orientation)
+            assert w.how == "proved exactly"
+            assert w.witness is None
+            assert c_space.dim == dim
+            for c in c_space.basis:
+                assert (c * e(4, 3)).is_zero()
 
     def test_flipped_orientation(self):
-        w = admissibility(A_CASE, B_CASE, orientation="flipped")
-        assert w.admissible
-        assert w.c_space.dim == 3
+        c_space, w = admissibility(A_CASE, B_CASE, orientation="flipped")
+        assert w.found
+        assert c_space.dim == 3
         qq = Q.inverse()
         c = w.witness
         assert c * B_CASE == (B_CASE * c).scale(qq)
@@ -118,8 +123,8 @@ class TestEquivalenceSearch:
         r2 = QSpinorRep((u0 * A_CASE * ui0).scale(alpha0),
                         (u0 * B_CASE * ui0).scale(alpha0))
         found = spinor_equivalent(r1, r2)
-        assert found is not None
-        u, alpha = found
+        assert found.how == "witness found"
+        u, alpha = found.witness
         assert alpha == alpha0
         ui = u.inverse()
         assert (u * r1.a * ui).scale(alpha) == r2.a
@@ -132,7 +137,7 @@ class TestEquivalenceSearch:
         # both generators nilpotent: every power trace is zero, so every
         # scaling q^k passes the filter and the smallest k is tried first
         r = QSpinorRep(e(1, 2), e(3, 4))
-        u, alpha = spinor_equivalent(r, r)
+        u, alpha = spinor_equivalent(r, r).witness
         assert alpha == Q ** -4
         ui = u.inverse()
         assert (u * r.a * ui).scale(alpha) == r.a
@@ -141,18 +146,37 @@ class TestEquivalenceSearch:
     def test_identity_witness(self):
         r = QSpinorRep(A_CASE, B_CASE)
         found = spinor_equivalent(r, r)
-        assert found is not None
-        u, alpha = found
+        assert found.how == "witness found"
+        u, alpha = found.witness
         assert alpha == Q ** 0
         assert u * r.a * u.inverse() == r.a
 
     def test_inequivalent_pairs(self):
         r1 = QSpinorRep(A_CASE, B_CASE)
         r2 = QSpinorRep(J3_LOWER, e(4, 3))
-        assert spinor_equivalent(r1, r2) is None
+        assert not spinor_equivalent(r1, r2).found
+
+    def test_proved_none(self, monkeypatch):
+        # only alpha = 1 passes the trace pins, and its conjugator space is
+        # spanned by the singular e22, so no invertible conjugator exists
+        spaces = []
+        solve = qgl2.matrices.stacked_nullspace
+
+        def recording_solve(*args):
+            spaces.append(solve(*args))
+            return spaces[-1]
+
+        monkeypatch.setattr(qgl2.matrices, "stacked_nullspace",
+                            recording_solve)
+        a = Mat.diag(Q, 1)
+        r1 = QSpinorRep(a, Mat.unit(2, 0, 1))
+        r2 = QSpinorRep(a, Mat.zero(2))
+        assert check_spinor(r1.a, r1.b) and check_spinor(r2.a, r2.b)
+        assert spinor_equivalent(r1, r2) == Verdict(None, "proved exactly")
+        assert [s.basis for s in spaces] == [[Mat.unit(2, 1, 1)]]
 
     def test_size_mismatch(self):
         r1 = QSpinorRep(Mat.diag(Q, 1), Mat.unit(2, 0, 1))
         r2 = QSpinorRep(A_CASE, B_CASE)
-        assert spinor_equivalent(r1, r2) is None
-        assert spinor_equivalent(r2, r1) is None
+        assert spinor_equivalent(r1, r2).how == "invariant differs"
+        assert spinor_equivalent(r2, r1).how == "invariant differs"
