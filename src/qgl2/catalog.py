@@ -504,15 +504,11 @@ def closure_generators(entry, mode: str = "single") -> list:
         raise ValueError(
             f"entry {entry.name!r} has no operator algebra (kind "
             f"{entry.kind})")
-    if mode == "single":
-        assignments = (_coerce_params(entry, {}),)
-    elif mode == "family":
-        assignments = family_assignments(entry)
-    else:
+    if mode not in ("single", "family"):
         raise ValueError(f"unknown mode: {mode!r}")
     gens = []
-    for values in assignments:
-        rep = entry.builder(values)
+    for values in ({},) if mode == "single" else family_assignments(entry):
+        rep = instantiate(entry, **values)
         gens.extend(rep.generators())
         gens.append(rep.detq().inverse())
     return gens

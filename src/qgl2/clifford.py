@@ -21,8 +21,8 @@ from operator import mul
 from typing import Iterable, Optional
 
 from .gl2 import GL2Rep
-from .matrices import Mat, MatSpace, stacked_nullspace
-from .scalars import I, ONE, Scalar, scalar
+from .matrices import Mat, MatSpace, centralizer
+from .scalars import I, Scalar, scalar
 
 __all__ = [
     "BASIS_NAMES",
@@ -229,10 +229,6 @@ class InnerAction:
             acc = term if acc is None else acc + term
         return acc
 
-    def operator_terms(self, i: int, j: int) -> list:
-        """The action of generator (i, j) as vectorizable terms."""
-        return [(self.m[i][k], self.mstar[k][j], ONE) for k in range(2)]
-
 
 def build_action(rep: GL2Rep) -> InnerAction:
     return InnerAction(rep)
@@ -280,12 +276,13 @@ def module_algebra_shadow(action: InnerAction,
 
 def counit_invariance_space(action: InnerAction) -> MatSpace:
     """All v with act(0,0,v) = v, act(1,1,v) = v, act(0,1,v) = 0 and
-    act(1,0,v) = 0, computed as one joint kernel."""
-    ops = []
-    for i in range(2):
-        for j in range(2):
-            terms = list(action.operator_terms(i, j))
-            if i == j:
-                terms.append((None, None, -ONE))
-            ops.append(terms)
-    return stacked_nullspace(action.n, ops)
+    act(1,0,v) = 0: the centralizer of the four blocks of M*.
+
+    Proof.  Let M be the quadruple's block matrix, M* its inverse and
+    V = diag(v, v).  Block (i, j) of M V M* is sum_k m[i][k] v m*[k][j]
+    = act(i, j, v), so the four conditions say M V M* = V.  M* is the
+    exact inverse of the square matrix M, so this is M V = V M, and
+    multiplying by M* on both sides gives V M* = M* V.  Block (i, j) of
+    that is v m*[i][j] = m*[i][j] v.
+    """
+    return centralizer([block for row in action.mstar for block in row])

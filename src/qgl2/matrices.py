@@ -18,22 +18,16 @@ from __future__ import annotations
 import random
 from bisect import bisect_left
 from dataclasses import dataclass
-from fractions import Fraction
 from itertools import chain, product
 from typing import Iterable, Optional
 
-from .scalars import ONE, Q, ZERO, GaussRational, Scalar, _power, \
-    parse_scalar, scalar
+from .scalars import ONE, Q, ZERO, GaussRational, Scalar, _power, scalar
 
 
 def _entry(value):
     if isinstance(value, (Scalar, GaussRational)):
         return value
-    if isinstance(value, (int, Fraction)):
-        return scalar(value)
-    if isinstance(value, str):
-        return parse_scalar(value)
-    raise TypeError(f"bad matrix entry of type {type(value).__name__}")
+    return scalar(value)
 
 
 class Mat:
@@ -191,7 +185,7 @@ class Mat:
             raise ValueError("entries must form an n x n grid")
         if not all(isinstance(x, str) for row in entries for x in row):
             raise ValueError("matrix entries must be strings")
-        return cls([[parse_scalar(x) for x in row] for row in entries])
+        return cls(entries)
 
     def __str__(self):
         cells = [[str(x) for x in row] for row in self.rows]
@@ -343,52 +337,37 @@ def subalgebra_closure(generators: Iterable[Mat]) -> MatSpace:
     return space
 
 
-def _operator_rows(n: int, terms: list, z) -> list:
-    """Vectorize X -> sum(c * P X Q) as an n^2 x n^2 row list.
+def _operator_rows(n: int, a: Mat, b: Mat, z) -> list:
+    """Vectorize X -> X A - B X as an n^2 x n^2 row list.
 
-    Each term is (P, Q, c) with P, Q an n x n Mat or None for the identity.
-    Row-major convention: the (i, j) entry of P X Q picks up coefficient
-    P[i][k] * Q[l][j] on X[k][l], so row i*n+j, column k*n+l.
+    Row-major convention: entry (i, j) of X A is sum_k X[i][k] A[k][j]
+    and entry (i, j) of B X is sum_k B[i][k] X[k][j], so row i*n+j picks
+    up A[k][j] at column i*n+k and -B[i][k] at column k*n+j.
     """
-    size = n * n
-    rows = [[z] * size for _ in range(size)]
-    for p, q, c in terms:
-        for i in range(n):
-            for k in range(n):
-                if p is None:
-                    if i != k:
-                        continue
-                    cp = c
-                else:
-                    pik = p.rows[i][k]
-                    if not pik:
-                        continue
-                    cp = c * pik
-                for l in range(n):
-                    if q is None:
-                        rows[i * n + l][k * n + l] = rows[i * n + l][k * n + l] + cp
-                    else:
-                        qrow = q.rows[l]
-                        col = k * n + l
-                        for j in range(n):
-                            if qrow[j]:
-                                rows[i * n + j][col] = rows[i * n + j][col] + cp * qrow[j]
+    rows = []
+    for i, j in product(range(n), repeat=2):
+        row = [z] * (n * n)
+        for k in range(n):
+            if a.rows[k][j]:
+                row[i * n + k] += a.rows[k][j]
+            if b.rows[i][k]:
+                row[k * n + j] -= b.rows[i][k]
+        rows.append(row)
     return rows
 
 
-def stacked_nullspace(n: int, operators: list) -> MatSpace:
-    """Joint kernel of several vectorized X -> sum(c * P X Q) operators,
-    each given as its term list; the coefficients fix the field.  Every
-    P and Q must be n x n (ValueError "dimension mismatch" otherwise)."""
-    if any(m is not None and m.n != n
-           for terms in operators for p, q, _ in terms for m in (p, q)):
+def stacked_nullspace(pairs: list) -> MatSpace:
+    """The space of all X with X A = B X for every (A, B) in the nonempty
+    list pairs, as one joint kernel.  The first pair fixes n and the
+    field; every A and B must be n x n (ValueError "dimension mismatch"
+    otherwise)."""
+    n = pairs[0][0].n
+    if any(m.n != n for pair in pairs for m in pair):
         raise ValueError("dimension mismatch")
-    one = type(operators[0][0][2]).one()
-    z = type(one).zero()
-    rows = []
-    for terms in operators:
-        rows.extend(_operator_rows(n, terms, z))
-    reduced, pivots = rref(rows)
+    z = type(pairs[0][0].rows[0][0]).zero()
+    one = type(z).one()
+    reduced, pivots = rref([row for a, b in pairs
+                            for row in _operator_rows(n, a, b, z)])
     space = MatSpace(n)
     # one kernel vector per free column: 1 there, minus that column of
     # the reduced rows at the pivots
@@ -407,9 +386,7 @@ def centralizer(mats: list) -> MatSpace:
     """All X with XG = GX for every G in the nonempty list mats."""
     if not mats:
         raise ValueError("centralizer of an empty set")
-    one = type(mats[0].rows[0][0]).one()
-    return stacked_nullspace(
-        mats[0].n, [[(None, g, one), (g, None, -one)] for g in mats])
+    return stacked_nullspace([(g, g) for g in mats])
 
 
 def power_traces(m: Mat, kmax: int) -> tuple:
@@ -514,7 +491,11 @@ def _scaled_conjugacy(equations: list) -> Verdict:
     is "invariant differs" when the sizes differ or a group keeps no
     exponent, "proved exactly" when every conjugator space searched has
     dimension <= 1 (a singular basis element spans only singular
-    matrices), and otherwise "search exhausted", which proves nothing.
+    matrices).  Any other miss is "invariant differs" when dim B'(g1) and
+    dim B'(g2), B'(g) = {X : X g = q g X}, differ for some equation
+    (X -> u^-1 X u maps B'(u g u^-1) onto B'(g), and B'(c g) = B'(g) for
+    every c != 0, so no scaling at all is a witness), and otherwise
+    "search exhausted", which proves nothing.
     """
     n = equations[0][0].n
     if any(g1.n != n or g2.n != n for g1, g2, _ in equations):
@@ -531,9 +512,8 @@ def _scaled_conjugacy(equations: list) -> Verdict:
     exhausted = False
     for ks in product(*allowed):
         alphas = tuple(Q ** k for k in ks)
-        space = stacked_nullspace(n, [
-            [(None, g1.scale(alphas[g]), ONE), (g2, None, -ONE)]
-            for g1, g2, g in equations])
+        space = stacked_nullspace([(g1.scale(alphas[g]), g2)
+                                   for g1, g2, g in equations])
         u = invertible_element(space)
         # u is invertible (invertible_element checked its rank), so
         # g2 = u g1 u^-1 alpha is u g1 alpha = g2 u
@@ -541,5 +521,10 @@ def _scaled_conjugacy(equations: list) -> Verdict:
                                  for g1, g2, g in equations):
             return Verdict((u,) + alphas, "witness found")
         exhausted = exhausted or space.dim > 1
-    return Verdict(None, "search exhausted" if exhausted
-                   else "proved exactly")
+    if not exhausted:
+        return Verdict(None, "proved exactly")
+    differs = any(stacked_nullspace([(g1, g1.scale(Q))]).dim
+                  != stacked_nullspace([(g2, g2.scale(Q))]).dim
+                  for g1, g2, _ in equations)
+    return Verdict(None, "invariant differs" if differs
+                   else "search exhausted")

@@ -641,7 +641,11 @@ def _bounded(value: Scalar, pos: int, what: str) -> Scalar:
 def parse_scalar(text: str) -> Scalar:
     """Parse an expression over {integers, i, q, +, -, *, /, ^, ()}."""
     tz = _Tokenizer(text)
-    value = _parse_sum(tz)
+    try:
+        value = _parse_sum(tz)
+    except RecursionError:
+        raise ValueError("parse error: expression nested too deeply") \
+            from None
     kind, _, pos = tz.peek()
     if kind != "end":
         raise ValueError(f"parse error at position {pos}: trailing input")

@@ -46,12 +46,9 @@ def q_commutant(a: Mat, q: Scalar = Q, reverse: bool = False) -> MatSpace:
     q-spinor pair (a, b); the reverse orientation collects the b' with
     b'*a = q*a*b'.  Returns the canonical basis of the solution space.
     """
-    one = type(q).one()
-    if reverse:
-        terms = [(None, a, one), (a, None, -q)]
-    else:
-        terms = [(a, None, one), (None, a, -q)]
-    return stacked_nullspace(a.n, [terms])
+    # a*x = q*x*a is x*(q*a) = a*x
+    return stacked_nullspace([(a, a.scale(q)) if reverse
+                              else (a.scale(q), a)])
 
 
 def admissibility(a: Mat, b: Mat, q: Scalar = Q,
@@ -71,11 +68,7 @@ def admissibility(a: Mat, b: Mat, q: Scalar = Q,
     if a * b != (b * a).scale(q):
         raise ValueError("not a q-spinor")
     qq = q if orientation == "default" else q.inverse()
-    one = type(q).one()
-    space = stacked_nullspace(a.n, [
-        [(None, b, one), (b, None, -qq)],
-        [(None, a, one), (a, None, -qq)],
-    ])
+    space = stacked_nullspace([(b, b.scale(qq)), (a, a.scale(qq))])
     # c -> c*b is linear, so it vanishes on the whole space iff it
     # vanishes on every basis element
     witness = next((c for c in space.basis if not (c * b).is_zero()), None)

@@ -268,6 +268,7 @@ M2 = json.dumps({"n": 2, "entries": [["1", "q"], ["0", "1"]]})
 M3 = json.dumps({"n": 3, "entries": [["0", "0", "0"], ["0", "0", "0"],
                                      ["0", "0", "1"]]})
 DEEP = "[" * 100000 + "]" * 100000
+DEEP_SCALAR = "(" * 5000 + "1" + ")" * 5000
 
 # argv with {0}, {1} for the files, then the JSON text of each file (None
 # makes a directory); every case must exit 2 with one "error:" line
@@ -282,6 +283,8 @@ BAD_INPUT = {
     "number-entry": (ONE_FILE, ['{"n": 1, "entries": [[5]]}']),
     "wrong-n": (ONE_FILE, ['{"n": 3, "entries": [["1", "0"], ["0", "1"]]}']),
     "bad-scalar": (ONE_FILE, ['{"n": 1, "entries": [["q^^2"]]}']),
+    "nested-scalar": (ONE_FILE,
+                      [f'{{"n": 1, "entries": [["{DEEP_SCALAR}"]]}}']),
     "directory": (ONE_FILE, [None]),
     "not-json": (ONE_FILE, ["{"]),
     "no-n": (ONE_FILE, ['{"entries": [["1"]]}']),

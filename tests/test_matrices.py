@@ -3,12 +3,16 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
+from oracles import sandwich_kernel
+from qgl2.clifford import build_action, counit_invariance_space
+from qgl2.gl2 import GL2Rep
 from qgl2.matrices import (HOWS, Mat, MatSpace, Verdict, centralizer,
                            invertible_element, power_traces, rref,
                            stacked_nullspace, subalgebra_closure)
 from qgl2.scalars import GaussRational, I, ONE, Q, ZERO, scalar
+from qgl2.spinors import admissibility, q_commutant
 
 
 def e(i, j, n=4):
@@ -207,16 +211,16 @@ class TestClosuresAndCommutants:
     def test_operator_nullspace_twist(self):
         # solutions of a*X = q*X*a for a = diag(q, 1) form span{e12}
         a = Mat.diag(Q, ONE)
-        sol = stacked_nullspace(2, [[(a, None, ONE), (None, a, -Q)]])
+        sol = stacked_nullspace([(a.scale(Q), a)])
         assert sol == MatSpace.span([Mat.unit(2, 0, 1)])
 
     def test_stacked_nullspace_intersection(self):
         d = Mat.diag(1, 2)
-        ops = [
-            [(d, None, ONE), (None, d, -ONE)],       # commute with d
-            [(Mat.unit(2, 0, 0), None, ONE)],        # killed by e11 on the left
+        pairs = [
+            (d, d),                                  # commute with d
+            (Mat.zero(2), Mat.unit(2, 0, 0)),        # killed by e11 on the left
         ]
-        sol = stacked_nullspace(2, ops)
+        sol = stacked_nullspace(pairs)
         assert sol == MatSpace.span([Mat.unit(2, 1, 1)])
 
 
@@ -501,3 +505,74 @@ class TestClosureProperties:
         # one round of 2 words x 2 generators reaches e11 and e22; no
         # second round runs once the dimension is n^2
         assert len(products) == 4
+
+
+# ---------------------------------------------------------------------------
+# every solve against the reference kernel of sandwich terms
+# X -> sum(c * P X Q), the format that the pair equations X A = B X replaced
+
+SOLVE_PROPERTY = settings(derandomize=True, max_examples=10, deadline=None)
+
+
+@st.composite
+def q_spinor_pairs(draw, pool, max_n):
+    """(a, b, q) with a*b = q*b*a: q a nonzero pool element, a a drawn
+    matrix or diag(q^k_1, ..., q^k_n), b a drawn combination of the
+    reference basis of {x : a*x = q*x*a} (zero when that is 0)."""
+    n = draw(st.integers(2, max_n))
+    q = draw(st.sampled_from([x for x in pool if x]))
+    if draw(st.booleans()):
+        a = draw(square_mats(pool, n))
+    else:
+        a = Mat.diag(*(q ** draw(st.integers(0, 2)) for _ in range(n)))
+    b = a.scale(q.zero())
+    for m in sandwich_kernel(n, [[(a, None, q.one()), (None, a, -q)]]).basis:
+        b = b + m.scale(draw(st.sampled_from(pool)))
+    return a, b, q
+
+
+class TestSolvesMatchSandwichReference:
+    @SIZED_POOLS
+    @SOLVE_PROPERTY
+    @given(data=st.data())
+    def test_stacked_nullspace(self, pool, max_n, data):
+        n = data.draw(st.integers(2, max_n))
+        a = data.draw(square_mats(pool, n))
+        # b = a makes the centralizer, which is never 0
+        b = a if data.draw(st.booleans()) else data.draw(square_mats(pool, n))
+        one = type(pool[0]).one()
+        assert stacked_nullspace([(a, b)]) == sandwich_kernel(
+            n, [[(None, a, one), (b, None, -one)]])
+
+    @SIZED_POOLS
+    @SOLVE_PROPERTY
+    @given(data=st.data())
+    def test_q_commutants_and_c_space(self, pool, max_n, data):
+        a, b, q = data.draw(q_spinor_pairs(pool, max_n))
+        n, one = a.n, type(q).one()
+        assert q_commutant(a, q) == sandwich_kernel(
+            n, [[(a, None, one), (None, a, -q)]])
+        assert q_commutant(a, q, reverse=True) == sandwich_kernel(
+            n, [[(None, a, one), (a, None, -q)]])
+        for orientation, qq in (("default", q), ("flipped", q.inverse())):
+            c_space, _ = admissibility(a, b, q, orientation)
+            assert c_space == sandwich_kernel(n, [
+                [(None, b, one), (b, None, -qq)],
+                [(None, a, one), (a, None, -qq)]])
+
+    @SIZED_POOLS
+    @SOLVE_PROPERTY
+    @given(data=st.data())
+    def test_counit_invariance_space(self, pool, max_n, data):
+        n = data.draw(st.integers(2, max_n))
+        rep = GL2Rep(*(data.draw(square_mats(pool, n)) for _ in range(4)))
+        assume(rep.block_matrix().is_invertible())
+        action = build_action(rep)
+        one = type(pool[0]).one()
+        ops = []
+        for i in range(2):
+            for j in range(2):
+                terms = [(action.m[i][k], action.mstar[k][j], one)
+                         for k in range(2)]
+                ops.append(terms + [(None, None, -one)] * (i == j))
+        assert counit_invariance_space(action) == sandwich_kernel(n, ops)
