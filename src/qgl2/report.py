@@ -33,9 +33,10 @@ _DIM_KEYS = ("operator_algebra", "invariants")
 
 
 def _check(got, claimed, message: str, disc: list) -> Optional[bool]:
-    """Compare got with claimed: None when nothing is claimed, else the
-    verdict, with message recorded in disc on a mismatch."""
-    if claimed is None:
+    """Compare got with claimed: None when nothing is claimed or got was
+    not computed, else the verdict, with message recorded in disc on a
+    mismatch."""
+    if claimed is None or got is None:
         return None
     ok = got == claimed
     if not ok:
@@ -54,10 +55,15 @@ def _algebra(gens: list) -> tuple:
     return alg, centralizer(alg.basis)
 
 
-def _spinor_spaces(a, b, q, orientation: str) -> tuple:
-    """(B(a), B'(a), c-space, admissibility verdict) of the pair (a, b)."""
-    return (q_commutant(a, q=q), q_commutant(a, q=q, reverse=True),
-            *admissibility(a, b, q=q, orientation=orientation))
+def _spinor_spaces(a, b, q, orientation: str, spinor: bool) -> tuple:
+    """(B(a), B'(a), c-space dimension, admissible) of the pair (a, b);
+    the last two need the q-spinor premise and are None without it."""
+    c_dim = found = None
+    if spinor:
+        space, verdict = admissibility(a, b, q=q, orientation=orientation)
+        c_dim, found = space.dim, verdict.found
+    return (q_commutant(a, q=q), q_commutant(a, q=q, reverse=True), c_dim,
+            found)
 
 
 def _gl2_record(entry: CatalogEntry, q0: Fraction) -> dict:
@@ -81,30 +87,35 @@ def _gl2_record(entry: CatalogEntry, q0: Fraction) -> dict:
            + ", ".join(cor.failures), disc)
 
     pc = power_commutator_check(rep.c11, rep.c22, POWER_COMMUTATOR_KMAX)
-    qp = quantum_plane_split(rep)
+    # a failed premise nulls what needs it: a12 and a22 need c11^-1, and
+    # the closure generators detq^-1
+    qp = quantum_plane_split(rep) if cor.c11_invertible else None
 
     g = GaussRational(q0)
     spaces, sampled = {}, {}
-    for mode in _MODES:
+    for mode in _MODES if rel.detq_invertible else ():
         gens = closure_generators(entry, mode)
         spaces[mode] = _algebra(gens)
         sampled[mode] = _algebra([m.eval(g) for m in gens])
     dims = {mode: {key: s.dim for key, s in zip(_DIM_KEYS, spaces[mode])}
-            for mode in _MODES}
-    alg, inv = spaces["family"]
+            for mode in spaces} or None
 
-    _check(alg.dim, claims.dim_operator_algebra,
-           "operator algebra dimension differs from claim "
-           f"(got {alg.dim}, claimed {claims.dim_operator_algebra})", disc)
-    _check(inv.dim, claims.dim_invariants,
-           "invariant dimension differs from claim "
-           f"(got {inv.dim}, claimed {claims.dim_invariants})", disc)
-    op_space_claim = _check(alg, _span(claims.operator_space),
-                            "operator algebra basis pattern differs "
-                            "from claim", disc)
-    inv_space_claim = _check(inv, _span(claims.invariant_space),
-                             "invariant space differs from claimed "
-                             "unit pattern", disc)
+    op_space_claim = inv_space_claim = None
+    if spaces:
+        alg, inv = spaces["family"]
+        _check(alg.dim, claims.dim_operator_algebra,
+               "operator algebra dimension differs from claim "
+               f"(got {alg.dim}, claimed {claims.dim_operator_algebra})",
+               disc)
+        _check(inv.dim, claims.dim_invariants,
+               "invariant dimension differs from claim "
+               f"(got {inv.dim}, claimed {claims.dim_invariants})", disc)
+        op_space_claim = _check(alg, _span(claims.operator_space),
+                                "operator algebra basis pattern differs "
+                                "from claim", disc)
+        inv_space_claim = _check(inv, _span(claims.invariant_space),
+                                 "invariant space differs from claimed "
+                                 "unit pattern", disc)
 
     action_ok = unital = False
     counit_dim = counit_matches = None
@@ -114,7 +125,8 @@ def _gl2_record(entry: CatalogEntry, q0: Fraction) -> dict:
         unital = unitality_ok(action)
         counit = counit_invariance_space(action)
         counit_dim = counit.dim
-        counit_matches = counit == spaces["single"][1]
+        if spaces:
+            counit_matches = counit == spaces["single"][1]
     except ValueError:
         pass
     _check(action_ok, True, "inner action undefined (block matrix singular)",
@@ -124,8 +136,9 @@ def _gl2_record(entry: CatalogEntry, q0: Fraction) -> dict:
 
     pairs = {mode: {key: [exact.dim, at_q0.dim] for key, exact, at_q0
                     in zip(_DIM_KEYS, spaces[mode], sampled[mode])}
-             for mode in _MODES}
-    cc_ok = all(x == y for mode in _MODES for x, y in pairs[mode].values())
+             for mode in spaces}
+    cc_ok = all(x == y for mode in spaces for x, y in pairs[mode].values()) \
+        if spaces else None
     _check(cc_ok, True, f"dimension mismatch at sample point q = {q0}", disc)
 
     return {
@@ -144,9 +157,9 @@ def _gl2_record(entry: CatalogEntry, q0: Fraction) -> dict:
             "checked_to": len(pc.results),
             "ok": pc.ok,
         },
-        "quantum_plane": {k: list(v) for k, v in qp.pairs.items()},
+        "quantum_plane": qp and {k: list(v) for k, v in qp.pairs.items()},
         "dims": dims,
-        "mode_divergence": dims["single"] != dims["family"],
+        "mode_divergence": dims and dims["single"] != dims["family"],
         "operator_space_matches_claim": op_space_claim,
         "invariant_space_matches_claim": inv_space_claim,
         "action": {
@@ -175,27 +188,27 @@ def _qspinor_record(entry: CatalogEntry, q0: Fraction,
     _check(spinor_ok, True, "pair does not satisfy the q-spinor relation",
            disc)
 
-    com, comr, cspace, adm = _spinor_spaces(rep.a, rep.b, Q, orientation)
+    com, comr, c_dim, found = _spinor_spaces(rep.a, rep.b, Q, orientation,
+                                             spinor_ok)
     com_claim = _check(com, _span(claims.commutant_basis),
                        "commutant differs from claimed basis", disc)
     comr_claim = _check(comr, _span(claims.commutant_rev_basis),
                         "reverse commutant differs from claimed basis", disc)
     # the published verdicts are for the default orientation only
     adm_claim = _check(
-        adm.found,
-        claims.admissible if orientation == "default" else None,
-        f"admissibility verdict {adm.found} differs from "
+        found, claims.admissible if orientation == "default" else None,
+        f"admissibility verdict {found} differs from "
         f"claim {claims.admissible}", disc)
 
     g = GaussRational(q0)
-    com0, comr0, cspace0, adm0 = _spinor_spaces(rep.a.eval(g),
-                                                 rep.b.eval(g), g, orientation)
+    com0, comr0, c_dim0, found0 = _spinor_spaces(
+        rep.a.eval(g), rep.b.eval(g), g, orientation, spinor_ok)
     pairs = {
         "commutant": [com.dim, com0.dim],
         "commutant_rev": [comr.dim, comr0.dim],
-        "c_space": [cspace.dim, cspace0.dim],
+        "c_space": [c_dim, c_dim0],
     }
-    cc_ok = adm0.found == adm.found \
+    cc_ok = found0 == found \
         and all(x == y for x, y in pairs.values())
     _check(cc_ok, True, f"dimension mismatch at sample point q = {q0}", disc)
 
@@ -210,9 +223,9 @@ def _qspinor_record(entry: CatalogEntry, q0: Fraction,
         "commutant_matches_claim": com_claim,
         "commutant_rev_dim": comr.dim,
         "commutant_rev_matches_claim": comr_claim,
-        "admissible": adm.found,
+        "admissible": found,
         "admissible_claim_ok": adm_claim,
-        "c_space_dim": cspace.dim,
+        "c_space_dim": c_dim,
         "crosscheck": {"q0": str(q0), **pairs, "ok": cc_ok},
         "discrepancies": disc,
     }
@@ -325,18 +338,18 @@ def report_exit_code(report: dict) -> int:
 
 def _gl2_detail(rec: dict) -> str:
     d = rec["dims"]
-    parts = [
+    parts = [] if d is None else [
         f"R {d['single']['operator_algebra']}/{d['family']['operator_algebra']}",
         f"I {d['single']['invariants']}/{d['family']['invariants']}",
-        f"class {rec['equivalence_class']}",
     ]
+    parts.append(f"class {rec['equivalence_class']}")
     if rec["mode_divergence"]:
         parts.append("(single/family modes diverge)")
     return "  ".join(parts)
 
 
 def _qspinor_detail(rec: dict) -> str:
-    adm = "yes" if rec["admissible"] else "no"
+    adm = {True: "yes", False: "no", None: "-"}[rec["admissible"]]
     return (f"B(a) {rec['commutant_dim']}  B'(a) {rec['commutant_rev_dim']}"
             f"  admissible {adm}")
 

@@ -21,6 +21,7 @@ forms.
 
 from __future__ import annotations
 
+import re
 from fractions import Fraction
 from math import gcd as _gcd, lcm as _lcm
 
@@ -579,142 +580,107 @@ def scalar(value) -> Scalar:
 # ---------------------------------------------------------------------------
 # parsing
 
-class _Tokenizer:
-    def __init__(self, text: str):
-        self.text = text
-        self.pos = 0
-        self.tokens = []
-        self._scan()
-        self.index = 0
-
-    def _scan(self):
-        text, n = self.text, len(self.text)
-        pos = 0
-        while pos < n:
-            ch = text[pos]
-            if ch.isspace():
-                pos += 1
-                continue
-            if ch.isdigit():
-                start = pos
-                while pos < n and text[pos].isdigit():
-                    pos += 1
-                self.tokens.append(("int", int(text[start:pos]), start))
-                continue
-            if ch in "iq":
-                self.tokens.append(("sym", ch, pos))
-                pos += 1
-                continue
-            if ch in "+-*/^()":
-                self.tokens.append((ch, ch, pos))
-                pos += 1
-                continue
-            raise ValueError(f"parse error at position {pos}: unexpected {ch!r}")
-        self.tokens.append(("end", None, n))
-
-    def peek(self):
-        return self.tokens[self.index]
-
-    def next(self):
-        tok = self.tokens[self.index]
-        self.index += 1
-        return tok
-
+# one token after optional whitespace: an ASCII integer, an operator or
+# symbol, or any other character, which is an error
+_TOKEN = re.compile(r"\s*(?:([0-9]+)|([iq+*/^()-])|(\S))")
 
 # a parsed power base^k must have |k| * max(1, degree of base) at most
 # this, and so must the degree of every parsed sum, difference, product
 # and quotient, so that an input cannot ask for a huge polynomial
 MAX_POWER_DEGREE = 1000
 
+# the binary operators, loosest level first: each maps to its name in
+# the degree-bound error and its function
+_LEVELS = ({"+": ("sum", Scalar.__add__), "-": ("difference", Scalar.__sub__)},
+           {"*": ("product", Scalar.__mul__),
+            "/": ("quotient", Scalar.__truediv__)})
+
 
 def _degree(value: Scalar) -> int:
     return max(len(value.num), len(value.den)) - 1
 
 
-def _bounded(value: Scalar, pos: int, what: str) -> Scalar:
-    if _degree(value) > MAX_POWER_DEGREE:
-        raise ValueError(f"parse error at position {pos}: {what} of degree "
-                         f"over {MAX_POWER_DEGREE}")
-    return value
-
-
 def parse_scalar(text: str) -> Scalar:
-    """Parse an expression over {integers, i, q, +, -, *, /, ^, ()}."""
-    tz = _Tokenizer(text)
+    """Parse an expression over {ASCII integers, i, q, +, -, *, /, ^, ()}."""
+    # (kind, position) pairs, last token first; an integer's kind is its
+    # value
+    tokens = []
+    for m in _TOKEN.finditer(text):
+        digits, symbol, other = m.groups()
+        pos = m.start(m.lastindex)
+        if other:
+            raise ValueError(f"parse error at position {pos}: "
+                             f"unexpected {other!r}")
+        tokens.append((int(digits) if digits else symbol, pos))
+    tokens.append(("end", len(text)))
+    tokens.reverse()
     try:
-        value = _parse_sum(tz)
+        value = _parse_level(tokens, 0)
     except RecursionError:
         raise ValueError("parse error: expression nested too deeply") \
             from None
-    kind, _, pos = tz.peek()
+    kind, pos = tokens[-1]
     if kind != "end":
         raise ValueError(f"parse error at position {pos}: trailing input")
     return value
 
 
-def _parse_sum(tz) -> Scalar:
-    value = _parse_product(tz)
-    while tz.peek()[0] in "+-":
-        op, _, pos = tz.next()
-        rhs = _parse_product(tz)
-        if op == "+":
-            value = _bounded(value + rhs, pos, "sum")
-        else:
-            value = _bounded(value - rhs, pos, "difference")
+def _parse_level(tokens: list, level: int) -> Scalar:
+    """Operands of the next level joined left to right by this level's
+    operators; every result is bounded in degree."""
+    ops = _LEVELS[level]
+    inner = level + 1 < len(_LEVELS)
+    value = _parse_level(tokens, level + 1) if inner else _parse_power(tokens)
+    while tokens[-1][0] in ops:
+        kind, pos = tokens.pop()
+        name, apply = ops[kind]
+        rhs = _parse_level(tokens, level + 1) if inner \
+            else _parse_power(tokens)
+        value = apply(value, rhs)
+        if _degree(value) > MAX_POWER_DEGREE:
+            raise ValueError(f"parse error at position {pos}: {name} of "
+                             f"degree over {MAX_POWER_DEGREE}")
     return value
 
 
-def _parse_product(tz) -> Scalar:
-    value = _parse_signed(tz)
-    while tz.peek()[0] in "*/":
-        op, _, pos = tz.next()
-        rhs = _parse_signed(tz)
-        if op == "*":
-            value = _bounded(value * rhs, pos, "product")
-        else:
-            if not rhs:
-                raise ZeroDivisionError("zero divisor")
-            value = _bounded(value / rhs, pos, "quotient")
-    return value
-
-
-def _parse_signed(tz) -> Scalar:
+def _sign(tokens: list) -> int:
+    """Consume a run of + and - signs and return their product."""
     sign = 1
-    while tz.peek()[0] in "+-":
-        if tz.next()[0] == "-":
+    while tokens[-1][0] in ("+", "-"):
+        if tokens.pop()[0] == "-":
             sign = -sign
-    value = _parse_power(tz)
-    return value if sign > 0 else -value
+    return sign
 
 
-def _parse_power(tz) -> Scalar:
-    base = _parse_atom(tz)
-    if tz.peek()[0] == "^":
-        tz.next()
-        esign = 1
-        while tz.peek()[0] in "+-":
-            if tz.next()[0] == "-":
-                esign = -esign
-        kind, val, pos = tz.next()
-        if kind != "int":
-            raise ValueError(f"parse error at position {pos}: integer exponent expected")
-        if val * max(1, _degree(base)) > MAX_POWER_DEGREE:
-            raise ValueError(f"parse error at position {pos}: power of degree "
-                             f"over {MAX_POWER_DEGREE}")
-        base = base ** (esign * val)
-    return base
+def _parse_power(tokens: list) -> Scalar:
+    """Signs, an atom and an optional ^ with a signed integer exponent;
+    the signs apply to the power, so -q^2 is -(q^2)."""
+    sign = _sign(tokens)
+    base = _parse_atom(tokens)
+    if tokens[-1][0] == "^":
+        tokens.pop()
+        esign = _sign(tokens)
+        k, pos = tokens.pop()
+        if not isinstance(k, int):
+            raise ValueError(f"parse error at position {pos}: integer "
+                             "exponent expected")
+        if k * max(1, _degree(base)) > MAX_POWER_DEGREE:
+            raise ValueError(f"parse error at position {pos}: power of "
+                             f"degree over {MAX_POWER_DEGREE}")
+        base = base ** (esign * k)
+    return base if sign > 0 else -base
 
 
-def _parse_atom(tz) -> Scalar:
-    kind, val, pos = tz.next()
-    if kind == "int":
-        return Scalar.from_gauss(GaussRational(val))
-    if kind == "sym":
-        return I if val == "i" else Q
+def _parse_atom(tokens: list) -> Scalar:
+    kind, pos = tokens.pop()
+    if isinstance(kind, int):
+        return Scalar.from_gauss(_gr(kind, 0, 1))
+    if kind in ("i", "q"):
+        return I if kind == "i" else Q
     if kind == "(":
-        value = _parse_sum(tz)
-        kind2, _, pos2 = tz.next()
-        if kind2 != ")":
-            raise ValueError(f"parse error at position {pos2}: ')' expected")
+        value = _parse_level(tokens, 0)
+        kind, pos = tokens.pop()
+        if kind != ")":
+            raise ValueError(f"parse error at position {pos}: ')' expected")
         return value
     raise ValueError(f"parse error at position {pos}: value expected")

@@ -9,6 +9,7 @@ import time
 
 import pytest
 
+from qgl2 import matrices
 from qgl2.catalog import CATALOG
 from qgl2.cli import main
 
@@ -283,6 +284,8 @@ BAD_INPUT = {
     "number-entry": (ONE_FILE, ['{"n": 1, "entries": [[5]]}']),
     "wrong-n": (ONE_FILE, ['{"n": 3, "entries": [["1", "0"], ["0", "1"]]}']),
     "bad-scalar": (ONE_FILE, ['{"n": 1, "entries": [["q^^2"]]}']),
+    "arabic-indic-digit": (ONE_FILE,
+                           ['{"n": 1, "entries": [["\\u0663*q"]]}']),
     "nested-scalar": (ONE_FILE,
                       [f'{{"n": 1, "entries": [["{DEEP_SCALAR}"]]}}']),
     "directory": (ONE_FILE, [None]),
@@ -380,6 +383,17 @@ class TestEquiv:
         # q-spinor output, found and none, byte for byte
         assert main(["equiv", "admissible-a", second, "--format", fmt]) == 0
         assert capsys.readouterr().out == SPINOR_EQUIV[second, fmt]
+
+    @pytest.mark.parametrize("fmt, tail", [
+        ("table", "equivalent: unknown (search exhausted)\n"),
+        ("json", '"equivalent": null,')], ids=["table", "json"])
+    def test_search_exhausted_is_unknown(self, capsys, monkeypatch, fmt,
+                                         tail):
+        # a bounded search that finds no conjugator proves nothing
+        monkeypatch.setattr(matrices, "invertible_element", lambda _: None)
+        assert main(["equiv", "triangular-dim8", "triangular-dim8",
+                     "--format", fmt]) == 0
+        assert tail in capsys.readouterr().out
 
     def test_kind_mismatch(self, capsys):
         assert main(["equiv", "perturbed-a", "admissible-a"]) == 2

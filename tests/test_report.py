@@ -9,8 +9,10 @@ import pytest
 
 from qgl2 import report
 from qgl2.catalog import get_entry
+from qgl2.gl2 import GL2Rep
 from qgl2.matrices import Mat
-from qgl2.report import build_report
+from qgl2.report import build_report, render_table, report_exit_code
+from qgl2.spinors import QSpinorRep
 
 
 def record_with(monkeypatch, name, orientation="default", **claims):
@@ -115,3 +117,54 @@ class TestSamplePoint:
             assert rec["discrepancies"] == [
                 "dimension mismatch at sample point q = 1"]
         assert rep["summary"]["total_discrepancies"] == 2
+
+
+def broken_record(name, rep):
+    """The one record, exit code and table of a report on catalog entry
+    `name` (its claims) with its builder returning rep."""
+    entry = dataclasses.replace(get_entry(name), name="broken", params=(),
+                                builder=lambda _: rep)
+    out = build_report([entry])
+    return out["entries"][0], report_exit_code(out), render_table(out)
+
+
+class TestFailedPremise:
+    # a failed premise is listed as a discrepancy; what needs the premise
+    # is skipped and left null, and the report still renders and exits 1
+    def test_singular_quantum_determinant(self):
+        zero = Mat.zero(4)
+        rec, code, table = broken_record(
+            "triangular-dim8", GL2Rep(Mat.identity(4), zero, zero, zero))
+        assert "quantum determinant not invertible" in rec["discrepancies"]
+        assert rec["dims"] is None and rec["mode_divergence"] is None
+        assert rec["operator_space_matches_claim"] is None
+        assert rec["counit_matches_centralizer"] is None
+        assert rec["crosscheck"] == {"q0": "2", "ok": None}
+        assert code == 1
+        assert "broken                       gl2       DISCREPANCY  " \
+            "class broken\n" in table
+
+    def test_singular_c11(self):
+        one, zero = Mat([[1]]), Mat([[0]])
+        rec, code, table = broken_record("triangular-dim8",
+                                         GL2Rep(zero, one, one, zero))
+        assert rec["detq_invertible"] is True
+        assert "invertibility/nilpotency consequences failed: " \
+            "c11_invertible, c22_invertible, c12_nilpotent, " \
+            "c21_nilpotent, offdiag_product_diag_zero" in rec["discrepancies"]
+        assert rec["quantum_plane"] is None
+        assert rec["dims"]["family"] == {"operator_algebra": 1,
+                                         "invariants": 1}
+        assert code == 1 and "R 1/1  I 1/1  class broken" in table
+
+    def test_not_a_q_spinor(self):
+        rec, code, table = broken_record(
+            "admissible-a", QSpinorRep(Mat.identity(2), Mat.identity(2)))
+        assert rec["is_spinor_pair"] is False
+        assert "pair does not satisfy the q-spinor relation" \
+            in rec["discrepancies"]
+        assert rec["admissible"] is None
+        assert rec["admissible_claim_ok"] is None
+        assert rec["c_space_dim"] is None
+        assert rec["crosscheck"]["c_space"] == [None, None]
+        assert code == 1 and "B(a) 0  B'(a) 0  admissible -" in table

@@ -175,7 +175,9 @@ class TestTextEncoding:
         assert parse_scalar("2*q/(q+1)") == (Q * 2) / (Q + ONE)
 
     def test_parse_errors(self):
-        for bad in ("", "q +", "(q", "q^", "3i", "q**2", "x"):
+        # integers are ASCII digit strings: other Unicode digits are errors
+        for bad in ("", "q +", "(q", "q^", "3i", "q**2", "x",
+                    "\u0663*q", "q^\u0662", "q\u00b2"):
             with pytest.raises(ValueError, match="parse error"):
                 parse_scalar(bad)
 
@@ -418,3 +420,30 @@ class TestScalarProperties:
         text = str(x)
         assert parse_scalar(text) == x
         assert str(parse_scalar(text)) == text
+
+
+# ---------------------------------------------------------------------------
+# generated parser input: every text parses to a Scalar or fails with a
+# one-line ValueError or ZeroDivisionError, which the CLI prints as one
+# "error:" line with exit 2
+
+FUZZ = settings(derandomize=True, max_examples=400, deadline=None)
+
+
+def assert_parses_or_one_line_error(text):
+    try:
+        assert isinstance(parse_scalar(text), Scalar)
+    except (ValueError, ZeroDivisionError) as exc:
+        assert str(exc) and "\n" not in str(exc)
+
+
+class TestParserFuzz:
+    @FUZZ
+    @given(text=st.text())
+    def test_any_text(self, text):
+        assert_parses_or_one_line_error(text)
+
+    @FUZZ
+    @given(text=st.text(alphabet="0123456789iq+-*/^() "))
+    def test_grammar_alphabet(self, text):
+        assert_parses_or_one_line_error(text)
