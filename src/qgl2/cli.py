@@ -26,6 +26,7 @@ from .catalog import closure_generators, get_entry, instantiate, list_entries
 from .gl2 import GL2Rep, gl2_equivalent
 from .matrices import MAX_EXPONENT, Mat, centralizer, subalgebra_closure
 from .report import build_report, render_table, report_exit_code
+from .scalars import MAX_DIGITS
 from .spinors import QSpinorRep, admissibility, q_commutant, \
     spinor_equivalent
 
@@ -195,12 +196,18 @@ def _add_format(p: argparse.ArgumentParser) -> None:
 
 
 def _rational(text: str) -> Fraction:
-    """argparse type of --q0: a rational such as 3, -1/2 or 0.5."""
+    """argparse type of --q0: a rational such as 3, -1/2 or 0.5, its parts
+    below 10^MAX_DIGITS; length and exponent are checked before Fraction."""
     try:
-        return Fraction(text)
+        exponent = text.lower().partition("e")[2] or 0
+        if len(text) <= MAX_DIGITS and abs(int(exponent)) <= MAX_DIGITS:
+            value = Fraction(text)
+            if max(abs(value.numerator), value.denominator) \
+                    < 10 ** MAX_DIGITS:
+                return value
     except (ValueError, ZeroDivisionError):
-        raise argparse.ArgumentTypeError(
-            f"invalid Fraction value: {text!r}") from None
+        pass
+    raise argparse.ArgumentTypeError(f"invalid Fraction value: {text!r}")
 
 
 def _build_parser() -> argparse.ArgumentParser:

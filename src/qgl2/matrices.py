@@ -7,10 +7,11 @@ arithmetic protocol.  Nothing is ever approximated.
 One row-reduction kernel, _insert (with _reduce), makes every decision:
 it adds a vector to a fully reduced echelon basis kept sorted by pivot
 column.  rref feeds rows through it, so every rank, inverse and kernel
-goes through it, and MatSpace keeps its basis in it under row-major
-flattening, so every span, closure and membership test does too.  The
-reduced echelon form is unique: equal subspaces always have identical
-bases and space equality is structural.  No other code eliminates.
+goes through it.  MatSpace keeps its basis in that form under row-major
+flattening: a kernel's is read off one rref, every other one (span,
+closure) is built by _insert, and membership is one _reduce.  The form
+is unique: equal subspaces always have identical bases and space
+equality is structural.  No other code eliminates.
 """
 
 from __future__ import annotations
@@ -360,25 +361,29 @@ def stacked_nullspace(pairs: list) -> MatSpace:
     """The space of all X with X A = B X for every (A, B) in the nonempty
     list pairs, as one joint kernel.  The first pair fixes n and the
     field; every A and B must be n x n (ValueError "dimension mismatch"
-    otherwise)."""
+    otherwise).
+
+    The rows are reduced once with their N = n^2 columns reversed.  The
+    vector of a free reversed column f' is 1 there and -R[r][f'] at each
+    pivot p'_r, nonzero only for p'_r < f'.  Mapped back by c = N-1-c', it
+    is 1 at f = N-1-f', 0 at every other free column, nonzero elsewhere
+    only at pivots after f: sorted by f, the unique reduced echelon basis."""
     n = pairs[0][0].n
     if any(m.n != n for pair in pairs for m in pair):
         raise ValueError("dimension mismatch")
     z = type(pairs[0][0].rows[0][0]).zero()
-    one = type(z).one()
-    reduced, pivots = rref([row for a, b in pairs
+    last = n * n - 1
+    reduced, pivots = rref([row[::-1] for a, b in pairs
                             for row in _operator_rows(n, a, b, z)])
     space = MatSpace(n)
-    # one kernel vector per free column: 1 there, minus that column of
-    # the reduced rows at the pivots
-    for fc in range(n * n):
-        if fc in pivots:
-            continue
-        v = [z] * (n * n)
-        v[fc] = one
-        for r, pc in enumerate(pivots):
-            v[pc] = -reduced[r][fc]
-        space._insert(v)
+    for fc in range(last, -1, -1):
+        if fc not in pivots:
+            v = [z] * (last + 1)
+            v[last - fc] = type(z).one()
+            for r, pc in enumerate(pivots):
+                v[last - pc] = -reduced[r][fc]
+            space._vectors.append(v)
+            space._pivots.append(last - fc)
     return space
 
 

@@ -588,9 +588,12 @@ _TOKEN = re.compile(r"\s*(?:([0-9]+)|([iq+*/^()-])|(\S))")
 # this, and so must the degree of every parsed sum, difference, product
 # and quotient, so that an input cannot ask for a huge polynomial
 MAX_POWER_DEGREE = 1000
+# a parsed integer has at most this many digits, and so has each part of
+# each coefficient of those results, so that every parsed value prints
+MAX_DIGITS = 1000
 
 # the binary operators, loosest level first: each maps to its name in
-# the degree-bound error and its function
+# the bound errors and its function
 _LEVELS = ({"+": ("sum", Scalar.__add__), "-": ("difference", Scalar.__sub__)},
            {"*": ("product", Scalar.__mul__),
             "/": ("quotient", Scalar.__truediv__)})
@@ -598,6 +601,18 @@ _LEVELS = ({"+": ("sum", Scalar.__add__), "-": ("difference", Scalar.__sub__)},
 
 def _degree(value: Scalar) -> int:
     return max(len(value.num), len(value.den)) - 1
+
+
+def _bounded(value: Scalar, pos: int, name: str) -> Scalar:
+    """value, the result called name at pos, if it keeps both bounds."""
+    if _degree(value) > MAX_POWER_DEGREE:
+        raise ValueError(f"parse error at position {pos}: {name} of "
+                         f"degree over {MAX_POWER_DEGREE}")
+    if any(max(abs(c.a), abs(c.b), c.d) >= 10 ** MAX_DIGITS
+           for c in value.num + value.den):
+        raise ValueError(f"parse error at position {pos}: {name} with a "
+                         f"coefficient of over {MAX_DIGITS} digits")
+    return value
 
 
 def parse_scalar(text: str) -> Scalar:
@@ -608,9 +623,10 @@ def parse_scalar(text: str) -> Scalar:
     for m in _TOKEN.finditer(text):
         digits, symbol, other = m.groups()
         pos = m.start(m.lastindex)
-        if other:
-            raise ValueError(f"parse error at position {pos}: "
-                             f"unexpected {other!r}")
+        if other or digits and len(digits) > MAX_DIGITS:
+            raise ValueError(f"parse error at position {pos}: " + (
+                f"unexpected {other!r}" if other
+                else f"integer of over {MAX_DIGITS} digits"))
         tokens.append((int(digits) if digits else symbol, pos))
     tokens.append(("end", len(text)))
     tokens.reverse()
@@ -627,7 +643,7 @@ def parse_scalar(text: str) -> Scalar:
 
 def _parse_level(tokens: list, level: int) -> Scalar:
     """Operands of the next level joined left to right by this level's
-    operators; every result is bounded in degree."""
+    operators; every result is bounded in degree and digits."""
     ops = _LEVELS[level]
     inner = level + 1 < len(_LEVELS)
     value = _parse_level(tokens, level + 1) if inner else _parse_power(tokens)
@@ -636,10 +652,7 @@ def _parse_level(tokens: list, level: int) -> Scalar:
         name, apply = ops[kind]
         rhs = _parse_level(tokens, level + 1) if inner \
             else _parse_power(tokens)
-        value = apply(value, rhs)
-        if _degree(value) > MAX_POWER_DEGREE:
-            raise ValueError(f"parse error at position {pos}: {name} of "
-                             f"degree over {MAX_POWER_DEGREE}")
+        value = _bounded(apply(value, rhs), pos, name)
     return value
 
 
@@ -667,7 +680,7 @@ def _parse_power(tokens: list) -> Scalar:
         if k * max(1, _degree(base)) > MAX_POWER_DEGREE:
             raise ValueError(f"parse error at position {pos}: power of "
                              f"degree over {MAX_POWER_DEGREE}")
-        base = base ** (esign * k)
+        base = _bounded(base ** (esign * k), pos, "power")
     return base if sign > 0 else -base
 
 

@@ -135,10 +135,11 @@ class TestVerifyCatalog:
         assert code == 2
         assert "evaluation pole" in err
 
-    @pytest.mark.parametrize("q0", ["1/0", "abc"])
+    @pytest.mark.parametrize("q0", ["1/0", "abc", "1e5000", "1e20000000"])
     def test_bad_q0_is_a_usage_error(self, capsys, q0):
-        # a zero denominator is rejected by argparse like any non-rational,
-        # with one error line and no traceback
+        # a zero denominator, or a numerator or denominator of 10^1000 or
+        # more, is rejected by argparse like any non-rational, with one
+        # error line and no traceback
         with pytest.raises(SystemExit) as exc:
             main(["verify-catalog", "--q0", q0])
         err = capsys.readouterr().err

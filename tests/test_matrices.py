@@ -536,13 +536,18 @@ class TestSolvesMatchSandwichReference:
     @SOLVE_PROPERTY
     @given(data=st.data())
     def test_stacked_nullspace(self, pool, max_n, data):
+        # one to three pairs, so a joint kernel of stacked systems
         n = data.draw(st.integers(2, max_n))
-        a = data.draw(square_mats(pool, n))
-        # b = a makes the centralizer, which is never 0
-        b = a if data.draw(st.booleans()) else data.draw(square_mats(pool, n))
+        pairs = []
+        for _ in range(data.draw(st.integers(1, 3))):
+            a = data.draw(square_mats(pool, n))
+            # b = a makes a centralizer, which is never 0
+            b = a if data.draw(st.booleans()) \
+                else data.draw(square_mats(pool, n))
+            pairs.append((a, b))
         one = type(pool[0]).one()
-        assert stacked_nullspace([(a, b)]) == sandwich_kernel(
-            n, [[(None, a, one), (b, None, -one)]])
+        assert stacked_nullspace(pairs) == sandwich_kernel(
+            n, [[(None, a, one), (b, None, -one)] for a, b in pairs])
 
     @SIZED_POOLS
     @SOLVE_PROPERTY

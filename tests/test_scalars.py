@@ -189,6 +189,22 @@ class TestTextEncoding:
                     "2^1001"):
             with pytest.raises(ValueError, match="power of degree over 1000"):
                 parse_scalar(bad)
+        # coefficients are bounded too, so that every parsed value prints:
+        # numerators and denominators stay below 10^1000
+        assert parse_scalar("2^1000") == ONE * 2 ** 1000
+        assert parse_scalar("(q+1)^1000") == (Q + ONE) ** 1000
+        assert parse_scalar("(1/10)^999") == Scalar.from_gauss(
+            GaussRational(Fraction(1, 10 ** 999)))
+        for bad, pos in (("99999^999", 6), ("(10^500)^2", 9),
+                         ("(1/10^500)^2", 11), ("(10^500*q+1)^-2", 14)):
+            with pytest.raises(ValueError, match=(
+                    f"position {pos}: power with a coefficient of over "
+                    "1000 digits")):
+                parse_scalar(bad)
+        with pytest.raises(ValueError, match=(
+                "position 2: integer of over 1000 digits")):
+            parse_scalar("q+" + "1" * 1001)
+        assert parse_scalar("9" * 1000) == ONE * (10 ** 1000 - 1)
 
     def test_operator_degree_bound(self):
         # every +, -, * and / result is bounded after reduction
@@ -200,6 +216,14 @@ class TestTextEncoding:
                           ("1/(q^999+1)-1/(q^999+2)", "difference")):
             with pytest.raises(ValueError,
                                match=f"{what} of degree over 1000"):
+                parse_scalar(bad)
+        big = "9" * 1000
+        assert parse_scalar(f"{big}*q/{big}") == Q
+        for bad, what in ((f"{big}*10", "product"), (f"1/{big}/11", "quotient"),
+                          (f"{big}+1", "sum"), (f"-{big}-1", "difference"),
+                          (f"1/{big}+1/{big[1:]}", "sum")):
+            with pytest.raises(ValueError, match=(
+                    f"{what} with a coefficient of over 1000 digits")):
                 parse_scalar(bad)
 
     def test_division_by_zero_literal(self):
