@@ -142,7 +142,8 @@ class CliffordAlgebra:
         products.  Both follow from the Clifford relation and the tests
         assert them too.  They stay here only because perfbench's set-up
         probe fails when build_clifford() takes less CPU time than the
-        probe's 50 ms sampling interval; see ROADMAP item 1."""
+        probe's 50 ms sampling interval: speed.Sampler.scale() then finds
+        no speed sample and raises."""
         g = self.metric
         gam = self.gammas
         # grade-2 products: gamma_r gamma_mn =

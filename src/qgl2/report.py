@@ -6,9 +6,12 @@ plain dict (JSON-ready, deterministically ordered) with one record per
 entry plus a summary.  A claim mismatch is recorded as a discrepancy;
 external reference entries are listed but never checked and never count.
 
-Every dimension is computed twice: exactly over the rational-function
-field, and again after substituting a rational sample value for q; a
-disagreement flags the sample point in the crosscheck block.
+Every record, of every entry kind, is built by one path: its header,
+the checks of its kind, then its crosscheck and its discrepancies.
+Every dimension is computed twice by one rerun: exactly over the
+rational-function field, and again with a rational sample value for q
+in every input; a disagreement flags the sample point in the crosscheck
+block.
 """
 
 import dataclasses
@@ -48,29 +51,69 @@ def _span(basis: Optional[tuple]) -> Optional[MatSpace]:
     return None if basis is None else MatSpace.span(list(basis))
 
 
-def _algebra(gens: list) -> tuple:
+def _twice(fn, mats: list, q0: Fraction, *args) -> tuple:
+    """Run fn(mats, q, *args) exactly, then again with q and every entry
+    of mats at q0.  Returns the exact results and the [exact, sampled]
+    dimension of each; a result that is not a space is its own
+    dimension."""
+    g = GaussRational(q0)
+    exact = fn(mats, Q, *args)
+    sampled = fn([m.eval(g) for m in mats], g, *args)
+    return exact, [[getattr(x, "dim", x), getattr(y, "dim", y)]
+                   for x, y in zip(exact, sampled)]
+
+
+def _algebra(gens: list, q) -> tuple:
     """(operator algebra, invariants): the closure of gens and its
-    centralizer."""
+    centralizer; neither needs q."""
     alg = subalgebra_closure(gens)
     return alg, centralizer(alg.basis)
 
 
-def _spinor_spaces(a, b, q, orientation: str, spinor: bool) -> tuple:
-    """(B(a), B'(a), c-space dimension, admissible) of the pair (a, b);
-    the last two need the q-spinor premise and are None without it."""
-    c_dim = found = None
+def _spinor_spaces(pair: list, q, orientation: str, spinor: bool) -> tuple:
+    """(B(a), B'(a), c-space, admissible) of pair = [a, b]; the last two
+    need the q-spinor premise and are None without it."""
+    a, b = pair
+    space = found = None
     if spinor:
         space, verdict = admissibility(a, b, q=q, orientation=orientation)
-        c_dim, found = space.dim, verdict.found
-    return (q_commutant(a, q=q), q_commutant(a, q=q, reverse=True), c_dim,
+        found = verdict.found
+    return (q_commutant(a, q=q), q_commutant(a, q=q, reverse=True), space,
             found)
 
 
-def _gl2_record(entry: CatalogEntry, q0: Fraction) -> dict:
-    rep = instantiate(entry)
-    claims = entry.claims
+def _record(entry: CatalogEntry, q0: Fraction, orientation: str) -> dict:
+    """The record of one entry: its header, the checks of its kind, then
+    the crosscheck of every dimension against its rerun at q0 and the
+    discrepancies.  An external entry only lists its claims."""
+    rec = {
+        "entry": entry.name,
+        "kind": entry.kind,
+        "status": "unchecked" if entry.kind == "external" else "checked",
+        "description": entry.description,
+    }
     disc = []
+    if entry.kind == "external":
+        rec["claims"] = {
+            "operator_algebra": entry.claims.dim_operator_algebra,
+            "invariants": entry.claims.dim_invariants,
+        }
+    else:
+        checks = _gl2_checks if entry.kind == "gl2" else _qspinor_checks
+        fields, shown, pairs = checks(entry, instantiate(entry), q0,
+                                      orientation, disc)
+        ok = all(x == y for x, y in pairs) if pairs else None
+        _check(ok, True, f"dimension mismatch at sample point q = {q0}",
+               disc)
+        rec.update(fields, crosscheck={"q0": str(q0), **shown, "ok": ok})
+    rec["discrepancies"] = disc
+    return rec
 
+
+def _gl2_checks(entry: CatalogEntry, rep, q0: Fraction, orientation: str,
+                disc: list) -> tuple:
+    """(fields, crosscheck pairs by mode, every pair) of a gl2 entry."""
+    claims = entry.claims
     rel = verify_relations(rep)
     for label, ok in rel.relations.items():
         _check(ok, True, f"defining relation failed: {label}", disc)
@@ -91,14 +134,13 @@ def _gl2_record(entry: CatalogEntry, q0: Fraction) -> dict:
     # the closure generators detq^-1
     qp = quantum_plane_split(rep) if cor.c11_invertible else None
 
-    g = GaussRational(q0)
-    spaces, sampled = {}, {}
+    spaces, shown = {}, {}
     for mode in _MODES if rel.detq_invertible else ():
-        gens = closure_generators(entry, mode)
-        spaces[mode] = _algebra(gens)
-        sampled[mode] = _algebra([m.eval(g) for m in gens])
-    dims = {mode: {key: s.dim for key, s in zip(_DIM_KEYS, spaces[mode])}
-            for mode in spaces} or None
+        spaces[mode], pairs = _twice(_algebra,
+                                     closure_generators(entry, mode), q0)
+        shown[mode] = dict(zip(_DIM_KEYS, pairs))
+    dims = {mode: {key: pair[0] for key, pair in shown[mode].items()}
+            for mode in shown} or None
 
     op_space_claim = inv_space_claim = None
     if spaces:
@@ -134,18 +176,7 @@ def _gl2_record(entry: CatalogEntry, q0: Fraction) -> dict:
     if action_ok:
         _check(unital, True, "inner action is not unital", disc)
 
-    pairs = {mode: {key: [exact.dim, at_q0.dim] for key, exact, at_q0
-                    in zip(_DIM_KEYS, spaces[mode], sampled[mode])}
-             for mode in spaces}
-    cc_ok = all(x == y for mode in spaces for x, y in pairs[mode].values()) \
-        if spaces else None
-    _check(cc_ok, True, f"dimension mismatch at sample point q = {q0}", disc)
-
-    return {
-        "entry": entry.name,
-        "kind": "gl2",
-        "status": "checked",
-        "description": entry.description,
+    fields = {
         "relations": {k: bool(v) for k, v in rel.relations.items()},
         "detq_invertible": rel.detq_invertible,
         "detq_matches_claim": detq_claim,
@@ -173,23 +204,21 @@ def _gl2_record(entry: CatalogEntry, q0: Fraction) -> dict:
         },
         "counit_invariants_dim": counit_dim,
         "counit_matches_centralizer": counit_matches,
-        "crosscheck": {"q0": str(q0), **pairs, "ok": cc_ok},
-        "discrepancies": disc,
     }
+    return fields, shown, [p for mode in shown for p in shown[mode].values()]
 
 
-def _qspinor_record(entry: CatalogEntry, q0: Fraction,
-                    orientation: str) -> dict:
-    rep = instantiate(entry)
+def _qspinor_checks(entry: CatalogEntry, rep, q0: Fraction, orientation: str,
+                    disc: list) -> tuple:
+    """(fields, crosscheck pairs, every pair) of a q-spinor entry; the
+    admissibility verdict is compared at q0 but not shown."""
     claims = entry.claims
-    disc = []
-
     spinor_ok = check_spinor(rep.a, rep.b)
     _check(spinor_ok, True, "pair does not satisfy the q-spinor relation",
            disc)
 
-    com, comr, c_dim, found = _spinor_spaces(rep.a, rep.b, Q, orientation,
-                                             spinor_ok)
+    (com, comr, _, found), pairs = _twice(_spinor_spaces, [rep.a, rep.b], q0,
+                                          orientation, spinor_ok)
     com_claim = _check(com, _span(claims.commutant_basis),
                        "commutant differs from claimed basis", disc)
     comr_claim = _check(comr, _span(claims.commutant_rev_basis),
@@ -200,23 +229,7 @@ def _qspinor_record(entry: CatalogEntry, q0: Fraction,
         f"admissibility verdict {found} differs from "
         f"claim {claims.admissible}", disc)
 
-    g = GaussRational(q0)
-    com0, comr0, c_dim0, found0 = _spinor_spaces(
-        rep.a.eval(g), rep.b.eval(g), g, orientation, spinor_ok)
-    pairs = {
-        "commutant": [com.dim, com0.dim],
-        "commutant_rev": [comr.dim, comr0.dim],
-        "c_space": [c_dim, c_dim0],
-    }
-    cc_ok = found0 == found \
-        and all(x == y for x, y in pairs.values())
-    _check(cc_ok, True, f"dimension mismatch at sample point q = {q0}", disc)
-
-    return {
-        "entry": entry.name,
-        "kind": "qspinor",
-        "status": "checked",
-        "description": entry.description,
+    fields = {
         "is_spinor_pair": spinor_ok,
         "orientation": orientation,
         "commutant_dim": com.dim,
@@ -225,24 +238,10 @@ def _qspinor_record(entry: CatalogEntry, q0: Fraction,
         "commutant_rev_matches_claim": comr_claim,
         "admissible": found,
         "admissible_claim_ok": adm_claim,
-        "c_space_dim": c_dim,
-        "crosscheck": {"q0": str(q0), **pairs, "ok": cc_ok},
-        "discrepancies": disc,
+        "c_space_dim": pairs[2][0],
     }
-
-
-def _external_record(entry: CatalogEntry) -> dict:
-    return {
-        "entry": entry.name,
-        "kind": "external",
-        "status": "unchecked",
-        "description": entry.description,
-        "claims": {
-            "operator_algebra": entry.claims.dim_operator_algebra,
-            "invariants": entry.claims.dim_invariants,
-        },
-        "discrepancies": [],
-    }
+    shown = dict(zip(("commutant", "commutant_rev", "c_space"), pairs))
+    return fields, shown, pairs
 
 
 def _equivalence_classes(entries: list) -> dict:
@@ -279,24 +278,16 @@ def build_report(names: Optional[list] = None, q0: Fraction = Fraction(2),
 
     records = []
     for entry in selected:
+        rec = _record(entry, q0, orientation)
         if entry.kind == "gl2":
-            rec = _gl2_record(entry, q0)
             rec["equivalence_class"] = classes[entry.name]
             other = entry.claims.distinct_class_from
-            if other is not None:
-                same = _same_class(entry, other, classes)
-                rec["distinct_class_claim_ok"] = not same
-                if same:
-                    rec["discrepancies"].append(
-                        f"claimed to lie in a different equivalence class "
-                        f"than {other}, but an exact equivalence witness "
-                        "was found")
-            else:
-                rec["distinct_class_claim_ok"] = None
-        elif entry.kind == "qspinor":
-            rec = _qspinor_record(entry, q0, orientation)
-        else:
-            rec = _external_record(entry)
+            rec["distinct_class_claim_ok"] = None if other is None \
+                else _check(
+                    _same_class(entry, other, classes), False,
+                    "claimed to lie in a different equivalence class than "
+                    f"{other}, but an exact equivalence witness was found",
+                    rec["discrepancies"])
         records.append(rec)
 
     checked = [r for r in records if r["status"] == "checked"]

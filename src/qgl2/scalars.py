@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import re
 from fractions import Fraction
-from math import gcd as _gcd, lcm as _lcm
+from math import gcd as _gcd, lcm as _lcm, log10 as _log10
 
 
 def _power(x, k: int, one):
@@ -603,16 +603,32 @@ def _degree(value: Scalar) -> int:
     return max(len(value.num), len(value.den)) - 1
 
 
-def _bounded(value: Scalar, pos: int, name: str) -> Scalar:
-    """value, the result called name at pos, if it keeps both bounds."""
-    if _degree(value) > MAX_POWER_DEGREE:
+def _keep_bounds(pos: int, name: str, degree: int, long: bool) -> None:
+    """Raise the error of the result called name at pos if its degree is
+    over the bound or, as long says, one of its coefficients is."""
+    if degree > MAX_POWER_DEGREE:
         raise ValueError(f"parse error at position {pos}: {name} of "
                          f"degree over {MAX_POWER_DEGREE}")
-    if any(max(abs(c.a), abs(c.b), c.d) >= 10 ** MAX_DIGITS
-           for c in value.num + value.den):
+    if long:
         raise ValueError(f"parse error at position {pos}: {name} with a "
                          f"coefficient of over {MAX_DIGITS} digits")
+
+
+def _bounded(value: Scalar, pos: int, name: str) -> Scalar:
+    """value, the result called name at pos, if it keeps both bounds."""
+    limit = 10 ** MAX_DIGITS
+    _keep_bounds(pos, name, _degree(value),
+                 any(max(abs(c.a), abs(c.b), c.d) >= limit
+                     for c in value.num + value.den))
     return value
+
+
+def _power_digits(c: GaussRational, k: int) -> float:
+    """A lower bound on log10 of the largest reduced part of c^k, c != 0.
+    c^k = (A + B*i)/D with A + B*i a nonzero Gaussian integer, so
+    max(|A|, |B|) >= |c|^k / sqrt(2) and D >= |c|^-k."""
+    log = k * (_log10(c.a * c.a + c.b * c.b) / 2 - _log10(c.d))
+    return max(log - _log10(2) / 2, -log)
 
 
 def parse_scalar(text: str) -> Scalar:
@@ -677,9 +693,16 @@ def _parse_power(tokens: list) -> Scalar:
         if not isinstance(k, int):
             raise ValueError(f"parse error at position {pos}: integer "
                              "exponent expected")
-        if k * max(1, _degree(base)) > MAX_POWER_DEGREE:
-            raise ValueError(f"parse error at position {pos}: power of "
-                             f"degree over {MAX_POWER_DEGREE}")
+        # the canonical form of (n/d)^k is (n^k, d^k), as n and d are
+        # coprime and d is monic, so lc(n)^k is one of its coefficients:
+        # a power refused by its degree or by that coefficient is never
+        # formed (the 1e-6 covers the rounding of the logarithms; k is
+        # small enough for a float once the degree fits)
+        degree = k * max(1, _degree(base))
+        _keep_bounds(pos, "power", degree,
+                     degree <= MAX_POWER_DEGREE and bool(base.num)
+                     and _power_digits(base.num[-1], esign * k)
+                     >= MAX_DIGITS + 1e-6)
         base = _bounded(base ** (esign * k), pos, "power")
     return base if sign > 0 else -base
 

@@ -175,18 +175,24 @@ class TestCommutant:
         assert capsys.readouterr().err == \
             "error: matrix entries must be strings\n"
 
-    @pytest.mark.parametrize("power, pos", [("q^99999999", 2),
-                                            ("(q^999)^999", 8)])
+    HUGE_POWERS = [
+        ("q^99999999", 2, "of degree over 1000"),
+        ("(q^999)^999", 8, "of degree over 1000"),
+        # refused by its leading coefficient 10^99900 before it is formed
+        ("(10^999*q+1)^100", 13, "with a coefficient of over 1000 digits"),
+    ]
+
+    @pytest.mark.parametrize("power, pos, what", HUGE_POWERS,
+                             ids=[f"{p}-{n}" for p, n, _ in HUGE_POWERS])
     def test_huge_exponent_exits_2_at_once(self, capsys, tmp_path, power,
-                                           pos):
+                                           pos, what):
         path = write_json(tmp_path / "m.json", {
             "n": 2, "entries": [[power, "0"], ["0", "1"]]})
         start = time.perf_counter()
         assert main(["commutant", path]) == 2
         assert time.perf_counter() - start < 0.5
         assert capsys.readouterr().err == (
-            f"error: parse error at position {pos}: power of degree "
-            "over 1000\n")
+            f"error: parse error at position {pos}: power {what}\n")
 
     @pytest.mark.parametrize("entry, pos, what", [
         ("*".join(["q^1000"] * 100), 6, "product"),

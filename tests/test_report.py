@@ -119,6 +119,30 @@ class TestSamplePoint:
         assert rep["summary"]["total_discrepancies"] == 2
 
 
+    @pytest.mark.parametrize("q0, flagged", [(Fraction(2), False),
+                                             (Fraction(1), True)])
+    def test_crosscheck_of_every_record(self, q0, flagged):
+        # the exact side of every crosscheck is the record's own dimension,
+        # and ok is False exactly when the mismatch is a discrepancy
+        message = f"dimension mismatch at sample point q = {q0}"
+        checked = [rec for rec in build_report(q0=q0)["entries"]
+                   if rec["status"] == "checked"]
+        assert {rec["kind"] for rec in checked} == {"gl2", "qspinor"}
+        for rec in checked:
+            cc = rec["crosscheck"]
+            if rec["kind"] == "gl2":
+                assert {mode: {key: cc[mode][key][0] for key in cc[mode]}
+                        for mode in ("single", "family")} == rec["dims"]
+            else:
+                assert [cc[key][0] for key in
+                        ("commutant", "commutant_rev", "c_space")] == [
+                    rec["commutant_dim"], rec["commutant_rev_dim"],
+                    rec["c_space_dim"]]
+            assert (cc["ok"] is False) == (message in rec["discrepancies"])
+        assert any(rec["crosscheck"]["ok"] is False
+                   for rec in checked) == flagged
+
+
 def broken_record(name, rep):
     """The one record, exit code and table of a report on catalog entry
     `name` (its claims) with its builder returning rep."""

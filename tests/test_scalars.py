@@ -186,7 +186,7 @@ class TestTextEncoding:
         assert parse_scalar("q^-1000") == Q ** -1000
         assert parse_scalar("(q^500)^2") == Q ** 1000
         for bad in ("q^1001", "(q+1)^1001", "(q^2)^501", "(1/q^2)^-501",
-                    "2^1001"):
+                    "2^1001", "(10^9*q)^" + "9" * 400):
             with pytest.raises(ValueError, match="power of degree over 1000"):
                 parse_scalar(bad)
         # coefficients are bounded too, so that every parsed value prints:
@@ -195,7 +195,13 @@ class TestTextEncoding:
         assert parse_scalar("(q+1)^1000") == (Q + ONE) ** 1000
         assert parse_scalar("(1/10)^999") == Scalar.from_gauss(
             GaussRational(Fraction(1, 10 ** 999)))
+        # a power is refused before it is formed only when its leading
+        # coefficient alone is too long; these stay just inside the bound
+        assert parse_scalar("(10^9*q)^111") == Q ** 111 * 10 ** 999
+        assert parse_scalar("(q/10^9)^-111") == ONE * 10 ** 999 / Q ** 111
+        assert parse_scalar("((1+i)*q/2)^1000") == Q ** 1000 / 2 ** 500
         for bad, pos in (("99999^999", 6), ("(10^500)^2", 9),
+                         ("(10^9*q)^112", 9),
                          ("(1/10^500)^2", 11), ("(10^500*q+1)^-2", 14)):
             with pytest.raises(ValueError, match=(
                     f"position {pos}: power with a coefficient of over "
