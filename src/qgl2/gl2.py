@@ -236,8 +236,8 @@ def gl2_equivalent(r1: GL2Rep, r2: GL2Rep) -> Verdict:
     of its column (matrices._scaled_conjugacy).  Column rescaling
     preserves the defining relations, so this is the natural equivalence
     for quadruples.  Returns a Verdict whose witness is the exactly
-    verified triple.  A "no" carries its how; "search exhausted" is not a
-    proof.
+    verified triple.  A "no" carries its how and is proved for every
+    scaling in that family.
     """
     return _scaled_conjugacy(
         [(r1.c11, r2.c11, 0), (r1.c21, r2.c21, 0),

@@ -16,10 +16,9 @@ equality is structural.  No other code eliminates.
 
 from __future__ import annotations
 
-import random
 from bisect import bisect_left
 from dataclasses import dataclass
-from itertools import chain, product
+from itertools import combinations, product
 from typing import Iterable, Optional
 
 from .scalars import ONE, Q, ZERO, GaussRational, Scalar, _power, scalar
@@ -419,9 +418,8 @@ def power_traces(m: Mat, kmax: int) -> tuple:
     return tuple(out)
 
 
-# how a Verdict was reached; only "search exhausted" is not a proof
-HOWS = ("witness found", "proved exactly", "invariant differs",
-        "search exhausted")
+# how a Verdict was reached
+HOWS = ("witness found", "proved exactly", "invariant differs")
 
 
 @dataclass(frozen=True)
@@ -441,42 +439,57 @@ class Verdict:
         return self.witness is not None
 
 
-# seed and length of the random stage of invertible_element
-INVERTIBLE_SEED = 20260816
-INVERTIBLE_TRIES = 60
-
 # _scaled_conjugacy searches the monomial scalings q^k, |k| <= MAX_EXPONENT
 MAX_EXPONENT = 4
 
 
-def invertible_element(space: MatSpace) -> Optional[Mat]:
-    """Search a MatSpace for an invertible member.
+def _coefficients(basis: list, n: int):
+    """The coefficient vectors c that invertible_element tries, lazily:
+    the basis elements, then c_j = t^(j-1) for t = 2, 3, 5, 7, then (once
+    no vector is in the kernel of every B_j, or of every transpose) the
+    points of N^d with sum n and at least two nonzero parts, most nonzero
+    parts first, supports in lexicographic order."""
+    d = len(basis)
+    for i in range(d):
+        yield [int(j == i) for j in range(d)]
+    if d < 2:
+        return
+    for t in (2, 3, 5, 7):
+        yield [t ** j for j in range(d)]
+    if len(rref([row for b in basis for row in b.rows])[1]) < n \
+            or len(rref([col for b in basis for col in zip(*b.rows)])[1]) < n:
+        return
+    for k in range(min(n, d), 1, -1):
+        for support in combinations(range(d), k):
+            for cuts in combinations(range(1, n), k - 1):
+                c = [0] * d
+                for j, lo, hi in zip(support, (0,) + cuts, cuts + (n,)):
+                    c[j] = hi - lo
+                yield c
 
-    Deterministic: one stream of combinations sum(c_j B_j) of the basis
-    B_1..B_d (c_j = 1 takes B_j itself): the basis elements, then
-    c_j = t^(j-1) for t = 2, 3, 5, 7, then INVERTIBLE_TRIES vectors of
-    random integers in -9..9 seeded with INVERTIBLE_SEED, drawn only when
-    that stage is reached; the last two stages only when d > 1.  Every
-    candidate is verified exactly, so a returned matrix is guaranteed
-    invertible; None only means the search failed, not that no invertible
-    member exists.
+
+def invertible_element(space: MatSpace) -> Optional[Mat]:
+    """An invertible member of a MatSpace, or None when it has none.
+
+    Candidates sum(c_j B_j) over the basis B_1..B_d come from
+    _coefficients and are verified exactly, so a returned matrix is
+    invertible.  None is proved: det(sum t_j B_j) is zero or a form of
+    degree n in t, and the C(n+d-1, n) points of N^d with sum n (the
+    basis stage gives the d points n e_j) are unisolvent for such forms,
+    by the principal lattice of the simplex after dehomogenizing; so if
+    all of them are singular, every member is.  A vector in the kernel of
+    every B_j, or of every transpose, proves it at once.  Cost: at most
+    C(n+d-1, n) + 4 ranks and two eliminations of d*n rows; the grid is
+    exponential in n and d on a space without such a vector.
     """
     basis = space.basis
-    d = len(basis)
-    stream = ([int(j == i) for j in range(d)] for i in range(d))
-    if d > 1:
-        rng = random.Random(INVERTIBLE_SEED)
-        stream = chain(stream,
-                       ([t ** j for j in range(d)] for t in (2, 3, 5, 7)),
-                       ([rng.randint(-9, 9) for _ in range(d)]
-                        for _ in range(INVERTIBLE_TRIES)))
-    for coeffs in stream:
+    for coeffs in _coefficients(basis, space.n):
         combo = None
         for c, m in zip(coeffs, basis):
             if c:
                 term = m if c == 1 else m.scale(c)
                 combo = term if combo is None else combo + term
-        if combo is not None and combo.is_invertible():
+        if combo.is_invertible():
             return combo
     return None
 
@@ -494,13 +507,8 @@ def _scaled_conjugacy(equations: list) -> Verdict:
     outermost), a subsequence of the order over all exponents.  The
     witness is the exactly verified tuple.  A "no" within those scalings
     is "invariant differs" when the sizes differ or a group keeps no
-    exponent, "proved exactly" when every conjugator space searched has
-    dimension <= 1 (a singular basis element spans only singular
-    matrices).  Any other miss is "invariant differs" when dim B'(g1) and
-    dim B'(g2), B'(g) = {X : X g = q g X}, differ for some equation
-    (X -> u^-1 X u maps B'(u g u^-1) onto B'(g), and B'(c g) = B'(g) for
-    every c != 0, so no scaling at all is a witness), and otherwise
-    "search exhausted", which proves nothing.
+    exponent, and otherwise "proved exactly": invertible_element decides
+    each conjugator space.
     """
     n = equations[0][0].n
     if any(g1.n != n or g2.n != n for g1, g2, _ in equations):
@@ -514,7 +522,6 @@ def _scaled_conjugacy(equations: list) -> Verdict:
                              for j, (x1, x2) in enumerate(pairs, 1))]
     if not all(allowed):
         return Verdict(None, "invariant differs")
-    exhausted = False
     for ks in product(*allowed):
         alphas = tuple(Q ** k for k in ks)
         space = stacked_nullspace([(g1.scale(alphas[g]), g2)
@@ -525,11 +532,4 @@ def _scaled_conjugacy(equations: list) -> Verdict:
         if u is not None and all((u * g1).scale(alphas[g]) == g2 * u
                                  for g1, g2, g in equations):
             return Verdict((u,) + alphas, "witness found")
-        exhausted = exhausted or space.dim > 1
-    if not exhausted:
-        return Verdict(None, "proved exactly")
-    differs = any(stacked_nullspace([(g1, g1.scale(Q))]).dim
-                  != stacked_nullspace([(g2, g2.scale(Q))]).dim
-                  for g1, g2, _ in equations)
-    return Verdict(None, "invariant differs" if differs
-                   else "search exhausted")
+    return Verdict(None, "proved exactly")

@@ -83,6 +83,6 @@ def spinor_equivalent(r1: QSpinorRep, r2: QSpinorRep) -> Verdict:
     and b (matrices._scaled_conjugacy).
 
     Returns a Verdict whose witness is the exactly verified pair.  A "no"
-    carries its how; "search exhausted" is not a proof.
+    carries its how and is proved for every alpha in that family.
     """
     return _scaled_conjugacy([(r1.a, r2.a, 0), (r1.b, r2.b, 0)])

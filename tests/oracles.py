@@ -67,3 +67,18 @@ def sandwich_kernel(n: int, operators: list) -> MatSpace:
                 v[pc] = -reduced[r][fc]
             space._insert(v)
     return space
+
+
+def det_vanishes(space: MatSpace) -> bool:
+    """Whether det(sum t_j B_j) over the basis B_1..B_d of space is the
+    zero polynomial in t_1..t_d, computed by sympy with q a symbol."""
+    import sympy
+
+    names = {"q": sympy.Symbol("q"), "i": sympy.I}
+    ts = sympy.symbols(f"t1:{space.dim + 1}")
+    total = sympy.zeros(space.n)
+    for t, b in zip(ts, space.basis):
+        total += t * sympy.Matrix([
+            [sympy.sympify(str(x).replace("^", "**"), locals=names)
+             for x in row] for row in b.rows])
+    return sympy.cancel(total.det()) == 0

@@ -9,7 +9,6 @@ import time
 
 import pytest
 
-from qgl2 import matrices
 from qgl2.catalog import CATALOG
 from qgl2.cli import main
 
@@ -392,13 +391,12 @@ class TestEquiv:
         assert capsys.readouterr().out == SPINOR_EQUIV[second, fmt]
 
     @pytest.mark.parametrize("fmt, tail", [
-        ("table", "equivalent: unknown (search exhausted)\n"),
-        ("json", '"equivalent": null,')], ids=["table", "json"])
-    def test_search_exhausted_is_unknown(self, capsys, monkeypatch, fmt,
-                                         tail):
-        # a bounded search that finds no conjugator proves nothing
-        monkeypatch.setattr(matrices, "invertible_element", lambda _: None)
-        assert main(["equiv", "triangular-dim8", "triangular-dim8",
+        ("table", "equivalent: none within monomial scalings\n"),
+        ("json", '"equivalent": false,')], ids=["table", "json"])
+    def test_former_search_miss_is_no(self, capsys, fmt, tail):
+        # a trace pin passes, but no conjugator space has an invertible
+        # member, and invertible_element proves that
+        assert main(["equiv", "admissible-a", "admissible-jordan",
                      "--format", fmt]) == 0
         assert tail in capsys.readouterr().out
 
@@ -415,7 +413,16 @@ class TestEquiv:
 # sha256 of `equiv A B --format json` stdout concatenated over every
 # ordered pair of same-kind checkable catalog entries, in catalog order
 EQUIV_PAIRS_DIGEST = \
-    "7745933f2635fdc41989a9815d2723acab3055c4dd9c32ecf53027249e5d06cd"
+    "e4deb0dd2d87c80e934d305ccbd033b3b9eb1b6a795de88ab0455f036eb6cc6d"
+
+# the two witnesses of those pairs that come from the grid stage of
+# invertible_element, both self-pairs
+GRID_WITNESSES = {
+    "diagonal-dim3": [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0],
+                      [0, 0, 0, 1]],
+    "rejected-diag-chain": [[1, 0, 0, 0], [0, 1, 1, 0], [0, 1, 0, 0],
+                            [0, -1, 0, 1]],
+}
 
 
 def test_equiv_catalog_pairs_bytes(capsys):
@@ -428,7 +435,13 @@ def test_equiv_catalog_pairs_bytes(capsys):
             assert main(["equiv", first.name, second.name,
                          "--format", "json"]) == 0
             text = capsys.readouterr().out
-            found += json.loads(text)["equivalent"]
+            obj = json.loads(text)
+            assert type(obj["equivalent"]) is bool
+            found += obj["equivalent"]
+            if first is second and first.name in GRID_WITNESSES:
+                assert obj["u"]["entries"] == [
+                    [str(x) for x in row]
+                    for row in GRID_WITNESSES[first.name]]
             pairs += 1
             out.append(text)
     assert (pairs, found) == (185, 23)

@@ -1,18 +1,20 @@
 """Exact matrices, canonical subspaces, operator nullspaces, closures."""
 
+import random
 from fractions import Fraction
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from oracles import sandwich_kernel
+from oracles import det_vanishes, sandwich_kernel
 from qgl2.clifford import build_action, counit_invariance_space
-from qgl2.gl2 import GL2Rep
+from qgl2.gl2 import GL2Rep, gl2_equivalent
 from qgl2.matrices import (HOWS, Mat, MatSpace, Verdict, centralizer,
                            invertible_element, power_traces, rref,
                            stacked_nullspace, subalgebra_closure)
 from qgl2.scalars import GaussRational, I, ONE, Q, ZERO, scalar
-from qgl2.spinors import admissibility, q_commutant
+from qgl2.spinors import (QSpinorRep, admissibility, q_commutant,
+                          spinor_equivalent)
 
 
 def e(i, j, n=4):
@@ -247,17 +249,94 @@ class TestSearchHelpers:
         assert invertible_element(basis_stage) == Mat.identity(2)
         geometric_stage = MatSpace.span([u(2, 0, 0), u(2, 1, 1)])
         assert invertible_element(geometric_stage) == Mat.diag(1, 2)
-        # every basis element and every sum of t^j B_j is singular here
-        random_stage = MatSpace.span([u(3, 0, 0) + u(3, 2, 2),
-                                      u(3, 0, 1) + u(3, 1, 0),
-                                      u(3, 1, 1) + u(3, 2, 2)])
-        assert invertible_element(random_stage) \
-            == Mat([[9, 6, 0], [6, 2, 0], [0, 0, 11]])
+        # every basis element and every sum of t^j B_j is singular here,
+        # and so is B_1 + B_2 + B_3, the first grid point; B_1 + 2 B_2 is not
+        grid_stage = MatSpace.span([u(3, 0, 0) + u(3, 2, 2),
+                                    u(3, 0, 1) + u(3, 1, 0),
+                                    u(3, 1, 1) + u(3, 2, 2)])
+        assert invertible_element(grid_stage) \
+            == Mat([[1, 2, 0], [2, 0, 0], [0, 0, 1]])
 
     def test_invertible_element_deterministic(self):
         s = MatSpace.span([Mat.unit(3, 0, 1), Mat.unit(3, 1, 0),
                            Mat.unit(3, 2, 2)])
         assert invertible_element(s) == invertible_element(s)
+
+
+def _seeded_space(rng, n: int) -> MatSpace:
+    """The span of one to three n x n matrices whose entries are 0 with
+    probability one half, else in -2..2 or (-2..2)*q."""
+    def entry():
+        if rng.random() < 0.5:
+            return ZERO
+        return scalar(rng.randint(-2, 2)) * (Q if rng.random() < 0.5 else ONE)
+    return MatSpace.span([Mat([[entry() for _ in range(n)] for _ in range(n)])
+                          for _ in range(rng.randint(1, 3))], n)
+
+
+class TestInvertibleDecision:
+    """invertible_element(s) is None exactly when det(sum t_j B_j) is the
+    zero polynomial, and otherwise returns an invertible member of s."""
+
+    def check(self, s: MatSpace) -> bool:
+        x = invertible_element(s)
+        assert (x is None) == det_vanishes(s)
+        if x is not None:
+            assert x.is_invertible()
+            assert s.contains(x)
+        return x is None
+
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_seeded_spaces(self, n):
+        rng = random.Random(n)
+        misses = [self.check(_seeded_space(rng, n)) for _ in range(30)]
+        assert 0 < sum(misses) < len(misses)
+
+    def test_skew_symmetric(self):
+        # every member is singular (odd size) and no vector is in every
+        # kernel, so the whole grid of C(5, 3) points runs
+        u = Mat.unit
+        s = MatSpace.span([u(3, i, j) - u(3, j, i)
+                           for i, j in ((0, 1), (0, 2), (1, 2))])
+        assert self.check(s)
+
+    def test_compression_space(self):
+        # {X : X e1, X e2 in span(e1)}, d = 10: rank at most 3 everywhere,
+        # no common kernel or cokernel vector, C(13, 4) grid points
+        s = MatSpace.span([e(1, 1), e(1, 2)]
+                          + [e(i, j) for i in range(1, 5) for j in (3, 4)])
+        assert s.dim == 10
+        assert self.check(s)
+
+
+class TestCommonNullVector:
+    # n = 5 with E_15 on one side: every exponent passes the trace pins, and
+    # each conjugator space {X : E_15 X = 0} has d = 20 and a common
+    # cokernel vector, so it is decided after the 20 basis elements and the
+    # four t^j sums, before any of its C(24, 5) grid points
+    E15 = Mat.unit(5, 0, 4)
+
+    def count_ranks(self, monkeypatch):
+        calls = []
+        rank_test = Mat.is_invertible
+        monkeypatch.setattr(Mat, "is_invertible",
+                            lambda m: calls.append(m) or rank_test(m))
+        return calls
+
+    def test_spinor_pairs(self, monkeypatch):
+        calls = self.count_ranks(monkeypatch)
+        z = Mat.zero(5)
+        verdict = spinor_equivalent(QSpinorRep(z, z), QSpinorRep(z, self.E15))
+        assert verdict == Verdict(None, "proved exactly")
+        assert len(calls) == 9 * 24
+
+    def test_quadruples(self, monkeypatch):
+        calls = self.count_ranks(monkeypatch)
+        one, z = Mat.identity(5), Mat.zero(5)
+        verdict = gl2_equivalent(GL2Rep(one, z, z, one),
+                                 GL2Rep(one, self.E15, z, one))
+        assert verdict == Verdict(None, "proved exactly")
+        assert len(calls) == 24
 
 
 class TestVerdict:
