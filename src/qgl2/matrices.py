@@ -21,7 +21,8 @@ from dataclasses import dataclass
 from itertools import combinations, product
 from typing import Iterable, Optional
 
-from .scalars import ONE, Q, ZERO, GaussRational, Scalar, _power, scalar
+from .scalars import (MAX_N, ONE, Q, ZERO, GaussRational, Scalar, _power,
+                      scalar)
 
 
 def _entry(value):
@@ -174,10 +175,16 @@ class Mat:
 
     @classmethod
     def from_json(cls, obj: dict) -> "Mat":
+        """The matrix of {"n": n, "entries": n x n expression strings}.  n
+        is at most MAX_N: a commutant solves for n^2 unknowns from n^4
+        operator cells, so a large n runs out of memory, not into an
+        error."""
         if not isinstance(obj, dict) or "n" not in obj or "entries" not in obj:
             raise ValueError("matrix object must have 'n' and 'entries'")
         n = obj["n"]
         entries = obj["entries"]
+        if isinstance(n, int) and n > MAX_N:
+            raise ValueError(f"matrix size n is above {MAX_N}")
         if not isinstance(n, int) or not isinstance(entries, list) \
                 or len(entries) != n \
                 or not all(isinstance(r, list) and len(r) == n

@@ -10,7 +10,9 @@ A polynomial is a tuple of GaussRational coefficients, index = degree.
 A GaussRational is one reduced integer triple (a + b*i)/d with d > 0 and
 gcd(a, b, d) = 1, so its arithmetic is int arithmetic plus one gcd per
 result; fractions.Fraction appears only where values enter and leave.
-Polynomial products convolve the Gaussian-integer numerators over a
+Most scalars here are monomials c*q^k over q^k, so a product or a
+division with a monomial operand is a shift and one scaling by c.  Other
+polynomial products convolve the Gaussian-integer numerators over a
 common denominator per operand and reduce each output coefficient once.
 
 Scalars print to, and parse from, plain expression strings over the
@@ -245,12 +247,22 @@ def _pneg(a: tuple) -> tuple:
     return tuple(-c for c in a)
 
 
+def _is_monomial(a: tuple) -> bool:
+    return bool(a) and not any(a[:-1])
+
+
 def _pmul(a: tuple, b: tuple) -> tuple:
-    """Convolve the Gaussian-integer numerators of a and b, each taken over
-    the lcm of its coefficient denominators, then reduce every output
-    coefficient once."""
+    """A monomial operand c*q^k shifts the other operand by k and scales it
+    by c (no coefficient work when c = 1).  Otherwise convolve the
+    Gaussian-integer numerators of a and b, each taken over the lcm of its
+    coefficient denominators, then reduce every output coefficient once."""
     if not a or not b:
         return ()
+    if _is_monomial(b):
+        a, b = b, a
+    if _is_monomial(a):
+        c = a[-1]
+        return a[:-1] + (b if c == GR_ONE else _pscale(c, b))
     da = _lcm(*[c.d for c in a])
     db = _lcm(*[c.d for c in b])
     bs = [(k, c.a * (db // c.d), c.b * (db // c.d))
@@ -274,15 +286,21 @@ def _pmul(a: tuple, b: tuple) -> tuple:
 def _pscale(c: GaussRational, a: tuple) -> tuple:
     if not c:
         return ()
-    return _pnorm([c * x for x in a])
+    return _pnorm([c * x if x else x for x in a])
 
 
 def _pdivmod(a: tuple, b: tuple):
-    """Exact Euclidean division over the coefficient field."""
+    """Exact Euclidean division over the coefficient field.  A monomial
+    divisor c*q^k is a shift: the quotient is a[k:] scaled by 1/c and the
+    remainder is a[:k]."""
     if not b:
         raise ZeroDivisionError("zero divisor")
     if len(a) < len(b):
         return (), a
+    if _is_monomial(b):
+        k, c = len(b) - 1, b[-1]
+        quo = a[k:] if c == GR_ONE else _pscale(c.inverse(), a[k:])
+        return quo, _pnorm(a[:k])
     rem = list(a)
     quo = [GR_ZERO] * (len(a) - len(b) + 1)
     inv_lead = b[-1].inverse()
@@ -296,10 +314,6 @@ def _pdivmod(a: tuple, b: tuple):
             if bk:
                 rem[shift + k] = rem[shift + k] - f * bk
     return _pnorm(quo), _pnorm(rem)
-
-
-def _is_monomial(a: tuple) -> bool:
-    return bool(a) and not any(a[:-1])
 
 
 def _order(a: tuple) -> int:
@@ -591,6 +605,10 @@ MAX_POWER_DEGREE = 1000
 # a parsed integer has at most this many digits, and so has each part of
 # each coefficient of those results, so that every parsed value prints
 MAX_DIGITS = 1000
+# an input matrix is at most MAX_N x MAX_N (matrices.Mat.from_json): a
+# commutant has n^4 operator cells, 1.6e9 at n = 200; the paper's matrices
+# are 4 x 4 and the tests go to 5 x 5
+MAX_N = 16
 
 # the binary operators, loosest level first: each maps to its name in
 # the bound errors and its function

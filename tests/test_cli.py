@@ -10,7 +10,8 @@ import time
 import pytest
 
 from qgl2.catalog import CATALOG
-from qgl2.cli import main
+from qgl2.cli import _load_matrix, main
+from qgl2.scalars import MAX_N
 
 
 def write_json(path, obj):
@@ -274,6 +275,12 @@ class TestCentralizerAndClosure:
 M2 = json.dumps({"n": 2, "entries": [["1", "q"], ["0", "1"]]})
 M3 = json.dumps({"n": 3, "entries": [["0", "0", "0"], ["0", "0", "0"],
                                      ["0", "0", "1"]]})
+
+
+def zero_matrix(n):
+    return json.dumps({"n": n, "entries": [["0"] * n for _ in range(n)]})
+
+
 DEEP = "[" * 100000 + "]" * 100000
 DEEP_SCALAR = "(" * 5000 + "1" + ")" * 5000
 
@@ -297,6 +304,7 @@ BAD_INPUT = {
     "directory": (ONE_FILE, [None]),
     "not-json": (ONE_FILE, ["{"]),
     "no-n": (ONE_FILE, ['{"entries": [["1"]]}']),
+    "n-above-max": (ONE_FILE, [zero_matrix(MAX_N + 1)]),
     "rep-mixed-sizes": (["equiv", "{0}", "admissible-a"],
                         [f'{{"a": {M2}, "b": {M3}}}']),
     "centralizer-2-3": (["centralizer", "{0}", "{1}"], [M2, M3]),
@@ -321,6 +329,12 @@ def test_bad_input_exits_2_with_one_line(capsys, tmp_path, argv, files):
     err = capsys.readouterr().err
     assert err.startswith("error: ")
     assert err.count("\n") == 1 and err.endswith("\n")
+
+
+def test_matrix_of_size_max_n_parses(tmp_path):
+    path = tmp_path / "m.json"
+    path.write_text(zero_matrix(MAX_N))
+    assert _load_matrix(str(path)).n == MAX_N
 
 
 SPINOR_EQUIV = {

@@ -9,7 +9,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from qgl2.scalars import (GR_ONE, GR_ZERO, GaussRational, I, ONE, Q, Scalar,
-                          ZERO, _pgcd, _pmul, _pnorm, parse_scalar, scalar)
+                          ZERO, _padd, _pdivmod, _pgcd, _pmul, _pnorm,
+                          parse_scalar, scalar)
 
 from oracles import q_integer
 
@@ -450,6 +451,71 @@ class TestScalarProperties:
         text = str(x)
         assert parse_scalar(text) == x
         assert str(parse_scalar(text)) == text
+
+
+# monomials c*q^k, the common operand: _pmul and _pdivmod shift them
+# instead of convolving or running the Euclidean loop
+monomials = st.builds(lambda c, k: (GR_ZERO,) * k + (c,),
+                      st.sampled_from(SMALL), st.integers(0, 5))
+# half the coefficients zero, so interior zeros are common
+sparse_polys = st.lists(st.just(GR_ZERO) | st.sampled_from(SMALL),
+                        max_size=8).map(_pnorm)
+
+
+def pdivmod_reference(a, b):
+    """The Euclidean loop, which _pdivmod skips for a monomial divisor."""
+    if len(a) < len(b):
+        return (), a
+    rem = list(a)
+    quo = [GR_ZERO] * (len(a) - len(b) + 1)
+    inv_lead = b[-1].inverse()
+    for shift in range(len(a) - len(b), -1, -1):
+        c = rem[shift + len(b) - 1]
+        if not c:
+            continue
+        f = c * inv_lead
+        quo[shift] = f
+        for k, bk in enumerate(b):
+            if bk:
+                rem[shift + k] = rem[shift + k] - f * bk
+    return _pnorm(quo), _pnorm(rem)
+
+
+def assert_canonical_poly(a):
+    assert not a or a[-1]
+    for c in a:
+        assert_canonical(c)
+
+
+class TestMonomialOperands:
+    @PROPERTY
+    @given(m=monomials, p=sparse_polys | monomials)
+    def test_pmul_shifts_and_scales(self, m, p):
+        for out, ref in ((_pmul(m, p), pmul_reference(m, p)),
+                         (_pmul(p, m), pmul_reference(p, m))):
+            assert out == ref
+            assert_canonical_poly(out)
+
+    @PROPERTY
+    @given(a=sparse_polys | monomials, m=monomials)
+    def test_pdivmod_by_monomial_matches_euclid(self, a, m):
+        quo, rem = _pdivmod(a, m)
+        assert (quo, rem) == pdivmod_reference(a, m)
+        assert _padd(pmul_reference(quo, m), rem) == a
+        assert len(rem) < len(m)
+        assert_canonical_poly(quo)
+        assert_canonical_poly(rem)
+
+    @PROPERTY
+    @given(x=laurent, y=laurent)
+    def test_laurent_products_and_sums_stay_canonical(self, x, y):
+        for v, ref in ((x * y, x.eval(3) * y.eval(3)),
+                       (x + y, x.eval(3) + y.eval(3)),
+                       (x - y, x.eval(3) - y.eval(3))):
+            assert_canonical_scalar(v)
+            assert v.eval(3) == ref
+            # a Laurent value keeps a q^s denominator
+            assert not any(v.den[:-1])
 
 
 # ---------------------------------------------------------------------------
