@@ -4,25 +4,34 @@ Everything here is field-generic: entries may be Scalar (the default) or
 GaussRational (after numeric substitution), since both expose the same
 arithmetic protocol.  Nothing is ever approximated.
 
-One row-reduction kernel, _insert (with _reduce), makes every decision:
-it adds a vector to a fully reduced echelon basis kept sorted by pivot
-column.  rref feeds rows through it, so every rank, inverse and kernel
-goes through it.  MatSpace keeps its basis in that form under row-major
-flattening: a kernel's is read off one rref, every other one (span,
-closure) is built by _insert, and membership is one _reduce.  The form
-is unique: equal subspaces always have identical bases and space
-equality is structural.  No other code eliminates.
+One row-reduction kernel, _insert (with _reduce), makes every exact
+decision: it adds a vector to a fully reduced echelon basis kept sorted
+by pivot column.  rref feeds rows through it, so every rank, inverse and
+kernel over the entry field goes through it.  MatSpace keeps its basis
+in that form under row-major flattening: a kernel's is read off one
+rref, every other one (span, closure) is built by _insert, and
+membership is one _reduce.  The form is unique: equal subspaces always
+have identical bases and space equality is structural.
+
+The one other elimination is over F_p, and it can only prove that a
+kernel is {0}.  Scalar.residue maps q to q0 and i to a square root of
+-1 mod p; it is a ring homomorphism on the scalars with no pole there,
+so it maps each minor of a matrix of such scalars to the same minor of
+the image.  An image of full column rank has a nonzero maximal minor,
+whose preimage is then nonzero too: the exact matrix has full column
+rank.  stacked_nullspace returns the zero space on that proof; on a
+pole or a lower rank mod p it proves nothing and eliminates exactly.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left
 from dataclasses import dataclass
-from itertools import combinations, product
+from itertools import combinations, count, islice, product
 from typing import Iterable, Optional
 
-from .scalars import (MAX_N, ONE, Q, ZERO, GaussRational, Scalar, _power,
-                      scalar)
+from .scalars import (MAX_N, ONE, Q, RESIDUE_P, ZERO, GaussRational, Scalar,
+                      _power, scalar)
 
 
 def _entry(value):
@@ -344,8 +353,9 @@ def subalgebra_closure(generators: Iterable[Mat]) -> MatSpace:
     return space
 
 
-def _operator_rows(n: int, a: Mat, b: Mat, z) -> list:
-    """Vectorize X -> X A - B X as an n^2 x n^2 row list.
+def _operator_rows(n: int, a, b, z) -> list:
+    """Vectorize X -> X A - B X as an n^2 x n^2 row list.  a and b are the
+    row grids of A and B: Mat.rows, or their residues as ints with z = 0.
 
     Row-major convention: entry (i, j) of X A is sum_k X[i][k] A[k][j]
     and entry (i, j) of B X is sum_k B[i][k] X[k][j], so row i*n+j picks
@@ -355,12 +365,44 @@ def _operator_rows(n: int, a: Mat, b: Mat, z) -> list:
     for i, j in product(range(n), repeat=2):
         row = [z] * (n * n)
         for k in range(n):
-            if a.rows[k][j]:
-                row[i * n + k] += a.rows[k][j]
-            if b.rows[i][k]:
-                row[k * n + j] -= b.rows[i][k]
+            if a[k][j]:
+                row[i * n + k] += a[k][j]
+            if b[i][k]:
+                row[k * n + j] -= b[i][k]
         rows.append(row)
     return rows
+
+
+def _kernel_is_zero(pairs: list, n: int) -> bool:
+    """Whether the residues of the stacked operator of pairs, all of
+    Scalar entries, have rank n^2 modulo RESIDUE_P: a proof that its
+    kernel is {0} (see stacked_nullspace).  False proves nothing: a pole,
+    or a lower rank at the residue point."""
+    p = RESIDUE_P
+    rows = []
+    for a, b in pairs:
+        images = [[[x.residue() for x in row] for row in m.rows]
+                  for m in (a, b)]
+        if any(None in row for grid in images for row in grid):
+            return False
+        rows += _operator_rows(n, *images, 0)
+    # each entry is a residue or a difference of two, in (-p, p), so it is
+    # nonzero exactly when it is nonzero mod p; column 0 of every row is
+    # the next column to eliminate, and one without a pivot ends the search
+    for _ in range(n * n):
+        k = next((k for k, row in enumerate(rows) if row[0]), None)
+        if k is None:
+            return False
+        pivot = rows.pop(k)
+        inv = pow(pivot[0], -1, p)
+        pivot = [x * inv % p for x in pivot[1:]]
+        rows = [[(x - row[0] * y) % p for x, y in zip(row[1:], pivot)]
+                if row[0] else row[1:] for row in rows]
+    return True
+
+
+def _nonzeros(row: list) -> int:
+    return sum(map(bool, row))
 
 
 def stacked_nullspace(pairs: list) -> MatSpace:
@@ -369,18 +411,38 @@ def stacked_nullspace(pairs: list) -> MatSpace:
     field; every A and B must be n x n (ValueError "dimension mismatch"
     otherwise).
 
-    The rows are reduced once with their N = n^2 columns reversed.  The
-    vector of a free reversed column f' is 1 there and -R[r][f'] at each
-    pivot p'_r, nonzero only for p'_r < f'.  Mapped back by c = N-1-c', it
-    is 1 at f = N-1-f', 0 at every other free column, nonzero elsewhere
-    only at pivots after f: sorted by f, the unique reduced echelon basis."""
+    Scalar entries are first mapped to F_p by Scalar.residue.  Let R be
+    the scalars with no pole at the residue point.  residue is a ring
+    homomorphism on R, and each operator entry is a sum of entries of A
+    and B, so when all of those lie in R, each minor of the operator lies
+    in R and maps to the same minor of the residue rows.  If those have
+    rank n^2, a nonzero n^2 x n^2 minor of them lifts to a nonzero minor
+    of the operator: its rank is n^2 and the kernel is {0}, returned with
+    no work over Q(i)(q).  A pole, or a lower rank mod p, proves nothing.
+    The probe is skipped when A = B in every pair, since the identity is
+    then a solution.  Every other answer, each nonzero kernel among them,
+    comes from the one rref below, so from _insert.
+
+    That rref reduces the rows once, sparsest first (a stable sort by
+    their nonzero count; the reduced echelon form does not depend on the
+    row order, and fewer nonzeros mean fewer updates), with their
+    N = n^2 columns reversed.  The vector of a free reversed column f' is
+    1 there and -R[r][f'] at each pivot p'_r, nonzero only for p'_r < f'.
+    Mapped back by c = N-1-c', it is 1 at f = N-1-f', 0 at every other
+    free column, nonzero elsewhere only at pivots after f: sorted by f,
+    the unique reduced echelon basis."""
     n = pairs[0][0].n
     if any(m.n != n for pair in pairs for m in pair):
         raise ValueError("dimension mismatch")
     z = type(pairs[0][0].rows[0][0]).zero()
+    if isinstance(z, Scalar) and any(a != b for a, b in pairs) \
+            and _kernel_is_zero(pairs, n):
+        return MatSpace(n)
     last = n * n - 1
-    reduced, pivots = rref([row[::-1] for a, b in pairs
-                            for row in _operator_rows(n, a, b, z)])
+    rows = [row[::-1] for a, b in pairs
+            for row in _operator_rows(n, a.rows, b.rows, z)]
+    rows.sort(key=_nonzeros)
+    reduced, pivots = rref(rows)
     space = MatSpace(n)
     for fc in range(last, -1, -1):
         if fc not in pivots:
@@ -400,29 +462,34 @@ def centralizer(mats: list) -> MatSpace:
     return stacked_nullspace([(g, g) for g in mats])
 
 
-def power_traces(m: Mat, kmax: int) -> tuple:
-    """(tr(m), tr(m^2), ..., tr(m^kmax)) computed exactly.
-
-    Only the powers m, ..., m^h with h = ceil(kmax / 2) are formed; each
-    higher trace is tr(m^h m^b) = sum_ik (m^h)_ik (m^b)_ki with b <= h,
-    which reads n^2 products instead of forming the full power.
-    """
-    h = (kmax + 1) // 2
-    powers = [m]
-    while len(powers) < h:
-        powers.append(powers[-1] * m)
-    out = [p.trace() for p in powers[:kmax]]
-    top = powers[-1].rows
-    for b in powers[:kmax - h]:
-        t = type(top[0][0]).zero()
+def _traces(m: Mat):
+    """tr(m), tr(m^2), ... exactly and lazily.  tr(m^j) is
+    tr(m^h m^b) = sum_ik (m^h)_ik (m^b)_ki with h = ceil(j / 2) and
+    b = j - h, which reads n^2 products instead of forming m^j; so tr(m)
+    and tr(m^2) form no matrix product, and each later power m^h is
+    formed once, when first needed."""
+    yield m.trace()
+    powers = [m]                        # powers[k] = m^(k+1)
+    zero = type(m.rows[0][0]).zero()
+    for j in count(2):
+        h = (j + 1) // 2
+        if len(powers) < h:
+            powers.append(powers[-1] * m)
+        top, b = powers[h - 1].rows, powers[j - h - 1].rows
+        t = zero
         for i, row in enumerate(top):
-            for k, a in enumerate(row):
-                if a:
-                    c = b.rows[k][i]
-                    if c:
-                        t = t + a * c
-        out.append(t)
-    return tuple(out)
+            for k, x in enumerate(row):
+                if x:
+                    y = b[k][i]
+                    if y:
+                        t = t + x * y
+        yield t
+
+
+def power_traces(m: Mat, kmax: int) -> tuple:
+    """(tr(m), tr(m^2), ..., tr(m^kmax)) computed exactly: the first kmax
+    values of _traces, which form ceil(kmax / 2) - 1 matrix products."""
+    return tuple(islice(_traces(m), kmax))
 
 
 # how a Verdict was reached
@@ -509,26 +576,29 @@ def _scaled_conjugacy(equations: list) -> Verdict:
     Conjugation preserves power traces, so each equation gives the
     necessary condition tr(g2^j) = q^(jk) tr(g1^j), j = 1..n, on the
     exponent k of its group g.  Before any linear solve, each group keeps
-    the exponents that pass every condition of that group; the exponent
-    tuples then run in itertools.product order over those lists (alpha_0
-    outermost), a subsequence of the order over all exponents.  The
-    witness is the exactly verified tuple.  A "no" within those scalings
-    is "invariant differs" when the sizes differ or a group keeps no
-    exponent, and otherwise "proved exactly": invertible_element decides
-    each conjugator space.
+    the exponents that pass every condition of that group.  The traces
+    come lazily (_traces), j = 1 for every equation first, then j = 2,
+    and so on, and a group left with no exponent ends the search at once:
+    a pair that tr(g) or tr(g^2) rules out forms no matrix product.  The
+    exponent tuples then run in itertools.product order over those lists
+    (alpha_0 outermost), a subsequence of the order over all exponents.
+    The witness is the exactly verified tuple.  A "no" within those
+    scalings is "invariant differs" when the sizes differ or a group
+    keeps no exponent, and otherwise "proved exactly": invertible_element
+    decides each conjugator space.
     """
     n = equations[0][0].n
     if any(g1.n != n or g2.n != n for g1, g2, _ in equations):
         return Verdict(None, "invariant differs")
     exponents = range(-MAX_EXPONENT, MAX_EXPONENT + 1)
     allowed = [exponents] * (1 + max(g for *_, g in equations))
-    for g1, g2, g in equations:
-        pairs = list(zip(power_traces(g1, n), power_traces(g2, n)))
-        allowed[g] = [k for k in allowed[g]
-                      if all(x2 == Q ** (j * k) * x1
-                             for j, (x1, x2) in enumerate(pairs, 1))]
-    if not all(allowed):
-        return Verdict(None, "invariant differs")
+    traces = [(zip(_traces(g1), _traces(g2)), g) for g1, g2, g in equations]
+    for j in range(1, n + 1):
+        for pairs, g in traces:
+            x1, x2 = next(pairs)
+            allowed[g] = [k for k in allowed[g] if x2 == Q ** (j * k) * x1]
+            if not allowed[g]:
+                return Verdict(None, "invariant differs")
     for ks in product(*allowed):
         alphas = tuple(Q ** k for k in ks)
         space = stacked_nullspace([(g1.scale(alphas[g]), g2)

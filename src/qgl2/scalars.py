@@ -503,6 +503,21 @@ class Scalar:
             raise ValueError("evaluation pole")
         return _peval(self.num, q0) * den.inverse()
 
+    def residue(self):
+        """The image of self in F_p, p = RESIDUE_P, under q -> RESIDUE_Q0
+        and i -> RESIDUE_I, as an int in [0, p); None at a pole, that is
+        when p divides a coefficient denominator or the denominator's
+        image is 0.  On the scalars without a pole this is a ring
+        homomorphism: their num/den lie in Z_(p)[i][q] with a unit image
+        of den."""
+        num = _presidue(self.num)
+        if self.den == _P_ONE or num is None:
+            return num
+        den = _presidue(self.den)
+        if not den:
+            return None
+        return num * pow(den, -1, RESIDUE_P) % RESIDUE_P
+
     # -- text ---------------------------------------------------------------
 
     def __str__(self):
@@ -524,6 +539,29 @@ def _peval(p: tuple, q0: GaussRational) -> GaussRational:
     out = GR_ZERO
     for c in reversed(p):
         out = out * q0 + c
+    return out
+
+
+# the residue point of Scalar.residue: a prime p = 1 (mod 4) below 2^31, a
+# square root of -1 mod p, and q0, a primitive root mod p, so that q0^k != 1
+# for 0 < k < p - 1
+RESIDUE_P = 2147483629
+RESIDUE_I = 629208553
+RESIDUE_Q0 = 1234567891
+
+
+def _presidue(p: tuple):
+    """The image of the polynomial p in F_p by Horner's rule, or None when
+    p divides a coefficient denominator."""
+    out = 0
+    for c in reversed(p):
+        d = c.d
+        num = c.a + c.b * RESIDUE_I
+        if d != 1:
+            if not d % RESIDUE_P:
+                return None
+            num *= pow(d, -1, RESIDUE_P)
+        out = (out * RESIDUE_Q0 + num) % RESIDUE_P
     return out
 
 

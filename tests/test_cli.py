@@ -3,6 +3,7 @@
 import hashlib
 import json
 import pathlib
+import random
 import subprocess
 import sys
 import time
@@ -470,3 +471,40 @@ class TestSubprocess:
             capture_output=True, text=True)
         assert proc.returncode == 0
         assert "PASS" in proc.stdout
+
+
+def seeded_dense(n: int, seed: int) -> list:
+    """Entries v or v*q (chance 0.3) with v in -3..3, drawn row by row."""
+    rng = random.Random(seed)
+    rows = []
+    for _ in range(n):
+        row = []
+        for _ in range(n):
+            v = rng.randint(-3, 3)
+            row.append(f"{v}*q" if rng.random() < 0.3 else str(v))
+        rows.append(row)
+    return rows
+
+
+def q_shift(n: int) -> list:
+    """q*I plus the cyclic shift."""
+    return [["q" if j == i else "1" if j == (i + 1) % n else "0"
+             for j in range(n)] for i in range(n)]
+
+
+# full-rank commutants that ran from 16 s to over 100 s when the kernel
+# was only proved {0} by elimination over Q(i)(q)
+FULL_RANK = {f"dense{n}-seed{s}": seeded_dense(n, s)
+             for n, s in ((4, 1), (4, 2), (4, 3), (5, 1), (6, 1))}
+FULL_RANK.update({f"shift{n}": q_shift(n) for n in (5, 6, 8)})
+
+
+@pytest.mark.parametrize("name", FULL_RANK)
+def test_full_rank_commutant_answers_at_once(tmp_path, name):
+    rows = FULL_RANK[name]
+    path = write_json(tmp_path / "a.json", {"n": len(rows), "entries": rows})
+    proc = subprocess.run(
+        [sys.executable, "-m", "qgl2", "commutant", path, "--format", "json"],
+        capture_output=True, text=True, timeout=10)
+    assert proc.returncode == 0
+    assert json.loads(proc.stdout)["dim"] == 0

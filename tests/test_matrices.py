@@ -6,13 +6,16 @@ from fractions import Fraction
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
+import qgl2.matrices
 from oracles import det_vanishes, sandwich_kernel
 from qgl2.clifford import build_action, counit_invariance_space
 from qgl2.gl2 import GL2Rep, gl2_equivalent
-from qgl2.matrices import (HOWS, Mat, MatSpace, Verdict, centralizer,
+from qgl2.matrices import (HOWS, Mat, MatSpace, Verdict, _kernel_is_zero,
+                           _nonzeros, _scaled_conjugacy, centralizer,
                            invertible_element, power_traces, rref,
                            stacked_nullspace, subalgebra_closure)
-from qgl2.scalars import GaussRational, I, ONE, Q, ZERO, scalar
+from qgl2.scalars import (RESIDUE_P, RESIDUE_Q0, GaussRational, I, ONE, Q,
+                          ZERO, Scalar, scalar)
 from qgl2.spinors import (QSpinorRep, admissibility, q_commutant,
                           spinor_equivalent)
 
@@ -226,10 +229,83 @@ class TestClosuresAndCommutants:
         assert sol == MatSpace.span([Mat.unit(2, 1, 1)])
 
 
+def q_shift(n: int) -> Mat:
+    """q*I plus the cyclic shift: two nonzeros per row."""
+    return Mat([[Q if j == i else ONE if j == (i + 1) % n else ZERO
+                 for j in range(n)] for i in range(n)])
+
+
+def reference_kernel(pairs: list) -> MatSpace:
+    one = type(pairs[0][0].rows[0][0]).one()
+    return sandwich_kernel(pairs[0][0].n,
+                           [[(None, a, one), (b, None, -one)]
+                            for a, b in pairs])
+
+
+POLES = pytest.mark.parametrize("entry", [
+    scalar(Fraction(1, RESIDUE_P)),     # p divides a coefficient's d
+    ONE / (Q - RESIDUE_Q0),             # the denominator vanishes at q0
+], ids=["coefficient", "denominator"])
+
+
+class TestResidueProbe:
+    """The residue rank proves an empty kernel; a pole at the residue
+    point, or a lower rank there, proves nothing, and the exact
+    elimination answers."""
+
+    # the exact reference takes seconds at n = 4
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_full_rank_is_proved(self, n):
+        for pairs in ([(q_shift(n).scale(Q), q_shift(n))],
+                      [(q_shift(n), q_shift(n).scale(Q))]):
+            assert _kernel_is_zero(pairs, n)
+            assert stacked_nullspace(pairs) == reference_kernel(pairs) \
+                == MatSpace(n)
+
+    @POLES
+    def test_pole_abstains(self, entry):
+        assert entry.residue() is None
+        a = Mat([[entry, ONE], [ZERO, Q]])
+        pairs = [(a.scale(Q), a)]
+        assert not _kernel_is_zero(pairs, 2)
+        assert stacked_nullspace(pairs) == reference_kernel(pairs) \
+            == MatSpace(2)
+
+    @POLES
+    def test_pole_of_a_singular_matrix(self, entry):
+        # X a = 0 with det a = entry * (1 / entry) - 1 = 0: the kernel has
+        # dimension 2, yet a with the pole read as any residue r is
+        # [[r, 1], [1, 0]] mod p, which is invertible
+        a = Mat([[entry, ONE], [ONE, entry.inverse()]])
+        pairs = [(a, Mat.zero(2))]
+        assert entry.inverse().residue() == 0
+        assert not _kernel_is_zero(pairs, 2)
+        assert stacked_nullspace(pairs) == reference_kernel(pairs)
+        assert stacked_nullspace(pairs).dim == 2
+
+    def test_lower_rank_at_the_point_abstains(self):
+        # a x = q x a with a = diag(q0, 1): the (1, 2) equation is
+        # (q0 - q) x12 = 0, a unit over Q(i)(q) but 0 at q = q0
+        a = Mat.diag(RESIDUE_Q0, 1)
+        pairs = [(a.scale(Q), a)]
+        assert not _kernel_is_zero(pairs, 2)
+        assert stacked_nullspace(pairs) == reference_kernel(pairs) \
+            == MatSpace(2)
+
+
 class TestSearchHelpers:
     def test_power_traces(self):
         m = Mat.diag(Q, ONE)
         assert power_traces(m, 3) == (Q + ONE, Q ** 2 + ONE, Q ** 3 + ONE)
+
+    def test_second_trace_rules_out_before_any_solve(self, monkeypatch):
+        # tr(g) is 0 on both sides; tr(g^2) is 2 against 0, which no
+        # scaling q^k matches, so nothing is solved
+        monkeypatch.setattr(qgl2.matrices, "stacked_nullspace",
+                            lambda pairs: pytest.fail("solved"))
+        g1, g2 = Mat.diag(1, -1), Mat.unit(2, 0, 1)
+        assert _scaled_conjugacy([(g1, g2, 0)]) == \
+            Verdict(None, "invariant differs")
 
     def test_invertible_element_from_singular_basis(self):
         # every basis element is singular but a combination is not
@@ -434,6 +510,17 @@ class TestKernelProperties:
     @POOLS
     @PROPERTY
     @given(data=st.data())
+    def test_rref_ignores_row_order(self, pool, data):
+        # stacked_nullspace feeds its rows sparsest first on this
+        rows = data.draw(row_lists(pool))
+        order = data.draw(st.permutations(range(len(rows))))
+        expected = rref(rows)
+        assert rref([rows[k] for k in order]) == expected
+        assert rref(sorted(rows, key=_nonzeros)) == expected
+
+    @POOLS
+    @PROPERTY
+    @given(data=st.data())
     def test_rref_is_reduced_echelon(self, pool, data):
         reduced, pivots = rref(data.draw(row_lists(pool)))
         one, zero = type(pool[0]).one(), type(pool[0]).zero()
@@ -612,21 +699,33 @@ def q_spinor_pairs(draw, pool, max_n):
 
 class TestSolvesMatchSandwichReference:
     @SIZED_POOLS
-    @SOLVE_PROPERTY
-    @given(data=st.data())
-    def test_stacked_nullspace(self, pool, max_n, data):
+    def test_stacked_nullspace(self, pool, max_n):
+        dims, proved = [], []
+
         # one to three pairs, so a joint kernel of stacked systems
-        n = data.draw(st.integers(2, max_n))
-        pairs = []
-        for _ in range(data.draw(st.integers(1, 3))):
-            a = data.draw(square_mats(pool, n))
-            # b = a makes a centralizer, which is never 0
-            b = a if data.draw(st.booleans()) \
-                else data.draw(square_mats(pool, n))
-            pairs.append((a, b))
-        one = type(pool[0]).one()
-        assert stacked_nullspace(pairs) == sandwich_kernel(
-            n, [[(None, a, one), (b, None, -one)] for a, b in pairs])
+        @SOLVE_PROPERTY
+        @given(data=st.data())
+        def check(data):
+            n = data.draw(st.integers(2, max_n))
+            pairs = []
+            for _ in range(data.draw(st.integers(1, 3))):
+                a = data.draw(square_mats(pool, n))
+                # b = a makes a centralizer, which is never 0
+                b = a if data.draw(st.booleans()) \
+                    else data.draw(square_mats(pool, n))
+                pairs.append((a, b))
+            space = stacked_nullspace(pairs)
+            assert space == reference_kernel(pairs)
+            dims.append(space.dim)
+            if isinstance(pool[0], Scalar) and _kernel_is_zero(pairs, n):
+                assert space.dim == 0
+                proved.append(n)
+
+        check()
+        # the draws reach the full-rank case, which the residue probe
+        # answers for Scalar entries
+        assert 0 in dims and max(dims) > 0
+        assert bool(proved) == isinstance(pool[0], Scalar)
 
     @SIZED_POOLS
     @SOLVE_PROPERTY

@@ -3,14 +3,15 @@ and the round-tripping text encoding."""
 
 import sys
 from fractions import Fraction
-from math import comb, gcd
+from math import comb, gcd, isqrt
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
-from qgl2.scalars import (GR_ONE, GR_ZERO, GaussRational, I, ONE, Q, Scalar,
-                          ZERO, _padd, _pdivmod, _pgcd, _pmul, _pnorm,
-                          parse_scalar, scalar)
+from qgl2.scalars import (GR_ONE, GR_ZERO, RESIDUE_I, RESIDUE_P, RESIDUE_Q0,
+                          GaussRational, I, ONE, Q, Scalar, ZERO, _padd,
+                          _pdivmod, _pgcd, _pmul, _pnorm, parse_scalar,
+                          scalar)
 
 from oracles import q_integer
 
@@ -451,6 +452,52 @@ class TestScalarProperties:
         text = str(x)
         assert parse_scalar(text) == x
         assert str(parse_scalar(text)) == text
+
+
+def is_prime(n: int) -> bool:
+    return n > 1 and all(n % d for d in range(2, isqrt(n) + 1))
+
+
+class TestResidue:
+    """Scalar.residue maps the scalars without a pole at (q0, i) to F_p
+    as a ring homomorphism: matrices.stacked_nullspace proves empty
+    kernels on it."""
+
+    def test_the_point(self):
+        p = RESIDUE_P
+        assert is_prime(p) and p % 4 == 1 and p < 2 ** 31
+        assert RESIDUE_I ** 2 % p == p - 1
+        # q0 is a primitive root: p - 1 = 2^2 * 3^2 * 59652323
+        assert 4 * 9 * 59652323 == p - 1 and is_prime(59652323)
+        assert all(pow(RESIDUE_Q0, (p - 1) // f, p) != 1
+                   for f in (2, 3, 59652323))
+
+    def test_values_and_poles(self):
+        p = RESIDUE_P
+        assert Q.residue() == RESIDUE_Q0 and I.residue() == RESIDUE_I
+        assert ZERO.residue() == 0 and ONE.residue() == 1
+        assert scalar("(q - 1)/(2*q)").residue() == \
+            (RESIDUE_Q0 - 1) * pow(2 * RESIDUE_Q0, -1, p) % p
+        # p in a numerator is a zero residue, in a denominator a pole
+        assert scalar(p).residue() == 0
+        assert scalar(Fraction(1, p)).residue() is None
+        assert scalar(Fraction(3, 2 * p) + Q).residue() is None
+        assert (Q - RESIDUE_Q0).residue() == 0
+        assert (ONE / (Q - RESIDUE_Q0)).residue() is None
+
+    @settings(derandomize=True, max_examples=100, deadline=None)
+    @given(x=scalars, y=scalars)
+    def test_ring_homomorphism(self, x, y):
+        p = RESIDUE_P
+        rx, ry = x.residue(), y.residue()
+        assume(rx is not None and ry is not None)
+        assert (x + y).residue() == (rx + ry) % p
+        assert (x * y).residue() == rx * ry % p
+        assert (-x).residue() == -rx % p
+        if rx:
+            assert x.inverse().residue() == pow(rx, -1, p)
+        elif x:
+            assert x.inverse().residue() is None
 
 
 # monomials c*q^k, the common operand: _pmul and _pdivmod shift them
