@@ -1,14 +1,18 @@
 """CLI behaviour: exit codes, output shapes, determinism, error paths."""
 
+import contextlib
 import hashlib
+import io
 import json
 import pathlib
 import random
 import subprocess
 import sys
+import tempfile
 import time
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from qgl2.catalog import CATALOG
 from qgl2.cli import _load_matrix, main
@@ -508,3 +512,119 @@ def test_full_rank_commutant_answers_at_once(tmp_path, name):
         capture_output=True, text=True, timeout=10)
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["dim"] == 0
+
+
+def test_dense_closure_answers_in_seconds(tmp_path):
+    # M_3 from two matrices with (q - 1)/q, 1/q and q + 1 entries: the
+    # gcds of its non-monomial denominators swelled in the Euclidean loop
+    # without monic remainders, and the closure took 21 s
+    a = write_json(tmp_path / "a.json", {"n": 3, "entries": [
+        ["(q - 1)/q", "q", "0"], ["-1", "0", "1/q"], ["0", "0", "0"]]})
+    b = write_json(tmp_path / "b.json", {"n": 3, "entries": [
+        ["i", "2", "0"], ["(q - 1)/q", "0", "0"], ["1/q", "2", "q + 1"]]})
+    proc = subprocess.run(
+        [sys.executable, "-m", "qgl2", "closure", a, b, "--format", "json"],
+        capture_output=True, text=True, timeout=10)
+    assert proc.returncode == 0
+    assert json.loads(proc.stdout)["dim"] == 9
+
+
+# ---------------------------------------------------------------------------
+# generated input files: whatever JSON a matrix or rep file holds, every
+# command ends with exit 0, 1 or 2 and raises nothing; the deadline makes
+# a stall a failure
+
+GRAMMAR = "0123456789iq+-*/^() "
+# entries that parse, so that well-shaped matrices reach the solvers
+VALUES = st.sampled_from(("0", "0", "1", "-1", "2", "i", "q", "-q", "q^2",
+                          "1/q", "q + 1", "(q - 1)/q", "2*i*q"))
+STRINGS = VALUES | st.text(alphabet=GRAMMAR, max_size=4)
+CELLS = STRINGS | st.integers(-2, 2) | st.none() \
+    | st.lists(st.just("1"), max_size=1)
+
+
+@st.composite
+def matrix_objects(draw, n):
+    """An n x n matrix object of parsing entries (half the time), of
+    strings over the grammar alphabet, or of any cells in ragged rows, a
+    wrong n, a bare list of rows or no n."""
+    kind = draw(st.integers(0, 3))
+    if kind < 3:
+        cell = VALUES if kind < 2 else STRINGS
+        rows = draw(st.lists(st.lists(cell, min_size=n, max_size=n),
+                             min_size=n, max_size=n))
+        return {"n": n, "entries": rows}
+    rows = draw(st.lists(st.lists(CELLS, max_size=3), max_size=3))
+    return draw(st.sampled_from([
+        {"n": n, "entries": rows}, {"n": draw(st.integers(-1, 4) | st.none()
+                                             | st.just("2")),
+                                    "entries": rows},
+        rows, {"entries": rows}, {"n": n}]))
+
+
+@st.composite
+def matrix_files(draw, count):
+    """count matrix objects, of one size n <= 3 but once in four times."""
+    n = draw(st.integers(1, 3))
+    sizes = [n] * count if draw(st.integers(0, 3)) \
+        else draw(st.lists(st.integers(1, 3), min_size=count,
+                           max_size=count))
+    return [draw(matrix_objects(k)) for k in sizes]
+
+
+@st.composite
+def rep_objects(draw):
+    """A gl2 quadruple or a q-spinor pair of matrix objects, or a broken
+    one: a missing key or a list."""
+    keys = draw(st.sampled_from([("c11", "c12", "c21", "c22"), ("a", "b"),
+                                 ("c11", "c12", "c21"), ("a",)]))
+    rep = dict(zip(keys, draw(matrix_files(len(keys)))))
+    return draw(st.just(rep) | st.just(list(rep.values())))
+
+
+FUZZ_CLI = settings(derandomize=True, max_examples=40, deadline=5000)
+
+
+def run_fuzz(argv, objects):
+    """main(argv) with {0}, {1} in argv replaced by files holding the
+    JSON of objects: it must return 0, 1 or 2 and raise nothing."""
+    with tempfile.TemporaryDirectory() as tmp:
+        paths = [write_json(pathlib.Path(tmp) / f"{k}.json", obj)
+                 for k, obj in enumerate(objects)]
+        with contextlib.redirect_stdout(io.StringIO()), \
+                contextlib.redirect_stderr(io.StringIO()):
+            code = main([arg.format(*paths) for arg in argv])
+    assert code in (0, 1, 2)
+
+
+class TestGeneratedFiles:
+    @FUZZ_CLI
+    @given(files=matrix_files(1), reverse=st.booleans())
+    def test_commutant(self, files, reverse):
+        run_fuzz(["commutant", "{0}"] + ["--reverse"] * reverse, files)
+
+    @FUZZ_CLI
+    @given(files=matrix_files(2),
+           orientation=st.sampled_from(["default", "flipped"]))
+    def test_admissible(self, files, orientation):
+        run_fuzz(["admissible", "{0}", "{1}", "--orientation", orientation],
+                 files)
+
+    @FUZZ_CLI
+    @given(files=matrix_files(2))
+    def test_centralizer(self, files):
+        run_fuzz(["centralizer", "{0}", "{1}"], files)
+
+    @FUZZ_CLI
+    @given(files=matrix_files(2))
+    def test_closure(self, files):
+        run_fuzz(["closure", "{0}", "{1}"], files)
+
+    @FUZZ_CLI
+    @given(first=rep_objects(), second=rep_objects()
+           | st.sampled_from(["perturbed-a", "admissible-a"]))
+    def test_equiv(self, first, second):
+        if isinstance(second, str):
+            run_fuzz(["equiv", "{0}", second], [first])
+        else:
+            run_fuzz(["equiv", "{0}", "{1}"], [first, second])

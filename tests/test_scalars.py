@@ -565,6 +565,77 @@ class TestMonomialOperands:
             assert not any(v.den[:-1])
 
 
+def canonical_reference(num, den):
+    """The canonical pair of num/den by the general route: the gcd from
+    the Euclidean loop, exact division by it, then the scaling that makes
+    the denominator monic.  Scalar.__init__ slices a q^s gcd off a c*q^k
+    denominator instead."""
+    num, den = _pnorm(list(num)), _pnorm(list(den))
+    if not num:
+        return (), (GR_ONE,)
+    g, r = num, den
+    while r:
+        g, r = r, pdivmod_reference(g, r)[1]
+    num, den = pdivmod_reference(num, g)[0], pdivmod_reference(den, g)[0]
+    inv = den[-1].inverse()
+    return tuple(inv * c for c in num), tuple(inv * c for c in den)
+
+
+# untrimmed coefficient lists: trailing zeros, and all zeros for a zero
+# numerator
+raw_polys = st.lists(st.just(GR_ZERO) | st.sampled_from(SMALL), max_size=7)
+# c*q^k with c != 1 (SMALL holds complex c too) or c = 1, k above or below
+# the numerator's q-order, and trailing zeros; or q^j times a polynomial
+# with a nonzero constant term, the non-monomial case
+raw_dens = (st.builds(lambda c, k, pad: [GR_ZERO] * k + [c] + [GR_ZERO] * pad,
+                      st.sampled_from(SMALL), st.integers(0, 6),
+                      st.integers(0, 2))
+            | st.builds(lambda j, c0, rest: [GR_ZERO] * j + [c0] + rest,
+                        st.integers(0, 3), st.sampled_from(SMALL),
+                        raw_polys))
+
+
+class TestCanonicalForm:
+    @PROPERTY
+    @given(num=raw_polys, den=raw_dens)
+    def test_init_matches_euclid_route(self, num, den):
+        x = Scalar(num, den)
+        assert (x.num, x.den) == canonical_reference(num, den)
+        assert_canonical_scalar(x)
+        # tuples, trimmed or not, give the same Scalar
+        assert Scalar(tuple(num), tuple(den)) == x
+        assert Scalar(_pnorm(num), _pnorm(den)) == x
+
+    def test_monomial_denominators(self):
+        three, two_i = GaussRational(3), GaussRational(0, 2)
+        # 3q^2 / (2i q^3) = (-3/2 i) / q: the q^2 and the 2i cancel
+        x = Scalar([GR_ZERO, GR_ZERO, three], [GR_ZERO] * 3 + [two_i])
+        assert x.num == (GaussRational(0, Fraction(-3, 2)),)
+        assert x.den == (GR_ZERO, GR_ONE)
+        # 3q^2 / (2i q) = (-3/2 i) q, a polynomial
+        x = Scalar([GR_ZERO, GR_ZERO, three], [GR_ZERO, two_i, GR_ZERO])
+        assert x.num == (GR_ZERO, GaussRational(0, Fraction(-3, 2)))
+        assert x.den == (GR_ONE,)
+        assert Scalar([GR_ZERO, GR_ZERO], [GR_ZERO, two_i]) == ZERO
+        with pytest.raises(ZeroDivisionError, match="zero divisor"):
+            Scalar([three], [GR_ZERO])
+
+    @PROPERTY
+    @given(x=scalars, y=scalars,
+           c=st.integers(-3, 3) | rationals | coefficients)
+    def test_difference_is_sum_of_negation(self, x, y, c):
+        """a - b and b.__rsub__(a) are a + (-b), for a Scalar b and a
+        Scalar, int, Fraction or GaussRational a, and the other way."""
+        for a, b in ((x, y), (x, x), (ZERO, y), (x, ZERO), (c, y), (x, c)):
+            ref = a + (-b)
+            assert_canonical_scalar(ref)
+            assert a - b == ref and type(a - b) is Scalar
+            if isinstance(b, Scalar):
+                assert b.__rsub__(a) == ref
+        assert x.__rsub__("1") is NotImplemented
+        assert x.__sub__(None) is NotImplemented
+
+
 # ---------------------------------------------------------------------------
 # generated parser input: every text parses to a Scalar or fails with a
 # one-line ValueError or ZeroDivisionError, which the CLI prints as one
