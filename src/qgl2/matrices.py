@@ -27,7 +27,7 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from dataclasses import dataclass
-from itertools import combinations, count, islice, product
+from itertools import combinations, count, product
 from typing import Iterable, Optional
 
 from .scalars import (MAX_N, ONE, Q, RESIDUE_P, ZERO, GaussRational, Scalar,
@@ -192,9 +192,10 @@ class Mat:
             raise ValueError("matrix object must have 'n' and 'entries'")
         n = obj["n"]
         entries = obj["entries"]
-        if isinstance(n, int) and n > MAX_N:
+        # type, not isinstance: a JSON true is a bool, and so an int
+        if type(n) is int and n > MAX_N:
             raise ValueError(f"matrix size n is above {MAX_N}")
-        if not isinstance(n, int) or not isinstance(entries, list) \
+        if type(n) is not int or not isinstance(entries, list) \
                 or len(entries) != n \
                 or not all(isinstance(r, list) and len(r) == n
                            for r in entries):
@@ -303,9 +304,6 @@ class MatSpace:
         if m.n != self.n:
             return False
         return not any(_reduce(self._vectors, self._pivots, m.flatten()))
-
-    def __le__(self, other: "MatSpace") -> bool:
-        return all(other.contains(b) for b in self.basis)
 
     def __eq__(self, other):
         if not isinstance(other, MatSpace):
@@ -484,12 +482,6 @@ def _traces(m: Mat):
                     if y:
                         t = t + x * y
         yield t
-
-
-def power_traces(m: Mat, kmax: int) -> tuple:
-    """(tr(m), tr(m^2), ..., tr(m^kmax)) computed exactly: the first kmax
-    values of _traces, which form ceil(kmax / 2) - 1 matrix products."""
-    return tuple(islice(_traces(m), kmax))
 
 
 # how a Verdict was reached

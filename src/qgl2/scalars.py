@@ -10,19 +10,24 @@ A polynomial is a tuple of GaussRational coefficients, index = degree.
 A GaussRational is one reduced integer triple (a + b*i)/d with d > 0 and
 gcd(a, b, d) = 1, so its arithmetic is int arithmetic plus one gcd per
 result; fractions.Fraction appears only where values enter and leave.
-Most scalars here are monomials c*q^k over q^k, so a product or a
-division with a monomial operand is a shift and one scaling by c.  Other
-polynomial products convolve the Gaussian-integer numerators over a
-common denominator per operand and reduce each output coefficient once.
+It keeps only the field protocol of Scalar, Mat and the sampled
+crosscheck (+, -, * and inverse between GaussRationals); ints and
+Fractions enter through its constructor.  Most scalars here are
+monomials c*q^k over q^k, so a product with a monomial operand is a shift
+and one scaling by c.  Other polynomial products convolve the
+Gaussian-integer numerators over a common denominator per operand and
+reduce each output coefficient once.
 
-Every operation ends in one pass to the canonical form.  For the usual
-denominator c*q^k (about 99% of the results in a verify-catalog run) the
-gcd of numerator and denominator is q^s with s = min(k, ord num): both
-are sliced by s and scaled by 1/c when c != 1, with no gcd computed.
-Only other denominators run the Euclidean loop, whose remainders are
-made monic at each step so that their coefficients do not swell.  A
-difference subtracts the coefficients in place; it builds no negated
-operand.
+Every operation ends in one pass to the canonical form, with one rule
+for the gcd.  With s = min(ord num, ord den), gcd(num, den) is q^s times
+the gcd of num/q^s and den/q^s, and one of those has a nonzero constant
+term, so their gcd is 1 when either is a monomial.  Both sides are
+sliced by s, and the Euclidean loop runs only when neither is a
+monomial; its remainders are made monic at each step so that their
+coefficients do not swell.  So the usual denominator c*q^k (about 99% of
+the results in a verify-catalog run) costs a slice and a scaling by 1/c
+when c != 1.  A difference subtracts the coefficients in place; it
+builds no negated operand.
 
 Scalars print to, and parse from, plain expression strings over the
 tokens {integers, i, q, +, -, *, /, ^, parentheses}, e.g. "q^2",
@@ -39,8 +44,8 @@ from math import gcd as _gcd, lcm as _lcm, log10 as _log10
 
 def _power(x, k: int, one):
     """x^k by square and multiply for any x with * (and inverse, when
-    k < 0); one is returned for k = 0.  The powers of GaussRational,
-    Scalar and Mat all come from here."""
+    k < 0); one is returned for k = 0.  The powers of Scalar and Mat
+    both come from here."""
     if k < 0:
         x, k = x.inverse(), -k
     out = None
@@ -57,8 +62,9 @@ class GaussRational:
     """A Gaussian rational (a + b*i)/d, stored as one reduced integer
     triple: a, b and d are ints, d > 0 and gcd(a, b, d) = 1, so equal
     values have equal triples.  Arithmetic uses only int operations and
-    at most one gcd per result.  The constructor takes int or Fraction
-    parts, and re and im give them back as Fractions."""
+    at most one gcd per result, and each operator returns NotImplemented
+    for an operand that is not a GaussRational.  The constructor takes int
+    or Fraction parts, and re and im give them back as Fractions."""
 
     __slots__ = ("a", "b", "d")
 
@@ -92,49 +98,23 @@ class GaussRational:
     def one(cls) -> "GaussRational":
         return GR_ONE
 
-    @staticmethod
-    def _coerce(other):
-        if isinstance(other, GaussRational):
-            return other
-        if isinstance(other, (int, Fraction)):
-            return GaussRational(other)
-        return None
-
-    # + - * and == meet a GaussRational on almost every call, so they
-    # test its class before _coerce
-    def __add__(self, other):
-        o = other if other.__class__ is GaussRational \
-            else self._coerce(other)
-        if o is None:
+    def __add__(self, o):
+        if o.__class__ is not GaussRational:
             return NotImplemented
         return _reduced(self.a * o.d + o.a * self.d,
                         self.b * o.d + o.b * self.d, self.d * o.d)
 
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        o = other if other.__class__ is GaussRational \
-            else self._coerce(other)
-        if o is None:
+    def __sub__(self, o):
+        if o.__class__ is not GaussRational:
             return NotImplemented
         return _reduced(self.a * o.d - o.a * self.d,
                         self.b * o.d - o.b * self.d, self.d * o.d)
 
-    def __rsub__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return o - self
-
-    def __mul__(self, other):
-        o = other if other.__class__ is GaussRational \
-            else self._coerce(other)
-        if o is None:
+    def __mul__(self, o):
+        if o.__class__ is not GaussRational:
             return NotImplemented
         return _reduced(self.a * o.a - self.b * o.b,
                         self.a * o.b + self.b * o.a, self.d * o.d)
-
-    __rmul__ = __mul__
 
     def inverse(self) -> "GaussRational":
         # d/(a + b*i) = d*(a - b*i)/(a^2 + b^2)
@@ -143,45 +123,19 @@ class GaussRational:
             raise ZeroDivisionError("zero divisor")
         return _reduced(self.d * self.a, -self.d * self.b, n)
 
-    def __truediv__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        # ((a + b*i)/d) / ((x + y*i)/e) = e*(a + b*i)*(x - y*i)/(d*(x^2 + y^2))
-        n = o.a * o.a + o.b * o.b
-        if not n:
-            raise ZeroDivisionError("zero divisor")
-        return _reduced(o.d * (self.a * o.a + self.b * o.b),
-                        o.d * (self.b * o.a - self.a * o.b), self.d * n)
-
-    def __rtruediv__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return o / self
-
     def __neg__(self):
         return _gr(-self.a, -self.b, self.d)
-
-    def __pow__(self, k: int):
-        if not isinstance(k, int):
-            return NotImplemented
-        return _power(self, k, GR_ONE)
 
     def __bool__(self):
         return bool(self.a or self.b)
 
-    def __eq__(self, other):
-        o = other if other.__class__ is GaussRational \
-            else self._coerce(other)
-        if o is None:
+    def __eq__(self, o):
+        if o.__class__ is not GaussRational:
             return NotImplemented
         return self.a == o.a and self.b == o.b and self.d == o.d
 
     def __hash__(self):
-        if self.b:
-            return hash((self.a, self.b, self.d))
-        return hash(self.re)  # equal to the hash of the equal int or Fraction
+        return hash((self.a, self.b, self.d))
 
     def __str__(self):
         if not self.b:
@@ -318,18 +272,11 @@ def _pscale(c: GaussRational, a: tuple) -> tuple:
 
 
 def _pdivmod(a: tuple, b: tuple):
-    """Exact Euclidean division over the coefficient field.  A monomial
-    divisor c*q^k is a shift: the quotient is a[k:] scaled by 1/c and the
-    remainder is a[:k]."""
+    """Exact Euclidean division over the coefficient field."""
     if not b:
         raise ZeroDivisionError("zero divisor")
     if len(a) < len(b):
         return (), a
-    if _is_monomial(b):
-        k, c = len(b) - 1, b[-1]
-        quo = a[k:] if c.a == 1 and c.d == 1 and not c.b \
-            else _pscale(c.inverse(), a[k:])
-        return quo, _pnorm(a[:k])
     rem = list(a)
     quo = [GR_ZERO] * (len(a) - len(b) + 1)
     inv_lead = b[-1].inverse()
@@ -345,26 +292,11 @@ def _pdivmod(a: tuple, b: tuple):
     return _pnorm(quo), _pnorm(rem)
 
 
-def _order(a: tuple) -> int:
-    """Index of the lowest nonzero coefficient."""
-    for k, c in enumerate(a):
-        if c:
-            return k
-    return 0
-
-
 def _pgcd(a: tuple, b: tuple) -> tuple:
-    """Monic gcd.  Monomial arguments get a fast path (the common case:
-    denominators here are almost always powers of q)."""
-    if not a:
-        return _pmonic(b)
-    if not b:
-        return _pmonic(a)
-    if _is_monomial(a) or _is_monomial(b):
-        # gcd(q^k c, p) = q^min(k, ord(p)), still a monomial
-        return (GR_ZERO,) * min(_order(a), _order(b)) + (GR_ONE,)
-    # monic remainders: unscaled, their coefficients swell at every step
-    # (a closure of two dense 3 x 3 matrices took 21 s, now 2 s)
+    """Monic gcd of a and b by the Euclidean loop alone: Scalar.__init__
+    calls it on two non-monomials.  The remainders are made monic:
+    unscaled, their coefficients swell at every step (a closure of two
+    dense 3 x 3 matrices took 21 s, now 2 s)."""
     while b:
         a, b = b, _pmonic(_pdivmod(a, b)[1])
     return _pmonic(a)
@@ -396,18 +328,19 @@ class Scalar:
             raise ZeroDivisionError("zero divisor")
         if not num:
             den = _P_ONE
-        elif _is_monomial(den):
-            # gcd(num, c*q^k) = q^s with s = min(k, ord num): slice it off
-            k = len(den) - 1
+        else:
+            # gcd(num, den) = q^s * gcd(num[s:], den[s:]), s = min(ord num,
+            # ord den); one sliced side has a nonzero constant term, so the
+            # second gcd is 1 when either side is a monomial c*q^k
             s = 0
-            while s < k and not num[s]:
+            while not (num[s] or den[s]):
                 s += 1
             num, den = num[s:], den[s:]
-        else:
-            g = _pgcd(num, den)
-            if len(g) > 1:
-                num = _pdivmod(num, g)[0]
-                den = _pdivmod(den, g)[0]
+            if not (_is_monomial(den) or _is_monomial(num)):
+                g = _pgcd(num, den)
+                if len(g) > 1:
+                    num = _pdivmod(num, g)[0]
+                    den = _pdivmod(den, g)[0]
         lead = den[-1]
         if not (lead.a == 1 and lead.d == 1 and not lead.b):
             inv = lead.inverse()

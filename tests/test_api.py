@@ -8,6 +8,7 @@ import pathlib
 
 import qgl2
 from qgl2.matrices import Mat, MatSpace, invertible_element
+from qgl2.scalars import Scalar
 
 TRACER = pathlib.Path(__file__).parent.parent / "perfbench" / "tracer.py"
 
@@ -19,11 +20,11 @@ def resolve(module: str, path: str):
     return obj
 
 
-def traced_names():
+def load_tracer():
     spec = importlib.util.spec_from_file_location("perfbench_tracer", TRACER)
     tracer = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(tracer)
-    return tracer.TRACED
+    return tracer
 
 
 def test_all_names_resolve():
@@ -34,10 +35,17 @@ def test_all_names_resolve():
 def test_benchmark_names_resolve():
     # the benchmark's set-up builds the Clifford basis besides the traced
     # functions
-    names = list(traced_names()) + [("clifford", "build_clifford")]
+    tracer = load_tracer()
+    names = list(tracer.TRACED) + [("clifford", "build_clifford")]
     assert len(names) > 1
     for module, path in names:
         assert callable(resolve(module, path)), f"{module}.{path}"
+    # the counters patch these and read the den slot of every result
+    assert tracer.SCALAR_OPS
+    for name in tracer.SCALAR_OPS:
+        assert callable(getattr(Scalar, name, None)), f"Scalar.{name}"
+    assert callable(Mat.is_invertible)
+    assert "den" in Scalar.__slots__
 
 
 def test_invertible_element_returns_mat_or_none():

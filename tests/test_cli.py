@@ -309,6 +309,7 @@ BAD_INPUT = {
     "directory": (ONE_FILE, [None]),
     "not-json": (ONE_FILE, ["{"]),
     "no-n": (ONE_FILE, ['{"entries": [["1"]]}']),
+    "n-boolean": (ONE_FILE, ['{"n": true, "entries": [["q"]]}']),
     "n-above-max": (ONE_FILE, [zero_matrix(MAX_N + 1)]),
     "rep-mixed-sizes": (["equiv", "{0}", "admissible-a"],
                         [f'{{"a": {M2}, "b": {M3}}}']),

@@ -2,6 +2,8 @@
 
 import random
 from fractions import Fraction
+from itertools import islice
+from math import prod
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
@@ -11,9 +13,9 @@ from oracles import det_vanishes, sandwich_kernel
 from qgl2.clifford import build_action, counit_invariance_space
 from qgl2.gl2 import GL2Rep, gl2_equivalent
 from qgl2.matrices import (HOWS, Mat, MatSpace, Verdict, _kernel_is_zero,
-                           _nonzeros, _scaled_conjugacy, centralizer,
-                           invertible_element, power_traces, rref,
-                           stacked_nullspace, subalgebra_closure)
+                           _nonzeros, _scaled_conjugacy, _traces, centralizer,
+                           invertible_element, rref, stacked_nullspace,
+                           subalgebra_closure)
 from qgl2.scalars import (RESIDUE_P, RESIDUE_Q0, GaussRational, I, ONE, Q,
                           ZERO, Scalar, scalar)
 from qgl2.spinors import (QSpinorRep, admissibility, q_commutant,
@@ -41,7 +43,7 @@ def det(m: Mat):
             sign = -sign
         pv = rows[col][col]
         out = out * pv
-        inv = one / pv
+        inv = pv.inverse()
         for r in range(col + 1, n):
             f = rows[r][col]
             if f:
@@ -166,8 +168,8 @@ class TestMatSpace:
     def test_le(self):
         small = MatSpace.span([e(1, 1)])
         big = MatSpace.span([e(1, 1), e(1, 2)])
-        assert small <= big
-        assert not big <= small
+        assert all(big.contains(b) for b in small.basis)
+        assert not all(small.contains(b) for b in big.basis)
 
     def test_empty_space(self):
         s = MatSpace.span([], n=4)
@@ -296,7 +298,8 @@ class TestResidueProbe:
 class TestSearchHelpers:
     def test_power_traces(self):
         m = Mat.diag(Q, ONE)
-        assert power_traces(m, 3) == (Q + ONE, Q ** 2 + ONE, Q ** 3 + ONE)
+        assert tuple(islice(_traces(m), 3)) == (Q + ONE, Q ** 2 + ONE,
+                                                Q ** 3 + ONE)
 
     def test_second_trace_rules_out_before_any_solve(self, monkeypatch):
         # tr(g) is 0 on both sides; tr(g^2) is 2 against 0, which no
@@ -481,7 +484,8 @@ def gauss_jordan(rows: list) -> tuple:
         if piv is None:
             continue
         rows[r], rows[piv] = rows[piv], rows[r]
-        rows[r] = [x / rows[r][c] for x in rows[r]]
+        inv = rows[r][c].inverse()
+        rows[r] = [x * inv for x in rows[r]]
         for k in range(len(rows)):
             if k != r:
                 f = rows[k][c]
@@ -638,7 +642,7 @@ class TestClosureProperties:
         m = data.draw(square_mats(pool, n))
         naive = naive_power_traces(m, 2 * n + 1)
         for k in range(1, 2 * n + 2):
-            assert power_traces(m, k) == naive[:k]
+            assert tuple(islice(_traces(m), k)) == naive[:k]
 
     def test_dependent_and_duplicate_generators_add_nothing(self):
         a = e(1, 2, 3) + e(2, 3, 3).scale(Q)
@@ -690,7 +694,8 @@ def q_spinor_pairs(draw, pool, max_n):
     if draw(st.booleans()):
         a = draw(square_mats(pool, n))
     else:
-        a = Mat.diag(*(q ** draw(st.integers(0, 2)) for _ in range(n)))
+        a = Mat.diag(*(prod([q] * draw(st.integers(0, 2)), start=q.one())
+                       for _ in range(n)))
     b = a.scale(q.zero())
     for m in sandwich_kernel(n, [[(a, None, q.one()), (None, a, -q)]]).basis:
         b = b + m.scale(draw(st.sampled_from(pool)))
