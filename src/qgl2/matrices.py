@@ -6,8 +6,12 @@ arithmetic protocol.  Nothing is ever approximated.
 
 One row-reduction kernel, _insert (with _reduce), makes every exact
 decision: it adds a vector to a fully reduced echelon basis kept sorted
-by pivot column.  rref feeds rows through it, so every rank, inverse and
-kernel over the entry field goes through it.  MatSpace keeps its basis
+by pivot column.  Each basis vector is 0 before its pivot column and at
+every other pivot, and 1 at its own pivot.  The kernel writes the
+entries this fixes as exact zeros and ones and updates only the entries
+after a pivot or lead: it never forms a product at a pivot.  rref
+feeds rows through it, so every rank, inverse and kernel over the entry
+field goes through it, exact or sampled.  MatSpace keeps its basis
 in that form under row-major flattening: a kernel's is read off one
 rref, every other one (span, closure) is built by _insert, and
 membership is one _reduce.  The form is unique: equal subspaces always
@@ -220,31 +224,45 @@ class Mat:
 
 def _reduce(vectors: list, pivots: list, vec) -> list:
     """vec minus its components along the basis, as a new list.  The
-    basis is fully reduced, so the coefficient on each basis vector is
-    the entry of vec in that vector's pivot column."""
+    basis is fully reduced, so the coefficient c on each basis vector is
+    the entry of vec in that vector's pivot column.  The basis vector is
+    0 before that column, 1 in it and 0 at every other pivot, so c - c * 1
+    is written as an exact zero and only the entries after the pivot
+    are updated: no product is formed at a pivot."""
     vec = list(vec)
     for piv, basis_vec in zip(pivots, vectors):
         c = vec[piv]
         if c:
-            vec = [x - c * y if y else x for x, y in zip(vec, basis_vec)]
+            vec[piv] = c.zero()
+            vec[piv + 1:] = [x - c * y if y else x for x, y in
+                             zip(vec[piv + 1:], basis_vec[piv + 1:])]
     return vec
 
 
 def _insert(vectors: list, pivots: list, vec) -> bool:
     """Add vec to the basis if it is independent, keeping the basis fully
-    reduced and sorted.  Returns True when the dimension grew."""
+    reduced and sorted.  Returns True when the dimension grew.
+
+    The reduced vec is 0 at every pivot and before its lead, so it is
+    normalised by writing an exact one at the lead and scaling only the
+    entries after it.  Only basis vectors with a pivot before the lead
+    can be nonzero in the lead column; each of those becomes a new list
+    with an exact zero there and only its entries after the lead
+    updated."""
     vec = _reduce(vectors, pivots, vec)
     lead = next((k for k, x in enumerate(vec) if x), None)
     if lead is None:
         return False
     inv = vec[lead].inverse()
-    vec = [inv * x if x else x for x in vec]
-    for i, basis_vec in enumerate(vectors):
+    tail = [inv * x if x else x for x in vec[lead + 1:]]
+    vec[lead:] = [inv.one()] + tail
+    at = bisect_left(pivots, lead)
+    for i, basis_vec in enumerate(vectors[:at]):
         c = basis_vec[lead]
         if c:
-            vectors[i] = [x - c * y if y else x
-                          for x, y in zip(basis_vec, vec)]
-    at = bisect_left(pivots, lead)
+            vectors[i] = basis_vec[:lead] + [c.zero()] + [
+                x - c * y if y else x
+                for x, y in zip(basis_vec[lead + 1:], tail)]
     pivots.insert(at, lead)
     vectors.insert(at, vec)
     return True

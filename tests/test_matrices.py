@@ -10,12 +10,13 @@ from hypothesis import assume, given, settings, strategies as st
 
 import qgl2.matrices
 from oracles import det_vanishes, sandwich_kernel
+from qgl2.catalog import closure_generators
 from qgl2.clifford import build_action, counit_invariance_space
 from qgl2.gl2 import GL2Rep, gl2_equivalent
 from qgl2.matrices import (HOWS, Mat, MatSpace, Verdict, _kernel_is_zero,
-                           _nonzeros, _scaled_conjugacy, _traces, centralizer,
-                           invertible_element, rref, stacked_nullspace,
-                           subalgebra_closure)
+                           _nonzeros, _reduce, _scaled_conjugacy, _traces,
+                           centralizer, invertible_element, rref,
+                           stacked_nullspace, subalgebra_closure)
 from qgl2.scalars import (RESIDUE_P, RESIDUE_Q0, GaussRational, I, ONE, Q,
                           ZERO, Scalar, scalar)
 from qgl2.spinors import (QSpinorRep, admissibility, q_commutant,
@@ -472,6 +473,30 @@ def row_lists(draw, pool, ncols=None, min_rows=1, max_rows=5):
     return rows
 
 
+@st.composite
+def wide_row_lists(draw, pool):
+    """ncols = 9..16 columns and ncols - 2 to ncols rows, like the sparse
+    rows of the operator X -> X A - B X: row r is nonzero in column
+    order[r] of a drawn permutation and in up to three more, each entry
+    drawn from pool, and sometimes one row is a combination of two
+    others, so the rank is full or close to it."""
+    ncols = draw(st.integers(9, 16))
+    order = draw(st.permutations(range(ncols)))
+    nonzero = st.sampled_from([x for x in pool if x])
+    rows = []
+    for r in range(draw(st.integers(ncols - 2, ncols))):
+        row = [type(pool[0]).zero()] * ncols
+        for k in {order[r]} | draw(st.sets(st.integers(0, ncols - 1),
+                                           max_size=3)):
+            row[k] = draw(nonzero)
+        rows.append(row)
+    if draw(st.booleans()):
+        i, j, k = draw(st.permutations(range(len(rows))))[:3]
+        a, b = draw(nonzero), draw(nonzero)
+        rows[k] = [a * x + b * y for x, y in zip(rows[i], rows[j])]
+    return rows
+
+
 def gauss_jordan(rows: list) -> tuple:
     """Reference reduced row echelon form: column by column, take the
     first remaining row with a nonzero entry, scale it to a leading one
@@ -492,6 +517,14 @@ def gauss_jordan(rows: list) -> tuple:
                 rows[k] = [x - f * y for x, y in zip(rows[k], rows[r])]
         pivots.append(c)
     return rows[:len(pivots)], pivots
+
+
+def dense_reduce(vectors: list, pivots: list, vec) -> list:
+    """Reference _reduce: x - c * y in every column, pivots included."""
+    for piv, basis_vec in zip(pivots, vectors):
+        c = vec[piv]
+        vec = [x - c * y for x, y in zip(vec, basis_vec)]
+    return vec
 
 
 def as_mats(rows: list) -> list:
@@ -559,6 +592,35 @@ class TestKernelProperties:
         inside = space.contains(m)
         assert space._vectors == vectors and space._pivots == pivots
         assert inside == (MatSpace.span(mats + [m]).dim == space.dim)
+
+    @POOLS
+    @PROPERTY
+    @given(data=st.data())
+    def test_wide_rows_match_dense_reference(self, pool, data):
+        rows = data.draw(wide_row_lists(pool))
+        reduced, pivots = rref(rows)
+        assert (reduced, pivots) == gauss_jordan(rows)
+        ncols = len(rows[0])
+        vec = data.draw(st.lists(st.sampled_from(pool), min_size=ncols,
+                                 max_size=ncols))
+        out = _reduce(reduced, pivots, vec)
+        assert out == dense_reduce(reduced, pivots, vec)
+        assert all(out[pc] == type(pool[0]).zero() for pc in pivots)
+
+    def test_centralizer_work_budget(self, monkeypatch):
+        # the exact invariants of perturbed-a's single-mode operator
+        # algebra, as report._algebra forms them: 8 products; a dense
+        # update, which also forms x - c * 1 at each pivot, takes 70
+        basis = subalgebra_closure(closure_generators("perturbed-a")).basis
+        products = []
+        mul = Scalar.__mul__
+
+        def counted(x, y):
+            products.append(1)
+            return mul(x, y)
+        monkeypatch.setattr(Scalar, "__mul__", counted)
+        assert centralizer(basis).dim == 1
+        assert len(products) <= 8
 
 
 # ---------------------------------------------------------------------------
