@@ -5,13 +5,15 @@ GaussRational (after numeric substitution), since both expose the same
 arithmetic protocol.  Nothing is ever approximated.
 
 One row-reduction kernel, _insert (with _reduce), makes every exact
-decision: it adds a vector to a fully reduced echelon basis kept sorted
-by pivot column.  Each basis vector is 0 before its pivot column and at
-every other pivot, and 1 at its own pivot.  The kernel writes the
-entries this fixes as exact zeros and ones and updates only the entries
-after a pivot or lead: it never forms a product at a pivot.  rref
-feeds rows through it, so every rank, inverse and kernel over the entry
-field goes through it, exact or sampled.  MatSpace keeps its basis
+decision: it adds a row to a fully reduced echelon basis kept sorted by
+pivot column.  A kernel row is a dict from a column to its nonzero
+entry: a zero entry is absent, and an entry that cancels to zero is
+deleted, so equal rows are equal dicts.  Each basis row is 1 at its own
+pivot and absent at every other pivot and before its pivot.  The kernel
+visits only the entries a row holds, and writes the ones and zeros this
+fixes instead of computing them: it never forms a product at a pivot.
+rref feeds rows through it, so every rank, inverse and kernel over the
+entry field goes through it, exact or sampled.  MatSpace keeps its basis
 in that form under row-major flattening: a kernel's is read off one
 rref, every other one (span, closure) is built by _insert, and
 membership is one _reduce.  The form is unique: equal subspaces always
@@ -160,16 +162,18 @@ class Mat:
     # -- elimination-backed queries ------------------------------------------
 
     def rank(self) -> int:
-        return len(rref(self.rows)[1])
+        return len(rref(list(map(_sparse, self.rows)))[1])
 
     def inverse(self) -> "Mat":
         n = self.n
-        ident = Mat.identity(n, one=type(self.rows[0][0]).one()).rows
-        aug = [self.rows[i] + ident[i] for i in range(n)]
+        one = type(self.rows[0][0]).one()
+        aug = [{**_sparse(row), n + i: one} for i, row in enumerate(self.rows)]
         reduced, pivots = rref(aug)
         if pivots != list(range(n)):
             raise ValueError("singular")
-        return Mat([row[n:] for row in reduced])
+        zero = one.zero()
+        return Mat([[row.get(n + j, zero) for j in range(n)]
+                    for row in reduced])
 
     def is_invertible(self) -> bool:
         return self.rank() == self.n
@@ -219,58 +223,76 @@ class Mat:
 
 
 # ---------------------------------------------------------------------------
-# the row-reduction kernel: a fully reduced echelon basis, kept as two
-# parallel lists sorted by pivot column
+# the row-reduction kernel: a fully reduced echelon basis of sparse rows,
+# kept as two parallel lists sorted by pivot column
 
-def _reduce(vectors: list, pivots: list, vec) -> list:
-    """vec minus its components along the basis, as a new list.  The
-    basis is fully reduced, so the coefficient c on each basis vector is
-    the entry of vec in that vector's pivot column.  The basis vector is
-    0 before that column, 1 in it and 0 at every other pivot, so c - c * 1
-    is written as an exact zero and only the entries after the pivot
-    are updated: no product is formed at a pivot."""
-    vec = list(vec)
+def _sparse(row) -> dict:
+    """The kernel row of a dense row: its nonzero entries by column."""
+    return {k: x for k, x in enumerate(row) if x}
+
+
+def _subtract(vec: dict, c, row: dict, skip: int) -> None:
+    """vec -= c * row in place, over the columns of row other than skip.
+    An entry that cancels is deleted, so vec holds no zero."""
+    for k, y in row.items():
+        if k != skip:
+            x = vec.get(k)
+            if x is None:
+                vec[k] = -(c * y)
+            else:
+                x = x - c * y
+                if x:
+                    vec[k] = x
+                else:
+                    del vec[k]
+
+
+def _reduce(vectors: list, pivots: list, vec: dict) -> dict:
+    """vec minus its components along the basis, as a new row.  The basis
+    is fully reduced, so the coefficient c on each basis row is the entry
+    of vec at that row's pivot.  A basis row is absent at every other
+    pivot, so no update changes a coefficient still to be read.  c is
+    popped, since c - c * 1 is zero, and only the other entries the basis
+    row holds are updated: no product is formed at a pivot."""
+    vec = dict(vec)
     for piv, basis_vec in zip(pivots, vectors):
-        c = vec[piv]
-        if c:
-            vec[piv] = c.zero()
-            vec[piv + 1:] = [x - c * y if y else x for x, y in
-                             zip(vec[piv + 1:], basis_vec[piv + 1:])]
+        c = vec.pop(piv, None)
+        if c is not None:
+            _subtract(vec, c, basis_vec, piv)
     return vec
 
 
-def _insert(vectors: list, pivots: list, vec) -> bool:
+def _insert(vectors: list, pivots: list, vec: dict) -> bool:
     """Add vec to the basis if it is independent, keeping the basis fully
     reduced and sorted.  Returns True when the dimension grew.
 
-    The reduced vec is 0 at every pivot and before its lead, so it is
-    normalised by writing an exact one at the lead and scaling only the
-    entries after it.  Only basis vectors with a pivot before the lead
-    can be nonzero in the lead column; each of those becomes a new list
-    with an exact zero there and only its entries after the lead
-    updated."""
+    The reduced vec holds no pivot column, and its lead is its least
+    column.  It is normalised by writing an exact one at the lead and
+    scaling its other entries.  Only basis rows with a pivot before the
+    lead can hold the lead column; each of those that does has that entry
+    popped and is updated in place by the new row's other entries."""
     vec = _reduce(vectors, pivots, vec)
-    lead = next((k for k, x in enumerate(vec) if x), None)
-    if lead is None:
+    if not vec:
         return False
-    inv = vec[lead].inverse()
-    tail = [inv * x if x else x for x in vec[lead + 1:]]
-    vec[lead:] = [inv.one()] + tail
+    lead = min(vec)
+    inv = vec.pop(lead).inverse()
+    for k, x in vec.items():
+        vec[k] = inv * x
     at = bisect_left(pivots, lead)
-    for i, basis_vec in enumerate(vectors[:at]):
-        c = basis_vec[lead]
-        if c:
-            vectors[i] = basis_vec[:lead] + [c.zero()] + [
-                x - c * y if y else x
-                for x, y in zip(basis_vec[lead + 1:], tail)]
+    for basis_vec in vectors[:at]:
+        c = basis_vec.pop(lead, None)
+        if c is not None:
+            _subtract(basis_vec, c, vec, lead)
+    vec[lead] = inv.one()
     pivots.insert(at, lead)
     vectors.insert(at, vec)
     return True
 
 
 def rref(rows) -> tuple:
-    """Reduced row echelon form of a rectangular row list, which is left
-    unchanged.  Returns (nonzero reduced rows, pivot columns)."""
+    """Reduced row echelon form of a list of kernel rows (see _sparse),
+    which is left unchanged.  Returns (nonzero reduced rows, pivot
+    columns)."""
     vectors, pivots = [], []
     for row in rows:
         _insert(vectors, pivots, row)
@@ -281,7 +303,9 @@ def rref(rows) -> tuple:
 # subspaces of n x n matrices
 
 class MatSpace:
-    """A subspace of n x n matrices with a canonical reduced echelon basis."""
+    """A subspace of n x n matrices with a canonical reduced echelon basis,
+    kept as kernel rows of the row-major flattened matrices: two spaces
+    are equal exactly when their rows are equal dicts."""
 
     __slots__ = ("n", "_pivots", "_vectors")
 
@@ -303,10 +327,11 @@ class MatSpace:
         return space
 
     def _insert(self, vec) -> bool:
-        """Add vec to the space; True when the dimension grew."""
+        """Add the dense flattened matrix vec to the space; True when the
+        dimension grew."""
         if len(vec) != self.n * self.n:
             raise ValueError("dimension mismatch")
-        return _insert(self._vectors, self._pivots, vec)
+        return _insert(self._vectors, self._pivots, _sparse(vec))
 
     @property
     def dim(self) -> int:
@@ -315,13 +340,18 @@ class MatSpace:
     @property
     def basis(self) -> list:
         n = self.n
-        return [Mat([vec[i * n:(i + 1) * n] for i in range(n)])
-                for vec in self._vectors]
+        out = []
+        for piv, vec in zip(self._pivots, self._vectors):
+            zero = vec[piv].zero()
+            out.append(Mat([[vec.get(i * n + j, zero) for j in range(n)]
+                            for i in range(n)]))
+        return out
 
     def contains(self, m: Mat) -> bool:
         if m.n != self.n:
             return False
-        return not any(_reduce(self._vectors, self._pivots, m.flatten()))
+        return not _reduce(self._vectors, self._pivots,
+                           _sparse(m.flatten()))
 
     def __eq__(self, other):
         if not isinstance(other, MatSpace):
@@ -369,22 +399,27 @@ def subalgebra_closure(generators: Iterable[Mat]) -> MatSpace:
     return space
 
 
-def _operator_rows(n: int, a, b, z) -> list:
-    """Vectorize X -> X A - B X as an n^2 x n^2 row list.  a and b are the
-    row grids of A and B: Mat.rows, or their residues as ints with z = 0.
+def _operator_rows(n: int, a, b) -> list:
+    """Vectorize X -> X A - B X as n^2 kernel rows over n^2 columns.  a
+    and b are the row grids of A and B: Mat.rows, or their residues as
+    ints.
 
     Row-major convention: entry (i, j) of X A is sum_k X[i][k] A[k][j]
     and entry (i, j) of B X is sum_k B[i][k] X[k][j], so row i*n+j picks
-    up A[k][j] at column i*n+k and -B[i][k] at column k*n+j.
+    up A[k][j] at column i*n+k and -B[i][k] at column k*n+j.  The two
+    meet only at column i*n+j, where A[j][j] - B[i][i] may cancel.
     """
     rows = []
     for i, j in product(range(n), repeat=2):
-        row = [z] * (n * n)
-        for k in range(n):
-            if a[k][j]:
-                row[i * n + k] += a[k][j]
-            if b[i][k]:
-                row[k * n + j] -= b[i][k]
+        row = {i * n + k: x for k, x in enumerate(col[j] for col in a) if x}
+        for k, y in enumerate(b[i]):
+            if y:
+                c = k * n + j
+                x = row[c] - y if c in row else -y
+                if x:
+                    row[c] = x
+                else:
+                    del row[c]
         rows.append(row)
     return rows
 
@@ -401,24 +436,27 @@ def _kernel_is_zero(pairs: list, n: int) -> bool:
                   for m in (a, b)]
         if any(None in row for grid in images for row in grid):
             return False
-        rows += _operator_rows(n, *images, 0)
+        rows += _operator_rows(n, *images)
     # each entry is a residue or a difference of two, in (-p, p), so it is
-    # nonzero exactly when it is nonzero mod p; column 0 of every row is
-    # the next column to eliminate, and one without a pivot ends the search
-    for _ in range(n * n):
-        k = next((k for k, row in enumerate(rows) if row[0]), None)
+    # nonzero exactly when it is nonzero mod p, and each update leaves it
+    # in [0, p); a column that no row left holds ends the search
+    for col in range(n * n):
+        k = next((k for k, row in enumerate(rows) if col in row), None)
         if k is None:
             return False
         pivot = rows.pop(k)
-        inv = pow(pivot[0], -1, p)
-        pivot = [x * inv % p for x in pivot[1:]]
-        rows = [[(x - row[0] * y) % p for x, y in zip(row[1:], pivot)]
-                if row[0] else row[1:] for row in rows]
+        inv = pow(pivot.pop(col), -1, p)
+        for row in rows:
+            c = row.pop(col, None)
+            if c is not None:
+                c = c * inv % p
+                for m, y in pivot.items():
+                    x = (row.get(m, 0) - c * y) % p
+                    if x:
+                        row[m] = x
+                    else:
+                        row.pop(m, None)
     return True
-
-
-def _nonzeros(row: list) -> int:
-    return sum(map(bool, row))
 
 
 def stacked_nullspace(pairs: list) -> MatSpace:
@@ -440,32 +478,32 @@ def stacked_nullspace(pairs: list) -> MatSpace:
     comes from the one rref below, so from _insert.
 
     That rref reduces the rows once, sparsest first (a stable sort by
-    their nonzero count; the reduced echelon form does not depend on the
-    row order, and fewer nonzeros mean fewer updates), with their
-    N = n^2 columns reversed.  The vector of a free reversed column f' is
-    1 there and -R[r][f'] at each pivot p'_r, nonzero only for p'_r < f'.
-    Mapped back by c = N-1-c', it is 1 at f = N-1-f', 0 at every other
-    free column, nonzero elsewhere only at pivots after f: sorted by f,
-    the unique reduced echelon basis."""
+    their length, which for a kernel row is its nonzero count; the reduced
+    echelon form does not depend on the row order, and fewer nonzeros
+    mean fewer updates), with their N = n^2 columns reversed.  The vector
+    of a free reversed column f' is 1 there and -R[r][f'] at each pivot
+    p'_r, nonzero only for p'_r < f'.  Mapped back by c = N-1-c', it is 1
+    at f = N-1-f', 0 at every other free column, nonzero elsewhere only at
+    pivots after f: sorted by f, the unique reduced echelon basis."""
     n = pairs[0][0].n
     if any(m.n != n for pair in pairs for m in pair):
         raise ValueError("dimension mismatch")
-    z = type(pairs[0][0].rows[0][0]).zero()
-    if isinstance(z, Scalar) and any(a != b for a, b in pairs) \
+    one = type(pairs[0][0].rows[0][0]).one()
+    if isinstance(one, Scalar) and any(a != b for a, b in pairs) \
             and _kernel_is_zero(pairs, n):
         return MatSpace(n)
     last = n * n - 1
-    rows = [row[::-1] for a, b in pairs
-            for row in _operator_rows(n, a.rows, b.rows, z)]
-    rows.sort(key=_nonzeros)
+    rows = [{last - c: x for c, x in row.items()} for a, b in pairs
+            for row in _operator_rows(n, a.rows, b.rows)]
+    rows.sort(key=len)
     reduced, pivots = rref(rows)
     space = MatSpace(n)
     for fc in range(last, -1, -1):
         if fc not in pivots:
-            v = [z] * (last + 1)
-            v[last - fc] = type(z).one()
-            for r, pc in enumerate(pivots):
-                v[last - pc] = -reduced[r][fc]
+            v = {last - fc: one}
+            for row, pc in zip(reduced, pivots):
+                if fc in row:
+                    v[last - pc] = -row[fc]
             space._vectors.append(v)
             space._pivots.append(last - fc)
     return space
@@ -540,8 +578,9 @@ def _coefficients(basis: list, n: int):
         return
     for t in (2, 3, 5, 7):
         yield [t ** j for j in range(d)]
-    if len(rref([row for b in basis for row in b.rows])[1]) < n \
-            or len(rref([col for b in basis for col in zip(*b.rows)])[1]) < n:
+    if len(rref([_sparse(row) for b in basis for row in b.rows])[1]) < n \
+            or len(rref([_sparse(col) for b in basis
+                         for col in zip(*b.rows)])[1]) < n:
         return
     for k in range(min(n, d), 1, -1):
         for support in combinations(range(d), k):

@@ -1,7 +1,7 @@
 """Reference objects that only the tests use."""
 
 from qgl2.gl2 import GL2Rep
-from qgl2.matrices import Mat, MatSpace, rref
+from qgl2.matrices import Mat, MatSpace, _sparse, rref
 from qgl2.scalars import ONE, Q, Scalar
 
 
@@ -56,7 +56,8 @@ def sandwich_kernel(n: int, operators: list) -> MatSpace:
     each given as its term list; the coefficients fix the field."""
     one = type(operators[0][0][2]).one()
     z = type(one).zero()
-    rows = [row for terms in operators for row in sandwich_rows(n, terms, z)]
+    rows = [_sparse(row) for terms in operators
+            for row in sandwich_rows(n, terms, z)]
     reduced, pivots = rref(rows)
     space = MatSpace(n)
     for fc in range(n * n):
@@ -64,7 +65,7 @@ def sandwich_kernel(n: int, operators: list) -> MatSpace:
             v = [z] * (n * n)
             v[fc] = one
             for r, pc in enumerate(pivots):
-                v[pc] = -reduced[r][fc]
+                v[pc] = -reduced[r].get(fc, z)
             space._insert(v)
     return space
 

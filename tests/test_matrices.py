@@ -14,7 +14,7 @@ from qgl2.catalog import closure_generators
 from qgl2.clifford import build_action, counit_invariance_space
 from qgl2.gl2 import GL2Rep, gl2_equivalent
 from qgl2.matrices import (HOWS, Mat, MatSpace, Verdict, _kernel_is_zero,
-                           _nonzeros, _reduce, _scaled_conjugacy, _traces,
+                           _reduce, _scaled_conjugacy, _sparse, _traces,
                            centralizer, invertible_element, rref,
                            stacked_nullspace, subalgebra_closure)
 from qgl2.scalars import (RESIDUE_P, RESIDUE_Q0, GaussRational, I, ONE, Q,
@@ -519,6 +519,17 @@ def gauss_jordan(rows: list) -> tuple:
     return rows[:len(pivots)], pivots
 
 
+def kernel_form(reduced: tuple) -> tuple:
+    """A dense (rows, pivots) pair with its rows as kernel rows."""
+    rows, pivots = reduced
+    return [_sparse(row) for row in rows], pivots
+
+
+def dense(row: dict, ncols: int, zero) -> list:
+    """The dense row of a kernel row."""
+    return [row.get(k, zero) for k in range(ncols)]
+
+
 def dense_reduce(vectors: list, pivots: list, vec) -> list:
     """Reference _reduce: x - c * y in every column, pivots included."""
     for piv, basis_vec in zip(pivots, vectors):
@@ -539,9 +550,9 @@ class TestKernelProperties:
     def test_rref_matches_reference_in_any_row_order(self, pool, data):
         rows = data.draw(row_lists(pool))
         order = data.draw(st.permutations(range(len(rows))))
-        shuffled = [rows[k] for k in order]
-        before = [list(row) for row in shuffled]
-        assert rref(shuffled) == gauss_jordan(rows)
+        shuffled = [_sparse(rows[k]) for k in order]
+        before = [dict(row) for row in shuffled]
+        assert rref(shuffled) == kernel_form(gauss_jordan(rows))
         assert shuffled == before
 
     @POOLS
@@ -549,18 +560,20 @@ class TestKernelProperties:
     @given(data=st.data())
     def test_rref_ignores_row_order(self, pool, data):
         # stacked_nullspace feeds its rows sparsest first on this
-        rows = data.draw(row_lists(pool))
+        rows = [_sparse(row) for row in data.draw(row_lists(pool))]
         order = data.draw(st.permutations(range(len(rows))))
         expected = rref(rows)
         assert rref([rows[k] for k in order]) == expected
-        assert rref(sorted(rows, key=_nonzeros)) == expected
+        assert rref(sorted(rows, key=len)) == expected
 
     @POOLS
     @PROPERTY
     @given(data=st.data())
     def test_rref_is_reduced_echelon(self, pool, data):
-        reduced, pivots = rref(data.draw(row_lists(pool)))
+        rows = data.draw(row_lists(pool))
+        reduced, pivots = rref([_sparse(row) for row in rows])
         one, zero = type(pool[0]).one(), type(pool[0]).zero()
+        reduced = [dense(row, len(rows[0]), zero) for row in reduced]
         assert len(reduced) == len(pivots)
         assert all(a < b for a, b in zip(pivots, pivots[1:]))
         for r, (row, pc) in enumerate(zip(reduced, pivots)):
@@ -587,7 +600,7 @@ class TestKernelProperties:
         *mats, m = as_mats(data.draw(row_lists(pool, ncols=4, min_rows=2,
                                                max_rows=6)))
         space = MatSpace.span(mats)
-        vectors = [list(v) for v in space._vectors]
+        vectors = [dict(v) for v in space._vectors]
         pivots = list(space._pivots)
         inside = space.contains(m)
         assert space._vectors == vectors and space._pivots == pivots
@@ -598,14 +611,16 @@ class TestKernelProperties:
     @given(data=st.data())
     def test_wide_rows_match_dense_reference(self, pool, data):
         rows = data.draw(wide_row_lists(pool))
-        reduced, pivots = rref(rows)
-        assert (reduced, pivots) == gauss_jordan(rows)
-        ncols = len(rows[0])
+        reduced, pivots = rref([_sparse(row) for row in rows])
+        assert (reduced, pivots) == kernel_form(gauss_jordan(rows))
+        ncols, zero = len(rows[0]), type(pool[0]).zero()
         vec = data.draw(st.lists(st.sampled_from(pool), min_size=ncols,
                                  max_size=ncols))
-        out = _reduce(reduced, pivots, vec)
-        assert out == dense_reduce(reduced, pivots, vec)
-        assert all(out[pc] == type(pool[0]).zero() for pc in pivots)
+        out = _reduce(reduced, pivots, _sparse(vec))
+        expected = dense_reduce([dense(row, ncols, zero) for row in reduced],
+                                pivots, vec)
+        assert out == _sparse(expected)
+        assert all(dense(out, ncols, zero)[pc] == zero for pc in pivots)
 
     def test_centralizer_work_budget(self, monkeypatch):
         # the exact invariants of perturbed-a's single-mode operator
@@ -621,6 +636,20 @@ class TestKernelProperties:
         monkeypatch.setattr(Scalar, "__mul__", counted)
         assert centralizer(basis).dim == 1
         assert len(products) <= 8
+
+    def test_centralizer_truth_test_budget(self, monkeypatch):
+        # the same solve: sparse rows test only the entries they hold,
+        # 1190 truth tests; dense rows, which test every zero, take 6746
+        basis = subalgebra_closure(closure_generators("perturbed-a")).basis
+        tests = []
+        truth = Scalar.__bool__
+
+        def counted(x):
+            tests.append(1)
+            return truth(x)
+        monkeypatch.setattr(Scalar, "__bool__", counted)
+        assert centralizer(basis).dim == 1
+        assert len(tests) <= 1190
 
 
 # ---------------------------------------------------------------------------
@@ -695,6 +724,24 @@ class TestClosureProperties:
         assert closure == pairwise_closure(gens)
         basis = closure.basis
         assert all(closure.contains(x * y) for x in basis for y in basis)
+
+    @SIZED_POOLS
+    @CLOSURE_PROPERTY
+    @given(data=st.data())
+    def test_stored_rows_are_canonical(self, pool, max_n, data):
+        # MatSpace equality compares these rows as dicts, so a stored zero
+        # or a column outside range(n^2) would make equal spaces unequal
+        gens = data.draw(generator_lists(pool, max_n))
+        n = gens[0].n
+        stored = [rref([_sparse(g.flatten()) for g in gens])[0],
+                  MatSpace.span(gens)._vectors,
+                  subalgebra_closure(gens)._vectors,
+                  centralizer(gens)._vectors,
+                  stacked_nullspace([(g, gens[0]) for g in gens])._vectors]
+        for rows in stored:
+            for row in rows:
+                assert set(row) <= set(range(n * n))
+                assert all(row.values())
 
     @SIZED_POOLS
     @PROPERTY
