@@ -11,10 +11,12 @@ Subcommands:
 
 Matrices are read from JSON files of the form
 {"n": 4, "entries": [["q^2", "0", ...], ...]} with entries written in the
-scalar expression syntax.  Exit status: 0 when all checked claims are
-reproduced, 1 when the report contains discrepancies, 2 on any input or
-computation error.  Output is deterministic: identical invocations print
-identical bytes.
+scalar expression syntax.  Every command takes --format table|json and
+renders only the format it prints: its handler returns the exit code and
+either the table text or the JSON object, and main writes it once.  Exit
+status: 0 when all checked claims are reproduced, 1 when the report
+contains discrepancies, 2 on any input or computation error.  Output is
+deterministic: identical invocations print identical bytes.
 """
 
 import argparse
@@ -42,31 +44,24 @@ def _read_json(path: str):
 
 
 def _load_matrix(path: str) -> Mat:
-    obj = _read_json(path)
-    if not isinstance(obj, dict) or "entries" not in obj:
-        raise ValueError(f"{path}: expected a matrix object with 'entries'")
-    return Mat.from_json(obj)
+    return Mat.from_json(_read_json(path))
 
 
 def _load_rep(path: str):
     """A gl2 quadruple ({"c11": .., "c12": .., "c21": .., "c22": ..}) or a
     q-spinor pair ({"a": .., "b": ..})."""
     obj = _read_json(path)
-    if not isinstance(obj, dict):
-        raise ValueError(f"{path}: expected an object")
-    if {"c11", "c12", "c21", "c22"} <= set(obj):
-        return GL2Rep(*(Mat.from_json(obj[k])
-                        for k in ("c11", "c12", "c21", "c22")))
-    if {"a", "b"} <= set(obj):
-        return QSpinorRep(Mat.from_json(obj["a"]), Mat.from_json(obj["b"]))
-    raise ValueError(
-        f"{path}: expected keys c11/c12/c21/c22 or a/b")
+    for cls, keys in ((GL2Rep, ("c11", "c12", "c21", "c22")),
+                      (QSpinorRep, ("a", "b"))):
+        if isinstance(obj, dict) and all(k in obj for k in keys):
+            return cls(*(Mat.from_json(obj[k]) for k in keys))
+    raise ValueError(f"{path}: expected keys c11/c12/c21/c22 or a/b")
 
 
 def _resolve_rep(ref: str):
     """A catalog entry name, or a path to a rep file."""
     try:
-        get_entry(ref)
+        entry = get_entry(ref)
     except ValueError:
         try:
             return _load_rep(ref)
@@ -74,17 +69,15 @@ def _resolve_rep(ref: str):
             raise ValueError(
                 f"{ref!r} is neither a catalog entry nor a readable "
                 "rep file") from None
-    return instantiate(ref)
+    return instantiate(entry)
 
 
-def _emit(obj: dict, fmt: str, table: str) -> None:
-    if fmt == "json":
-        sys.stdout.write(json.dumps(obj, indent=2) + "\n")
-    else:
-        sys.stdout.write(table)
-
-
-def _basis_table(title: str, space) -> str:
+def _space(args, title: str, space, **head):
+    """A solution space in the requested format: the JSON object of head
+    followed by its dimension and basis, or its title line and basis."""
+    if args.format == "json":
+        return {**head, "dim": space.dim,
+                "basis": [m.to_json() for m in space.basis]}
     lines = [f"{title}: dimension {space.dim}"]
     for k, m in enumerate(space.basis):
         lines.append(f"basis[{k}]:")
@@ -92,73 +85,60 @@ def _basis_table(title: str, space) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _space_json(space) -> dict:
-    return {"dim": space.dim, "basis": [m.to_json() for m in space.basis]}
-
-
-def _cmd_verify_catalog(args) -> int:
-    report = build_report(names=args.entry or None, q0=args.q0,
+def _cmd_verify_catalog(args) -> tuple:
+    report = build_report(names=args.entry, q0=args.q0,
                           orientation=args.orientation)
-    _emit(report, args.format, render_table(report))
-    return report_exit_code(report)
+    out = report if args.format == "json" else render_table(report)
+    return report_exit_code(report), out
 
 
-def _cmd_commutant(args) -> int:
-    a = _load_matrix(args.matrix)
-    space = q_commutant(a, reverse=args.reverse)
+def _cmd_commutant(args) -> tuple:
+    space = q_commutant(_load_matrix(args.matrix), reverse=args.reverse)
     title = "x*a = q*a*x solutions" if args.reverse \
         else "a*x = q*x*a solutions"
-    obj = {"reverse": args.reverse}
-    obj.update(_space_json(space))
-    _emit(obj, args.format, _basis_table(title, space))
-    return 0
+    return 0, _space(args, title, space, reverse=args.reverse)
 
 
-def _cmd_admissible(args) -> int:
+def _cmd_admissible(args) -> tuple:
     a = _load_matrix(args.a)
     b = _load_matrix(args.b)
     c_space, verdict = admissibility(a, b, orientation=args.orientation)
-    obj = {
-        "admissible": verdict.found,
-        "orientation": args.orientation,
-        "c_space": _space_json(c_space),
-        "witness": verdict.witness.to_json() if verdict.found else None,
-    }
+    c_out = _space(args, "c-space", c_space)
+    if args.format == "json":
+        return 0, {
+            "admissible": verdict.found,
+            "orientation": args.orientation,
+            "c_space": c_out,
+            "witness": verdict.witness.to_json() if verdict.found else None,
+        }
     lines = [f"admissible: {'yes' if verdict.found else 'no'} "
              f"(orientation {args.orientation})"]
     if verdict.found:
         lines.append("witness c with c*b != 0:")
         lines.append(str(verdict.witness))
-    table = "\n".join(lines) + "\n" + _basis_table("c-space", c_space)
-    _emit(obj, args.format, table)
-    return 0
+    return 0, "\n".join(lines) + "\n" + c_out
 
 
-def _cmd_centralizer(args) -> int:
-    mats = [_load_matrix(p) for p in args.matrices]
-    space = centralizer(mats)
-    _emit(_space_json(space), args.format,
-          _basis_table("centralizer", space))
-    return 0
+def _cmd_centralizer(args) -> tuple:
+    space = centralizer([_load_matrix(p) for p in args.matrices])
+    return 0, _space(args, "centralizer", space)
 
 
-def _cmd_closure(args) -> int:
+def _cmd_closure(args) -> tuple:
     if args.entry:
         if args.matrices:
             raise ValueError("give either --entry or matrix files, not both")
-        gens = closure_generators(get_entry(args.entry), args.mode)
+        gens = closure_generators(args.entry, args.mode)
         title = f"closure of {args.entry} ({args.mode} mode)"
     else:
         if not args.matrices:
             raise ValueError("need matrix files or --entry")
         gens = [_load_matrix(p) for p in args.matrices]
         title = "closure"
-    space = subalgebra_closure(gens)
-    _emit(_space_json(space), args.format, _basis_table(title, space))
-    return 0
+    return 0, _space(args, title, subalgebra_closure(gens))
 
 
-def _cmd_equiv(args) -> int:
+def _cmd_equiv(args) -> tuple:
     r1 = _resolve_rep(args.first)
     r2 = _resolve_rep(args.second)
     if isinstance(r1, GL2Rep) != isinstance(r2, GL2Rep):
@@ -171,24 +151,19 @@ def _cmd_equiv(args) -> int:
         keys, per = ("alpha",), ""
     found = verdict.found
     u, *alphas = verdict.witness if found else (None,) * (1 + len(keys))
-    obj = {
-        "equivalent": found,
-        "scaling_family": f"q^k, |k| <= {MAX_EXPONENT}{per}",
-        "u": u.to_json() if found else None,
-    }
-    obj.update((k, str(a) if found else None) for k, a in zip(keys, alphas))
-    if found:
-        line = ", ".join(f"{k} = {a}" for k, a in zip(keys, alphas))
-        table = f"equivalent: yes\n{line}\nu:\n{u}\n"
-    else:
-        table = "equivalent: none within monomial scalings\n"
-    _emit(obj, args.format, table)
-    return 0
-
-
-def _add_format(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--format", choices=("table", "json"), default="table",
-                   help="output format (default table)")
+    if args.format == "json":
+        obj = {
+            "equivalent": found,
+            "scaling_family": f"q^k, |k| <= {MAX_EXPONENT}{per}",
+            "u": u.to_json() if found else None,
+        }
+        obj.update((k, str(a) if found else None)
+                   for k, a in zip(keys, alphas))
+        return 0, obj
+    if not found:
+        return 0, "equivalent: none within monomial scalings\n"
+    line = ", ".join(f"{k} = {a}" for k, a in zip(keys, alphas))
+    return 0, f"equivalent: yes\n{line}\nu:\n{u}\n"
 
 
 def _rational(text: str) -> Fraction:
@@ -211,11 +186,19 @@ def _build_parser() -> argparse.ArgumentParser:
         prog="qgl2",
         description="exact verification of quantum GL(2) representations "
                     "and their inner actions")
+    # the options every command takes
+    common = argparse.ArgumentParser(add_help=False)
+    common.add_argument("--format", choices=("table", "json"),
+                        default="table", help="output format (default table)")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser(
-        "verify-catalog",
-        help="check every catalog claim and report discrepancies")
+    def command(name, fn, summary):
+        p = sub.add_parser(name, help=summary, parents=[common])
+        p.set_defaults(fn=fn)
+        return p
+
+    p = command("verify-catalog", _cmd_verify_catalog,
+                "check every catalog claim and report discrepancies")
     p.add_argument("--entry", action="append", metavar="NAME",
                    help="restrict to this entry (repeatable); known: "
                         + ", ".join(list_entries()))
@@ -226,63 +209,49 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--orientation", choices=("default", "flipped"),
                    default="default",
                    help="q-commutation orientation for admissibility")
-    _add_format(p)
-    p.set_defaults(fn=_cmd_verify_catalog)
 
-    p = sub.add_parser("commutant",
-                       help="solve a*x = q*x*a for a matrix file")
+    p = command("commutant", _cmd_commutant,
+                "solve a*x = q*x*a for a matrix file")
     p.add_argument("matrix", help="JSON matrix file")
     p.add_argument("--reverse", action="store_true",
                    help="solve x*a = q*a*x instead")
-    _add_format(p)
-    p.set_defaults(fn=_cmd_commutant)
 
-    p = sub.add_parser("admissible",
-                       help="admissibility of a q-spinor pair (a, b)")
+    p = command("admissible", _cmd_admissible,
+                "admissibility of a q-spinor pair (a, b)")
     p.add_argument("a", help="JSON matrix file for a")
     p.add_argument("b", help="JSON matrix file for b")
     p.add_argument("--orientation", choices=("default", "flipped"),
                    default="default")
-    _add_format(p)
-    p.set_defaults(fn=_cmd_admissible)
 
-    p = sub.add_parser("centralizer",
-                       help="joint centralizer of the given matrices")
+    p = command("centralizer", _cmd_centralizer,
+                "joint centralizer of the given matrices")
     p.add_argument("matrices", nargs="+", help="JSON matrix files")
-    _add_format(p)
-    p.set_defaults(fn=_cmd_centralizer)
 
-    p = sub.add_parser("closure",
-                       help="product closure of matrices or an entry")
+    p = command("closure", _cmd_closure,
+                "product closure of matrices or an entry")
     p.add_argument("matrices", nargs="*", help="JSON matrix files")
     p.add_argument("--entry", metavar="NAME",
                    help="use a catalog entry's generators instead")
     p.add_argument("--mode", choices=("single", "family"),
                    default="single",
                    help="instantiation mode for --entry (default single)")
-    _add_format(p)
-    p.set_defaults(fn=_cmd_closure)
 
-    p = sub.add_parser("equiv",
-                       help="equivalence witness between two "
-                            "representations")
+    p = command("equiv", _cmd_equiv,
+                "equivalence witness between two representations")
     p.add_argument("first", help="catalog entry name or rep JSON file")
     p.add_argument("second", help="catalog entry name or rep JSON file")
-    _add_format(p)
-    p.set_defaults(fn=_cmd_equiv)
 
     return parser
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    args = _build_parser().parse_args(argv)
     try:
-        return args.fn(args)
+        code, out = args.fn(args)
+        if not isinstance(out, str):
+            out = json.dumps(out, indent=2) + "\n"
+        sys.stdout.write(out)
     except (ValueError, ArithmeticError, OSError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 2
-
-
-if __name__ == "__main__":
-    sys.exit(main())
+    return code

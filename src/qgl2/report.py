@@ -266,13 +266,15 @@ def _equivalence_classes(entries: list) -> dict:
 
 def build_report(names: Optional[list] = None, q0: Fraction = Fraction(2),
                  orientation: str = "default") -> dict:
-    """Verify the selected catalog entries (all by default) and collect
-    the outcome.  Deterministic: same inputs, same dict."""
+    """Verify the selected catalog entries (all by default; a repeated
+    entry once, at its first place) and collect the outcome.
+    Deterministic: same inputs, same dict."""
     if orientation not in ("default", "flipped"):
         raise ValueError(f"unknown orientation: {orientation!r}")
     if q0 == 0:
         raise ValueError("evaluation pole")
-    selected = [get_entry(n) for n in names] if names else list(CATALOG)
+    selected = list(dict.fromkeys(map(get_entry, names))) if names \
+        else list(CATALOG)
 
     classes = _equivalence_classes(selected)
 

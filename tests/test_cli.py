@@ -14,7 +14,7 @@ import time
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from qgl2.catalog import CATALOG
+from qgl2.catalog import CATALOG, instantiate
 from qgl2.cli import _load_matrix, main
 from qgl2.scalars import MAX_N
 
@@ -466,6 +466,83 @@ def test_equiv_catalog_pairs_bytes(capsys):
             out.append(text)
     assert (pairs, found) == (185, 23)
     assert sha256("".join(out)) == EQUIV_PAIRS_DIGEST
+
+
+# sha256 of the exit code and stdout of every command but verify-catalog,
+# in both formats, concatenated in the order of non_catalog_runs
+NON_CATALOG_DIGEST = \
+    "b27b6effe17aa2c2479f9235d8469b10f4912f49e504f081034b84cd974188f9"
+
+
+def non_catalog_runs(tmp_path):
+    """argv of every command but verify-catalog, on files written from
+    catalog entries: commutant both ways, admissible (yes, no, flipped),
+    centralizer, closure on files and on an entry, equiv on a rep file."""
+    def files(name, rep):
+        paths = {}
+        for key, mat in vars(rep).items():
+            paths[key] = write_json(tmp_path / f"{name}-{key}.json",
+                                    mat.to_json())
+        return paths
+
+    yes = files("adm", instantiate("admissible-a"))
+    no = files("rej", instantiate("rejected-j3-lower"))
+    quad = instantiate("diagonal-dim3")
+    gens = list(files("diag", quad).values())
+    rep = write_json(tmp_path / "diag-rep.json",
+                     {k: m.to_json() for k, m in vars(quad).items()})
+    return [
+        ["commutant", yes["a"]],
+        ["commutant", yes["a"], "--reverse"],
+        ["admissible", yes["a"], yes["b"]],
+        ["admissible", no["a"], no["b"]],
+        ["admissible", yes["a"], yes["b"], "--orientation", "flipped"],
+        ["centralizer", *gens],
+        ["closure", *gens],
+        ["closure", "--entry", "diagonal-dim3"],
+        ["closure", "--entry", "diagonal-dim3", "--mode", "family"],
+        ["equiv", rep, "diagonal-dim3"],
+    ]
+
+
+def test_non_catalog_commands_bytes(capsys, tmp_path):
+    out = []
+    for argv in non_catalog_runs(tmp_path):
+        for fmt in ("table", "json"):
+            code = main([*argv, "--format", fmt])
+            text = capsys.readouterr().out
+            if fmt == "json":
+                json.loads(text)
+            out.append(f"{code}\n{text}")
+    assert sha256("".join(out)) == NON_CATALOG_DIGEST
+
+
+def test_repeated_entry_is_checked_once(capsys):
+    entry = ["--entry", "rejected-j3-lower"]
+    for fmt in ("table", "json"):
+        assert main(["verify-catalog", *entry, "--format", fmt]) == 0
+        once = capsys.readouterr().out
+        assert main(["verify-catalog", *entry, *entry,
+                     "--format", fmt]) == 0
+        assert capsys.readouterr().out == once
+
+
+COMMANDS = ("verify-catalog", "commutant", "admissible", "centralizer",
+            "closure", "equiv")
+
+
+@pytest.mark.parametrize("argv", [[]] + [[c] for c in COMMANDS],
+                         ids=["qgl2", *COMMANDS])
+def test_help_exits_0(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main([*argv, "--help"])
+    assert exc.value.code == 0
+    out = capsys.readouterr().out
+    assert out.startswith(f"usage: {' '.join(['qgl2', *argv])} ")
+    if argv:
+        assert "--format {table,json}" in out
+    else:
+        assert all(c in out for c in COMMANDS)
 
 
 class TestSubprocess:
