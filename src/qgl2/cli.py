@@ -43,8 +43,16 @@ def _read_json(path: str):
             raise ValueError(f"{path}: JSON nested too deeply") from None
 
 
+def _matrix(path: str, obj) -> Mat:
+    """Mat.from_json(obj), its errors naming the file obj came from."""
+    try:
+        return Mat.from_json(obj)
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None
+
+
 def _load_matrix(path: str) -> Mat:
-    return Mat.from_json(_read_json(path))
+    return _matrix(path, _read_json(path))
 
 
 def _load_rep(path: str):
@@ -54,7 +62,7 @@ def _load_rep(path: str):
     for cls, keys in ((GL2Rep, ("c11", "c12", "c21", "c22")),
                       (QSpinorRep, ("a", "b"))):
         if isinstance(obj, dict) and all(k in obj for k in keys):
-            return cls(*(Mat.from_json(obj[k]) for k in keys))
+            return cls(*(_matrix(path, obj[k]) for k in keys))
     raise ValueError(f"{path}: expected keys c11/c12/c21/c22 or a/b")
 
 

@@ -1,8 +1,19 @@
-"""Dense exact matrices over Q(i)(q) and spaces of them.
+"""Exact matrices over Q(i)(q) and spaces of them.
 
 Everything here is field-generic: entries may be Scalar (the default) or
 GaussRational (after numeric substitution), since both expose the same
 arithmetic protocol.  Nothing is ever approximated.
+
+A Mat keeps every entry, zeros too, in dense row tuples (Mat.rows), but
+its costly operations visit only the nonzero ones: a product lists the
+nonzeros of each row of its right factor once and forms one product per
+matching pair of nonzeros; the operator rows of X -> X A - B X read the
+nonzeros of A's columns and of B's rows once; eval substitutes, and the
+residue probe maps, nonzero entries only; from_json parses each distinct
+entry text once.  Public Mat(...) coerces ints, Fractions and strings
+and checks the shape.  Every result whose entries are already field
+elements (sums, products, scalings, inverses, eval, MatSpace bases) is
+built by _mat, which does neither: it is for field entries only.
 
 One row-reduction kernel, _insert (with _reduce), makes every exact
 decision: it adds a row to a fully reduced echelon basis kept sorted by
@@ -36,8 +47,8 @@ from dataclasses import dataclass
 from itertools import combinations, count, product
 from typing import Iterable, Optional
 
-from .scalars import (MAX_N, ONE, Q, RESIDUE_P, ZERO, GaussRational, Scalar,
-                      _power, scalar)
+from .scalars import (GR_ZERO, MAX_N, ONE, Q, RESIDUE_P, ZERO, GaussRational,
+                      Scalar, _power, scalar)
 
 
 def _entry(value):
@@ -106,43 +117,41 @@ class Mat:
     def __add__(self, other):
         if not isinstance(other, Mat):
             return NotImplemented
-        return Mat([[a + b for a, b in zip(ra, rb)]
-                    for ra, rb in zip(self.rows, other.rows)])
+        return _mat(tuple(tuple(a + b for a, b in zip(ra, rb))
+                          for ra, rb in zip(self.rows, other.rows)))
 
     def __sub__(self, other):
         if not isinstance(other, Mat):
             return NotImplemented
-        return Mat([[a - b for a, b in zip(ra, rb)]
-                    for ra, rb in zip(self.rows, other.rows)])
+        return _mat(tuple(tuple(a - b for a, b in zip(ra, rb))
+                          for ra, rb in zip(self.rows, other.rows)))
 
     def __neg__(self):
-        return Mat([[-a for a in row] for row in self.rows])
+        return _mat(tuple(tuple(-a for a in row) for row in self.rows))
 
     def __mul__(self, other):
+        """Each nonzero a = self[i][k] meets only the nonzeros of row k of
+        other, listed once: one product per matching pair of nonzeros."""
         if not isinstance(other, Mat):
             return NotImplemented
         n = self.n
         if other.n != n:
             raise ValueError("dimension mismatch")
         z = type(self.rows[0][0]).zero()
-        out = [[z] * n for _ in range(n)]
-        brows = other.rows
-        for i in range(n):
-            arow = self.rows[i]
-            orow = out[i]
-            for k in range(n):
-                a = arow[k]
-                if not a:
-                    continue
-                brow = brows[k]
-                for j in range(n):
-                    b = brow[j]
-                    if b:
+        brows = [[(j, b) for j, b in enumerate(row) if b]
+                 for row in other.rows]
+        out = []
+        for arow in self.rows:
+            orow = [z] * n
+            for a, brow in zip(arow, brows):
+                if a:
+                    for j, b in brow:
                         orow[j] = orow[j] + a * b
-        return Mat(out)
+            out.append(tuple(orow))
+        return _mat(tuple(out))
 
     def scale(self, s) -> "Mat":
-        return Mat([[s * x for x in row] for row in self.rows])
+        return _mat(tuple(tuple(s * x for x in row) for row in self.rows))
 
     def __pow__(self, k: int):
         if not isinstance(k, int) or k < 0:
@@ -172,8 +181,8 @@ class Mat:
         if pivots != list(range(n)):
             raise ValueError("singular")
         zero = one.zero()
-        return Mat([[row.get(n + j, zero) for j in range(n)]
-                    for row in reduced])
+        return _mat(tuple(tuple(row.get(n + j, zero) for j in range(n))
+                          for row in reduced))
 
     def is_invertible(self) -> bool:
         return self.rank() == self.n
@@ -184,8 +193,10 @@ class Mat:
     # -- substitution and I/O -------------------------------------------------
 
     def eval(self, q0) -> "Mat":
-        """Exact numeric substitution q -> q0, entrywise."""
-        return Mat([[x.eval(q0) for x in row] for row in self.rows])
+        """Exact numeric substitution q -> q0, entrywise; a zero entry
+        maps to the zero of the value field without a substitution."""
+        return _mat(tuple(tuple(x.eval(q0) if x else GR_ZERO for x in row)
+                          for row in self.rows))
 
     def to_json(self) -> dict:
         return {"n": self.n, "entries": [[str(x) for x in row] for row in self.rows]}
@@ -210,7 +221,11 @@ class Mat:
             raise ValueError("entries must form an n x n grid")
         if not all(isinstance(x, str) for row in entries for x in row):
             raise ValueError("matrix entries must be strings")
-        return cls(entries)
+        # each distinct text is parsed once, in row-major order of first
+        # appearance, so the first bad entry raises first
+        parsed = {x: scalar(x) for x in
+                  dict.fromkeys(x for row in entries for x in row)}
+        return cls([[parsed[x] for x in row] for row in entries])
 
     def __str__(self):
         cells = [[str(x) for x in row] for row in self.rows]
@@ -220,6 +235,19 @@ class Mat:
 
     def __repr__(self):
         return f"Mat({[[str(x) for x in row] for row in self.rows]})"
+
+
+_set_rows = Mat.rows.__set__
+
+
+def _mat(rows: tuple) -> Mat:
+    """The Mat of rows, a nonempty square tuple of row tuples whose
+    entries are already field elements (all Scalar or all GaussRational):
+    it writes the slot through its descriptor, with no coercion and no
+    check.  Public Mat(...) coerces ints, Fractions and strings."""
+    m = object.__new__(Mat)
+    _set_rows(m, rows)
+    return m
 
 
 # ---------------------------------------------------------------------------
@@ -343,8 +371,9 @@ class MatSpace:
         out = []
         for piv, vec in zip(self._pivots, self._vectors):
             zero = vec[piv].zero()
-            out.append(Mat([[vec.get(i * n + j, zero) for j in range(n)]
-                            for i in range(n)]))
+            out.append(_mat(tuple(tuple(vec.get(i * n + j, zero)
+                                        for j in range(n))
+                                  for i in range(n))))
         return out
 
     def contains(self, m: Mat) -> bool:
@@ -407,19 +436,22 @@ def _operator_rows(n: int, a, b) -> list:
     Row-major convention: entry (i, j) of X A is sum_k X[i][k] A[k][j]
     and entry (i, j) of B X is sum_k B[i][k] X[k][j], so row i*n+j picks
     up A[k][j] at column i*n+k and -B[i][k] at column k*n+j.  The two
-    meet only at column i*n+j, where A[j][j] - B[i][i] may cancel.
+    meet only at column i*n+j, where A[j][j] - B[i][i] may cancel.  The
+    nonzeros of each column of A and of each row of B are listed once,
+    and each row visits only those of column j and of row i.
     """
+    acols = [[(k, x) for k, x in enumerate(col) if x] for col in zip(*a)]
+    brows = [[(k, y) for k, y in enumerate(row) if y] for row in b]
     rows = []
     for i, j in product(range(n), repeat=2):
-        row = {i * n + k: x for k, x in enumerate(col[j] for col in a) if x}
-        for k, y in enumerate(b[i]):
-            if y:
-                c = k * n + j
-                x = row[c] - y if c in row else -y
-                if x:
-                    row[c] = x
-                else:
-                    del row[c]
+        row = {i * n + k: x for k, x in acols[j]}
+        for k, y in brows[i]:
+            c = k * n + j
+            x = row[c] - y if c in row else -y
+            if x:
+                row[c] = x
+            else:
+                del row[c]
         rows.append(row)
     return rows
 
@@ -428,11 +460,11 @@ def _kernel_is_zero(pairs: list, n: int) -> bool:
     """Whether the residues of the stacked operator of pairs, all of
     Scalar entries, have rank n^2 modulo RESIDUE_P: a proof that its
     kernel is {0} (see stacked_nullspace).  False proves nothing: a pole,
-    or a lower rank at the residue point."""
+    or a lower rank at the residue point.  A zero maps to 0 unasked."""
     p = RESIDUE_P
     rows = []
     for a, b in pairs:
-        images = [[[x.residue() for x in row] for row in m.rows]
+        images = [[[x.residue() if x else 0 for x in row] for row in m.rows]
                   for m in (a, b)]
         if any(None in row for grid in images for row in grid):
             return False

@@ -178,7 +178,7 @@ class TestCommutant:
             "n": 2, "entries": [[1, "0"], ["0", "1"]]})
         assert main(["commutant", path]) == 2
         assert capsys.readouterr().err == \
-            "error: matrix entries must be strings\n"
+            f"error: {path}: matrix entries must be strings\n"
 
     HUGE_POWERS = [
         ("q^99999999", 2, "of degree over 1000"),
@@ -197,7 +197,7 @@ class TestCommutant:
         assert main(["commutant", path]) == 2
         assert time.perf_counter() - start < 0.5
         assert capsys.readouterr().err == (
-            f"error: parse error at position {pos}: power {what}\n")
+            f"error: {path}: parse error at position {pos}: power {what}\n")
 
     @pytest.mark.parametrize("entry, pos, what", [
         ("*".join(["q^1000"] * 100), 6, "product"),
@@ -211,8 +211,8 @@ class TestCommutant:
         assert main(["commutant", path]) == 2
         assert time.perf_counter() - start < 0.5
         assert capsys.readouterr().err == (
-            f"error: parse error at position {pos}: {what} of degree "
-            "over 1000\n")
+            f"error: {path}: parse error at position {pos}: {what} of "
+            "degree over 1000\n")
 
     @pytest.mark.parametrize("power", ["q^1000", "q^-1000", "q^600*q^400"])
     def test_exponent_at_the_bound_parses(self, capsys, tmp_path, power):
@@ -241,6 +241,18 @@ class TestAdmissible:
     def test_not_a_spinor(self, capsys, diag_file):
         assert main(["admissible", diag_file, diag_file]) == 2
         assert "not a q-spinor" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("bad, message", [
+        ({"n": 4, "entries": [["0"] * 4] * 3},
+         "entries must form an n x n grid"),
+        ({"n": 1, "entries": [["q^^2"]]},
+         "parse error at position 2: integer exponent expected"),
+    ], ids=["grid", "scalar"])
+    def test_bad_second_file_is_named(self, capsys, tmp_path, diag_file,
+                                      bad, message):
+        b = write_json(tmp_path / "bad-b.json", bad)
+        assert main(["admissible", diag_file, b]) == 2
+        assert capsys.readouterr().err == f"error: {b}: {message}\n"
 
 
 class TestCentralizerAndClosure:
@@ -402,6 +414,15 @@ class TestEquiv:
         assert obj["equivalent"] is True
         assert obj["alpha"] == "1"
         assert obj["scaling_family"] == "q^k, |k| <= 4"
+
+    def test_bad_matrix_in_rep_file_is_named(self, capsys, tmp_path,
+                                             diag_file):
+        a = json.loads(open(diag_file).read())
+        rep = write_json(tmp_path / "rep.json",
+                         {"a": a, "b": {"n": 4, "entries": "q"}})
+        assert main(["equiv", "admissible-a", rep]) == 2
+        assert capsys.readouterr().err == \
+            f"error: {rep}: entries must form an n x n grid\n"
 
     @pytest.mark.parametrize("fmt", ["table", "json"])
     @pytest.mark.parametrize("second", ["admissible-b", "admissible-jordan"])

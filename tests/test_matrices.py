@@ -2,7 +2,7 @@
 
 import random
 from fractions import Fraction
-from itertools import islice
+from itertools import islice, product
 from math import prod
 
 import pytest
@@ -14,9 +14,9 @@ from qgl2.catalog import closure_generators
 from qgl2.clifford import build_action, counit_invariance_space
 from qgl2.gl2 import GL2Rep, gl2_equivalent
 from qgl2.matrices import (HOWS, Mat, MatSpace, Verdict, _kernel_is_zero,
-                           _reduce, _scaled_conjugacy, _sparse, _traces,
-                           centralizer, invertible_element, rref,
-                           stacked_nullspace, subalgebra_closure)
+                           _operator_rows, _reduce, _scaled_conjugacy,
+                           _sparse, _traces, centralizer, invertible_element,
+                           rref, stacked_nullspace, subalgebra_closure)
 from qgl2.scalars import (RESIDUE_P, RESIDUE_Q0, GaussRational, I, ONE, Q,
                           ZERO, Scalar, scalar)
 from qgl2.spinors import (QSpinorRep, admissibility, q_commutant,
@@ -873,3 +873,176 @@ class TestSolvesMatchSandwichReference:
                          for k in range(2)]
                 ops.append(terms + [(None, None, -one)] * (i == j))
         assert counit_invariance_space(action) == sandwich_kernel(n, ops)
+
+
+# ---------------------------------------------------------------------------
+# the Mat layer: computed results skip coercion, and products and operator
+# rows visit only nonzero entries
+
+def dense_product(x, y, zero) -> list:
+    """x y of two square grids, every cell of every row and column."""
+    n = len(x)
+    return [[sum((x[i][k] * y[k][j] for k in range(n)), zero)
+             for j in range(n)] for i in range(n)]
+
+
+def operator_by_definition(n: int, a, b, zero, one) -> list:
+    """The kernel rows of X -> X A - B X from its definition: column
+    k*n + l is the image of the unit X = e_kl, flattened row-major."""
+    cols = []
+    for k, l in product(range(n), repeat=2):
+        x = [[one if (r, c) == (k, l) else zero for c in range(n)]
+             for r in range(n)]
+        xa, bx = dense_product(x, a, zero), dense_product(b, x, zero)
+        cols.append([xa[r][c] - bx[r][c] for r in range(n) for c in range(n)])
+    return [_sparse(row) for row in zip(*cols)]
+
+
+# residues as _kernel_is_zero passes them: ints in [0, RESIDUE_P)
+RESIDUES = (0, 1, 2, 7, RESIDUE_Q0, RESIDUE_P - 1)
+GRID_POOLS = pytest.mark.parametrize("pool, zero, one", [
+    (SCALAR_POOL, ZERO, ONE),
+    (GAUSS_POOL, GaussRational(0), GaussRational(1)),
+    (RESIDUES, 0, 1)], ids=["scalar", "gauss", "residue"])
+
+
+@st.composite
+def sparse_grids(draw, pool, zero, n):
+    """An n x n grid over pool, mostly zero, with a drawn set of rows and
+    a drawn set of columns all zero."""
+    entry = st.sampled_from((zero,) * len(pool) + tuple(pool))
+    rows = draw(st.sets(st.integers(0, n - 1), max_size=n))
+    cols = draw(st.sets(st.integers(0, n - 1), max_size=n))
+    return [[zero if i in rows or j in cols else draw(entry)
+             for j in range(n)] for i in range(n)]
+
+
+class TestOperatorRows:
+    @GRID_POOLS
+    @PROPERTY
+    @given(data=st.data())
+    def test_sparse_grids_match_definition(self, pool, zero, one, data):
+        n = data.draw(st.integers(1, 4))
+        a = data.draw(sparse_grids(pool, zero, n))
+        b = data.draw(sparse_grids(pool, zero, n))
+        assert _operator_rows(n, a, b) == \
+            operator_by_definition(n, a, b, zero, one)
+
+    @GRID_POOLS
+    @PROPERTY
+    @given(data=st.data())
+    def test_diagonals_that_cancel(self, pool, zero, one, data):
+        # A[j][j] - B[i][i] at column i*n+j cancels wherever the two
+        # diagonals share a value, and the cell is then absent
+        n = data.draw(st.integers(1, 4))
+        values = data.draw(st.lists(st.sampled_from(pool), min_size=2,
+                                    max_size=2))
+        a, b = ([[data.draw(st.sampled_from(values)) if i == j else zero
+                  for j in range(n)] for i in range(n)] for _ in range(2))
+        rows = _operator_rows(n, a, b)
+        assert rows == operator_by_definition(n, a, b, zero, one)
+        for i, j in product(range(n), repeat=2):
+            assert (i * n + j in rows[i * n + j]) == (a[j][j] != b[i][i])
+
+
+def computed_mats(a: Mat, b: Mat, s) -> dict:
+    """Every kind of result the Mat layer builds without coercion."""
+    out = {"sum": a + b, "difference": a - b, "negation": -a,
+           "product": a * b, "scale": a.scale(s),
+           "basis": MatSpace.span([a, b, a * b]).basis}
+    if a.is_invertible():
+        out["inverse"] = a.inverse()
+    if isinstance(s, Scalar):
+        out["eval"] = a.eval(3)
+    return out
+
+
+class TestComputedMats:
+    @POOLS
+    @PROPERTY
+    @given(data=st.data())
+    def test_entries_keep_the_field(self, pool, data):
+        n = data.draw(st.integers(1, 3))
+        a = data.draw(square_mats(pool, n))
+        b = data.draw(square_mats(pool, n))
+        s = data.draw(st.sampled_from([x for x in pool if x]))
+        for name, out in computed_mats(a, b, s).items():
+            field = GaussRational if name == "eval" else type(pool[0])
+            for m in out if name == "basis" else [out]:
+                assert type(m.rows) is tuple and len(m.rows) == n
+                assert all(type(row) is tuple and len(row) == n
+                           and all(type(x) is field for x in row)
+                           for row in m.rows), name
+                coerced = Mat(m.rows)
+                assert m == coerced and hash(m) == hash(coerced), name
+
+    @POOLS
+    @PROPERTY
+    @given(data=st.data())
+    def test_product_matches_dense_reference(self, pool, data):
+        n = data.draw(st.integers(1, 3))
+        zero = type(pool[0]).zero()
+        a = Mat(data.draw(sparse_grids(pool, zero, n)))
+        b = Mat(data.draw(sparse_grids(pool, zero, n)))
+        assert a * b == Mat(dense_product(a.rows, b.rows, zero))
+
+    def test_one_product_per_matching_pair_of_nonzeros(self, monkeypatch):
+        a = Mat([[0, "q", 0, 0], [0, 0, 2, 0], [0, 0, 1, 0], [0, 0, 0, 0]])
+        b = Mat([[1, 0, 0, 0], [0, 0, 0, "q"], [0, "i", 0, 3], [0, 0, 0, 0]])
+        expected = dense_product(a.rows, b.rows, ZERO)
+        products = []
+        mul = Scalar.__mul__
+
+        def counted(x, y):
+            products.append(1)
+            return mul(x, y)
+        monkeypatch.setattr(Scalar, "__mul__", counted)
+        out = a * b
+        monkeypatch.undo()
+        # a[0][1] meets one nonzero of row 1 of b, a[1][2] and a[2][2]
+        # two each of row 2
+        assert len(products) == 5
+        assert out == Mat(expected)
+
+
+# entry texts for from_json, the last three bad
+TEXTS = ("0", "q", "1/q", "q+1", "2*i", "q^^2", "(q", "q/(q-q)")
+
+
+class TestFromJson:
+    def test_repeated_texts_are_parsed_once(self, monkeypatch):
+        entries = [["q", "0", "q"], ["1/q", "q", "0"], ["0", "0", "1/q"]]
+        parsed = []
+        parse = qgl2.matrices.scalar
+
+        def counted(text):
+            parsed.append(text)
+            return parse(text)
+        monkeypatch.setattr(qgl2.matrices, "scalar", counted)
+        m = Mat.from_json({"n": 3, "entries": entries})
+        monkeypatch.undo()
+        assert parsed == ["q", "0", "1/q"]
+        assert m == Mat([[scalar(x) for x in row] for row in entries])
+
+    @PROPERTY
+    @given(data=st.data())
+    def test_same_matrix_or_error_as_entry_by_entry(self, data):
+        # the reference Mat(entries) parses every entry in row-major
+        # order, so its error is the first bad entry's
+        n = data.draw(st.integers(1, 3))
+        entries = [data.draw(st.lists(st.sampled_from(TEXTS), min_size=n,
+                                      max_size=n)) for _ in range(n)]
+
+        def outcome(build):
+            try:
+                return build()
+            except (ValueError, ArithmeticError) as exc:
+                return type(exc), str(exc)
+        assert outcome(lambda: Mat.from_json({"n": n, "entries": entries})) \
+            == outcome(lambda: Mat(entries))
+
+    def test_first_bad_entry_in_row_major_order(self):
+        entries = [["q", "(q"], ["q^^2", "(q"]]
+        with pytest.raises(ValueError) as exc:
+            Mat.from_json({"n": 2, "entries": entries})
+        assert str(exc.value) == "parse error at position 2: ')' expected"
