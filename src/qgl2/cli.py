@@ -153,16 +153,17 @@ def _cmd_equiv(args) -> tuple:
         raise ValueError("cannot compare a quadruple with a q-spinor pair")
     if isinstance(r1, GL2Rep):
         verdict = gl2_equivalent(r1, r2)
-        keys, per = ("alpha1", "alpha2"), ", per column"
+        keys, per, group = ("alpha1", "alpha2"), " per column", "column"
     else:
         verdict = spinor_equivalent(r1, r2)
-        keys, per = ("alpha",), ""
+        keys, per, group = ("alpha",), "", "pair"
     found = verdict.found
     u, *alphas = verdict.witness if found else (None,) * (1 + len(keys))
     if args.format == "json":
         obj = {
             "equivalent": found,
-            "scaling_family": f"q^k, |k| <= {MAX_EXPONENT}{per}",
+            "scaling_family": f"q^k{per}, k in Z; |k| <= {MAX_EXPONENT} for a "
+                              f"{group} whose power traces all vanish",
             "u": u.to_json() if found else None,
         }
         obj.update((k, str(a) if found else None)

@@ -231,13 +231,13 @@ def gl2_equivalent(r1: GL2Rep, r2: GL2Rep) -> Verdict:
         r2.c11 = u r1.c11 u^-1 alpha1,   r2.c21 = u r1.c21 u^-1 alpha1,
         r2.c12 = u r1.c12 u^-1 alpha2,   r2.c22 = u r1.c22 u^-1 alpha2,
 
-    the scalings ranging over monomials q^k with
-    |k| <= matrices.MAX_EXPONENT, each pinned first by the power traces
-    of its column (matrices._scaled_conjugacy).  Column rescaling
-    preserves the defining relations, so this is the natural equivalence
-    for quadruples.  Returns a Verdict whose witness is the exactly
-    verified triple.  A "no" carries its how and is proved for every
-    scaling in that family.
+    the scalings ranging over monomials q^k, each k pinned by the power
+    traces of its column, or, for a column whose power traces all vanish,
+    |k| <= matrices.MAX_EXPONENT (matrices._scaled_conjugacy).  Column
+    rescaling preserves the defining relations, so this is the natural
+    equivalence for quadruples.  Returns a Verdict whose witness is the
+    exactly verified triple.  A "no" carries its how and is proved for
+    every scaling in that family.
     """
     return _scaled_conjugacy(
         [(r1.c11, r2.c11, 0), (r1.c21, r2.c21, 0),

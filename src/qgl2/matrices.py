@@ -48,7 +48,7 @@ from itertools import combinations, count, product
 from typing import Iterable, Optional
 
 from .scalars import (GR_ZERO, MAX_N, ONE, Q, RESIDUE_P, ZERO, GaussRational,
-                      Scalar, _power, scalar)
+                      Scalar, _power, _valuation, scalar)
 
 
 def _entry(value):
@@ -117,12 +117,16 @@ class Mat:
     def __add__(self, other):
         if not isinstance(other, Mat):
             return NotImplemented
+        if other.n != self.n:
+            raise ValueError("dimension mismatch")
         return _mat(tuple(tuple(a + b for a, b in zip(ra, rb))
                           for ra, rb in zip(self.rows, other.rows)))
 
     def __sub__(self, other):
         if not isinstance(other, Mat):
             return NotImplemented
+        if other.n != self.n:
+            raise ValueError("dimension mismatch")
         return _mat(tuple(tuple(a - b for a, b in zip(ra, rb))
                           for ra, rb in zip(self.rows, other.rows)))
 
@@ -593,7 +597,7 @@ class Verdict:
         return self.witness is not None
 
 
-# _scaled_conjugacy searches the monomial scalings q^k, |k| <= MAX_EXPONENT
+# _scaled_conjugacy tries |k| <= MAX_EXPONENT where no power trace pins k
 MAX_EXPONENT = 4
 
 
@@ -638,11 +642,13 @@ def invertible_element(space: MatSpace) -> Optional[Mat]:
     exponential in n and d on a space without such a vector.
     """
     basis = space.basis
+    gauss = basis and isinstance(basis[0][0, 0], GaussRational)
     for coeffs in _coefficients(basis, space.n):
         combo = None
         for c, m in zip(coeffs, basis):
             if c:
-                term = m if c == 1 else m.scale(c)
+                term = m if c == 1 else \
+                    m.scale(GaussRational(c) if gauss else scalar(c))
                 combo = term if combo is None else combo + term
         if combo.is_invertible():
             return combo
@@ -651,36 +657,37 @@ def invertible_element(space: MatSpace) -> Optional[Mat]:
 
 def _scaled_conjugacy(equations: list) -> Verdict:
     """Search for (u, alpha_0, alpha_1, ...) with g2 = u g1 u^-1 alpha_g
-    for every (g1, g2, g) in equations, each alpha_g a monomial q^k with
-    |k| <= MAX_EXPONENT.
+    for every (g1, g2, g) in equations, each alpha_g a monomial q^k.
 
     Conjugation preserves power traces, so each equation gives the
     necessary condition tr(g2^j) = q^(jk) tr(g1^j), j = 1..n, on the
-    exponent k of its group g.  Before any linear solve, each group keeps
-    the exponents that pass every condition of that group.  The traces
-    come lazily (_traces), j = 1 for every equation first, then j = 2,
-    and so on, and a group left with no exponent ends the search at once:
-    a pair that tr(g) or tr(g^2) rules out forms no matrix product.  The
-    exponent tuples then run in itertools.product order over those lists
-    (alpha_0 outermost), a subsequence of the order over all exponents.
-    The witness is the exactly verified tuple.  A "no" within those
-    scalings is "invariant differs" when the sizes differ or a group
-    keeps no exponent, and otherwise "proved exactly": invertible_element
-    decides each conjugator space.
+    exponent k of its group g.  The first pair of a group with both sides
+    nonzero pins k = m/j, m the gap of their q-adic valuations, and every
+    pair of the group must then hold with that k.  The traces come lazily
+    (_traces), j = 1 for every equation first, and a failed pair ends the
+    search at once: a pair that tr(g) or tr(g^2) rules out forms no matrix
+    product.  Only a group whose power traces all vanish (so its matrices
+    are nilpotent) tries each |k| <= MAX_EXPONENT, in itertools.product
+    order (alpha_0 outermost).  The witness is the exactly verified tuple.
+    A "no", for every k of a pinned group, is "invariant differs" when
+    the sizes differ or a pair fails, and otherwise "proved exactly":
+    invertible_element decides each conjugator space.
     """
     n = equations[0][0].n
     if any(g1.n != n or g2.n != n for g1, g2, _ in equations):
         return Verdict(None, "invariant differs")
-    exponents = range(-MAX_EXPONENT, MAX_EXPONENT + 1)
-    allowed = [exponents] * (1 + max(g for *_, g in equations))
+    pinned = [None] * (1 + max(g for *_, g in equations))
     traces = [(zip(_traces(g1), _traces(g2)), g) for g1, g2, g in equations]
     for j in range(1, n + 1):
         for pairs, g in traces:
             x1, x2 = next(pairs)
-            allowed[g] = [k for k in allowed[g] if x2 == Q ** (j * k) * x1]
-            if not allowed[g]:
+            if pinned[g] is None and x1 and x2:
+                pinned[g] = (_valuation(x2) - _valuation(x1)) // j
+            # k = 0 passes only x1 = x2 = 0, and gap // j only if j | gap
+            if x2 != Q ** (j * (pinned[g] or 0)) * x1:
                 return Verdict(None, "invariant differs")
-    for ks in product(*allowed):
+    unpinned = range(-MAX_EXPONENT, MAX_EXPONENT + 1)
+    for ks in product(*[unpinned if k is None else (k,) for k in pinned]):
         alphas = tuple(Q ** k for k in ks)
         space = stacked_nullspace([(g1.scale(alphas[g]), g2)
                                    for g1, g2, g in equations])

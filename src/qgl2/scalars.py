@@ -232,6 +232,12 @@ def _is_monomial(a: tuple) -> bool:
     return bool(a) and not any(a[:-1])
 
 
+def _valuation(x) -> int:
+    """ord num - ord den, the q-adic valuation of a nonzero Scalar x."""
+    num, den = (next(k for k, c in enumerate(p) if c) for p in (x.num, x.den))
+    return num - den
+
+
 def _pmul(a: tuple, b: tuple) -> tuple:
     """A monomial operand c*q^k shifts the other operand by k and scales it
     by c (no coefficient work when c = 1).  Otherwise convolve the

@@ -78,9 +78,9 @@ def admissibility(a: Mat, b: Mat, q: Scalar = Q,
 
 def spinor_equivalent(r1: QSpinorRep, r2: QSpinorRep) -> Verdict:
     """Search for (u, alpha) with r2.a = u r1.a u^-1 alpha and
-    r2.b = u r1.b u^-1 alpha, with alpha ranging over the monomials q^k,
-    |k| <= matrices.MAX_EXPONENT, pinned first by the power traces of a
-    and b (matrices._scaled_conjugacy).
+    r2.b = u r1.b u^-1 alpha, alpha a monomial q^k with k pinned by the
+    power traces of a and b, or |k| <= matrices.MAX_EXPONENT if they all
+    vanish (matrices._scaled_conjugacy).
 
     Returns a Verdict whose witness is the exactly verified pair.  A "no"
     carries its how and is proved for every alpha in that family.

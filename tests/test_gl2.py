@@ -4,6 +4,7 @@ commutators, quantum-plane splitting, equivalence search."""
 import pytest
 
 import qgl2.matrices
+from qgl2.catalog import instantiate
 from qgl2.gl2 import (GL2Rep, RELATION_LABELS, gl2_equivalent,
                       invertibility_nilpotency_check, power_commutator_check,
                       quantum_plane_split, verify_relations)
@@ -203,6 +204,17 @@ class TestEquivalenceSearch:
         assert found.how == "witness found"
         u, a1, a2 = found.witness
         assert (a1, a2) == (ONE, Q)
+
+    def test_column_scalings_beyond_the_bounded_range(self):
+        # a power trace pins each column's exponent, so scalings outside
+        # |k| <= MAX_EXPONENT are found
+        r1 = instantiate("perturbed-a")
+        b1, b2 = Q ** 6, Q ** -5
+        r2 = GL2Rep(r1.c11.scale(b1), r1.c12.scale(b2),
+                    r1.c21.scale(b1), r1.c22.scale(b2))
+        u, a1, a2 = gl2_equivalent(r1, r2).witness
+        assert (str(a1), str(a2)) == ("q^6", "1/q^5")
+        assert u == Mat.identity(4)
 
     def test_conjugated_and_scaled_copy(self):
         r1 = case1()

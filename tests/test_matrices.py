@@ -10,7 +10,7 @@ from hypothesis import assume, given, settings, strategies as st
 
 import qgl2.matrices
 from oracles import det_vanishes, sandwich_kernel
-from qgl2.catalog import closure_generators
+from qgl2.catalog import CATALOG, closure_generators, instantiate
 from qgl2.clifford import build_action, counit_invariance_space
 from qgl2.gl2 import GL2Rep, gl2_equivalent
 from qgl2.matrices import (HOWS, Mat, MatSpace, Verdict, _kernel_is_zero,
@@ -19,8 +19,8 @@ from qgl2.matrices import (HOWS, Mat, MatSpace, Verdict, _kernel_is_zero,
                            rref, stacked_nullspace, subalgebra_closure)
 from qgl2.scalars import (RESIDUE_P, RESIDUE_Q0, GaussRational, I, ONE, Q,
                           ZERO, Scalar, scalar)
-from qgl2.spinors import (QSpinorRep, admissibility, q_commutant,
-                          spinor_equivalent)
+from qgl2.spinors import (QSpinorRep, admissibility, check_spinor,
+                          q_commutant, spinor_equivalent)
 
 
 def e(i, j, n=4):
@@ -82,6 +82,11 @@ class TestMat:
             a * Q
         with pytest.raises(TypeError):
             Q * a
+
+    @pytest.mark.parametrize("op", ["__add__", "__sub__"])
+    def test_sum_of_different_sizes(self, op):
+        with pytest.raises(ValueError, match="dimension mismatch"):
+            getattr(Mat([[1, 2], [3, 4]]), op)(Mat.identity(3))
 
     def test_unit_products(self):
         assert e(1, 2) * e(2, 3) == e(1, 3)
@@ -319,6 +324,14 @@ class TestSearchHelpers:
         assert x.is_invertible()
         assert s.contains(x)
 
+    def test_invertible_element_over_gauss_rationals(self):
+        # E11 and E22 are singular, so the first invertible member is
+        # E11 + 2 E22, whose coefficient 2 scales as a GaussRational
+        g = GaussRational
+        s = MatSpace.span([Mat.unit(2, 0, 0).eval(2),
+                           Mat.unit(2, 1, 1).eval(2)])
+        assert invertible_element(s) == Mat.diag(g(1), g(2))
+
     def test_invertible_element_none(self):
         assert invertible_element(MatSpace.span([Mat.unit(2, 0, 1)])) is None
 
@@ -341,6 +354,72 @@ class TestSearchHelpers:
         s = MatSpace.span([Mat.unit(3, 0, 1), Mat.unit(3, 1, 0),
                            Mat.unit(3, 2, 2)])
         assert invertible_element(s) == invertible_element(s)
+
+
+def unimodular(draw, n: int) -> Mat:
+    """An integer matrix of determinant 1: a lower times an upper
+    unitriangular matrix, off-diagonal entries in -2..2."""
+    def part(upper):
+        return Mat([[1 if i == j else
+                     draw(st.integers(-2, 2)) if (j > i) == upper else 0
+                     for j in range(n)] for i in range(n)])
+    return part(False) * part(True)
+
+
+class TestTracePins:
+    """The first nonzero power trace of a group fixes its exponent k;
+    only a group whose power traces all vanish tries |k| <= MAX_EXPONENT."""
+
+    @settings(derandomize=True, max_examples=20, deadline=None)
+    @given(st.data())
+    def test_conjugated_rescaled_catalog_rep(self, data):
+        rep = instantiate(data.draw(st.sampled_from(
+            [e.name for e in CATALOG if e.builder is not None])))
+        # the attribute of each generator, and the index of its scaling group
+        if isinstance(rep, GL2Rep):
+            groups = {"c11": 0, "c21": 0, "c12": 1, "c22": 1}
+            search = gl2_equivalent
+        else:
+            groups = {"a": 0, "b": 0}
+            search = spinor_equivalent
+        ks = [data.draw(st.integers(-8, 8)) for _ in set(groups.values())]
+        u0 = unimodular(data.draw, 4)
+        ui0 = u0.inverse()
+        copy = type(rep)(**{f: (u0 * getattr(rep, f) * ui0).scale(Q ** ks[g])
+                            for f, g in groups.items()})
+        verdict = search(rep, copy)
+        assert verdict.found
+        assert list(verdict.witness[1:]) == [Q ** k for k in ks]
+
+    @pytest.mark.parametrize("g1, g2", [
+        # the trace ratio 2 is no power of q
+        (Mat.diag(1, Q), Mat.diag(2, 2 * Q)),
+        # tr(g) is 0 on both sides, and tr(g2^2) = 2q = q tr(g1^2): the
+        # valuation gap 1 is no multiple of j = 2
+        (Mat.diag(1, -1, 0), Mat([[0, "q", 0], [1, 0, 0], [0, 0, 0]]))],
+        ids=["ratio-not-a-power-of-q", "gap-not-a-multiple-of-j"])
+    def test_no_exponent_fits(self, monkeypatch, g1, g2):
+        monkeypatch.setattr(qgl2.matrices, "stacked_nullspace",
+                            lambda pairs: pytest.fail("solved"))
+        assert _scaled_conjugacy([(g1, g2, 0)]) == \
+            Verdict(None, "invariant differs")
+
+    def test_nilpotent_pair_keeps_the_bounded_range(self):
+        # a b = q b a holds, as both products vanish; every power trace
+        # vanishes, so nothing pins k.  (q^5 a, q^5 b) is q^5 times
+        # (a, b), so alpha = q^5 with u = 1 is a witness; the "no" below
+        # is the documented bound MAX_EXPONENT = 4 for such a pair, not a
+        # proof that none exists
+        a = Mat.unit(3, 0, 1) + Mat.unit(3, 1, 2)
+        b = Mat.unit(3, 0, 2)
+        r = QSpinorRep(a, b)
+        assert check_spinor(a, b)
+        u, alpha = spinor_equivalent(
+            r, QSpinorRep(a.scale(Q ** 4), b.scale(Q ** 4))).witness
+        assert alpha == Q ** 4
+        assert spinor_equivalent(
+            r, QSpinorRep(a.scale(Q ** 5), b.scale(Q ** 5))) == \
+            Verdict(None, "proved exactly")
 
 
 def _seeded_space(rng, n: int) -> MatSpace:
