@@ -22,11 +22,14 @@ Every operation ends in one pass to the canonical form, with one rule
 for the gcd.  With s = min(ord num, ord den), gcd(num, den) is q^s times
 the gcd of num/q^s and den/q^s, and one of those has a nonzero constant
 term, so their gcd is 1 when either is a monomial.  Both sides are
-sliced by s, and the Euclidean loop runs only when neither is a
-monomial; its remainders are made monic at each step so that their
-coefficients do not swell.  So the usual denominator c*q^k (about 99% of
-the results in a verify-catalog run) costs a slice and a scaling by 1/c
-when c != 1.  A difference subtracts the coefficients in place; it
+sliced by s, and a gcd is taken only when neither is a monomial: first
+mod p, on the coefficient residues of Scalar.residue, where a degree 0
+proves the sides coprime and a candidate read off the residues is the
+gcd when it divides both exactly (_cancel); the Euclidean loop runs only
+where that certificate abstains.  Division is pseudo-division on the
+Gaussian-integer numerators.  So the usual denominator c*q^k (about 99%
+of the results in a verify-catalog run) costs a slice and a scaling by
+1/c when c != 1.  A difference subtracts the coefficients in place; it
 builds no negated operand.
 
 Scalars print to, and parse from, plain expression strings over the
@@ -251,24 +254,26 @@ def _pmul(a: tuple, b: tuple) -> tuple:
         c = a[-1]
         return a[:-1] + (b if c.a == 1 and c.d == 1 and not c.b
                          else _pscale(c, b))
-    da = _lcm(*[c.d for c in a])
-    db = _lcm(*[c.d for c in b])
-    bs = [(k, c.a * (db // c.d), c.b * (db // c.d))
-          for k, c in enumerate(b) if c]
+    da, xs = _numerators(a)
+    db, ys = _numerators(b)
     n = len(a) + len(b) - 1
     re = [0] * n
     im = [0] * n
-    for j, c in enumerate(a):
-        if not c:
-            continue
-        s = da // c.d
-        xr, xi = c.a * s, c.b * s
-        for k, yr, yi in bs:
+    for j, xr, xi in xs:
+        for k, yr, yi in ys:
             re[j + k] += xr * yr - xi * yi
             im[j + k] += xr * yi + xi * yr
     den = da * db
     return _pnorm([_reduced(x, y, den) if x or y else GR_ZERO
                    for x, y in zip(re, im)])
+
+
+def _numerators(a: tuple):
+    """(d, [(k, x, y), ...]): the lcm d of the coefficient denominators of
+    a, and each nonzero coefficient of a as (x + y*i)/d at its degree k."""
+    d = _lcm(*[c.d for c in a])
+    return d, [(k, c.a * (d // c.d), c.b * (d // c.d))
+               for k, c in enumerate(a) if c]
 
 
 def _pscale(c: GaussRational, a: tuple) -> tuple:
@@ -278,31 +283,47 @@ def _pscale(c: GaussRational, a: tuple) -> tuple:
 
 
 def _pdivmod(a: tuple, b: tuple):
-    """Exact Euclidean division over the coefficient field."""
+    """Exact Euclidean division by pseudo-division on Gaussian-integer
+    numerators, as _pmul convolves: a = A/d, b = B/db, 1/lc(B) = w/m with
+    w in Z[i] and m > 0.  A step on the top c of A takes m*A - c*w*B
+    (shifted), so d gains the factor m, and its quotient coefficient is
+    c*w*db/(d*m).  Every output coefficient is reduced once."""
     if not b:
         raise ZeroDivisionError("zero divisor")
     if len(a) < len(b):
         return (), a
-    rem = list(a)
-    quo = [GR_ZERO] * (len(a) - len(b) + 1)
-    inv_lead = b[-1].inverse()
-    for shift in range(len(a) - len(b), -1, -1):
-        c = rem[shift + len(b) - 1]
-        if not c:
+    d = _lcm(*[c.d for c in a])
+    re = [c.a * (d // c.d) for c in a]
+    im = [c.b * (d // c.d) for c in a]
+    db, bs = _numerators(b)
+    _, lr, li = bs.pop()
+    w = _reduced(lr, -li, lr * lr + li * li)
+    wr, wi, m = w.a, w.b, w.d
+    n = len(b) - 1
+    quo = [GR_ZERO] * (len(a) - n)
+    for s in range(len(a) - 1 - n, -1, -1):
+        cr, ci = re[s + n], im[s + n]
+        if not (cr or ci):
             continue
-        f = c * inv_lead
-        quo[shift] = f
-        for k, bk in enumerate(b):
-            if bk:
-                rem[shift + k] = rem[shift + k] - f * bk
-    return _pnorm(quo), _pnorm(rem)
+        fr, fi = cr * wr - ci * wi, cr * wi + ci * wr
+        quo[s] = _reduced(fr * db, fi * db, d * m)
+        if m != 1:
+            d *= m
+            re[:s + n] = [x * m for x in re[:s + n]]
+            im[:s + n] = [x * m for x in im[:s + n]]
+        for k, yr, yi in bs:
+            re[s + k] -= fr * yr - fi * yi
+            im[s + k] -= fr * yi + fi * yr
+    return _pnorm(quo), _pnorm([_reduced(x, y, d) if x or y else GR_ZERO
+                                for x, y in zip(re[:n], im[:n])])
 
 
 def _pgcd(a: tuple, b: tuple) -> tuple:
     """Monic gcd of a and b by the Euclidean loop alone: Scalar.__init__
-    calls it on two non-monomials.  The remainders are made monic:
-    unscaled, their coefficients swell at every step (a closure of two
-    dense 3 x 3 matrices took 21 s, now 2 s)."""
+    runs it on two non-monomials only where the certificate of _cancel
+    abstains.  The remainders are made monic: unscaled, their
+    coefficients swell at every step (a closure of two dense 3 x 3
+    matrices took 21 s, then 2 s)."""
     while b:
         a, b = b, _pmonic(_pdivmod(a, b)[1])
     return _pmonic(a)
@@ -343,10 +364,7 @@ class Scalar:
                 s += 1
             num, den = num[s:], den[s:]
             if not (_is_monomial(den) or _is_monomial(num)):
-                g = _pgcd(num, den)
-                if len(g) > 1:
-                    num = _pdivmod(num, g)[0]
-                    den = _pdivmod(den, g)[0]
+                num, den = _cancel(num, den)
         lead = den[-1]
         if not (lead.a == 1 and lead.d == 1 and not lead.b):
             inv = lead.inverse()
@@ -556,19 +574,90 @@ RESIDUE_I = 629208553
 RESIDUE_Q0 = 1234567891
 
 
-def _presidue(p: tuple):
-    """The image of the polynomial p in F_p by Horner's rule, or None when
-    p divides a coefficient denominator."""
-    out = 0
-    for c in reversed(p):
+def _residues(p: tuple):
+    """The images in F_p of the coefficients of p under i -> RESIDUE_I,
+    or None when p divides a coefficient denominator."""
+    out = []
+    for c in p:
         d = c.d
         num = c.a + c.b * RESIDUE_I
         if d != 1:
             if not d % RESIDUE_P:
                 return None
             num *= pow(d, -1, RESIDUE_P)
-        out = (out * RESIDUE_Q0 + num) % RESIDUE_P
+        out.append(num % RESIDUE_P)
     return out
+
+
+def _presidue(p: tuple):
+    """The image of the polynomial p in F_p by Horner's rule, or None when
+    p divides a coefficient denominator."""
+    rs = _residues(p)
+    if rs is None:
+        return None
+    out = 0
+    for r in reversed(rs):
+        out = (out * RESIDUE_Q0 + r) % RESIDUE_P
+    return out
+
+
+def _cancel(num: tuple, den: tuple) -> tuple:
+    """num/g and den/g, g the monic gcd of the non-monomials num and den,
+    certified by gcd_p, the gcd of their coefficient residues over F_p.
+    _residues maps R = Z[i] localized at P = (p, i - RESIDUE_I) onto
+    R/P = F_p.  With no pole and no leading coefficient in P, num and den
+    are units times monic polynomials of R[q], so g lies in R[q] (R is
+    integrally closed) and its monic image divides both images: deg g <=
+    deg gcd_p.  So gcd_p = 1 proves g = 1, and the monic h of degree
+    deg gcd_p read off gcd_p by rational reconstruction, if it divides
+    both exactly, divides g and so is g.  Every other case runs _pgcd, a
+    non-real g among them."""
+    rn, rd = _residues(num), _residues(den)
+    if rn is not None and rd is not None and rn[-1] and rd[-1]:
+        h = _gcd_mod_p(rn, rd)
+        if len(h) == 1:
+            return num, den
+        h = tuple(map(_rational, h))
+        if None not in h:
+            qn, r = _pdivmod(num, h)
+            if not r:
+                qd, r = _pdivmod(den, h)
+                if not r:
+                    return qn, qd
+    g = _pgcd(num, den)
+    if len(g) > 1:
+        num, den = _pdivmod(num, g)[0], _pdivmod(den, g)[0]
+    return num, den
+
+
+def _gcd_mod_p(a: list, b: list) -> list:
+    """The monic gcd over F_p of two residue lists without trailing zeros,
+    index = degree; both are used up."""
+    while b:
+        inv, n = pow(b[-1], -1, RESIDUE_P), len(b) - 1
+        while len(a) > n:
+            c = a.pop() * inv % RESIDUE_P
+            s = len(a) - n
+            for k in range(n):
+                a[s + k] = (a[s + k] - c * b[k]) % RESIDUE_P
+            while a and not a[-1]:
+                a.pop()
+        a, b = b, a
+    inv = pow(a[-1], -1, RESIDUE_P)
+    return [c * inv % RESIDUE_P for c in a]
+
+
+def _rational(r: int):
+    """The rational a/b with |a|, b <= 32767 and a = b*r in F_p, or None,
+    by the half-extended Euclidean algorithm (Wang 1981).  32767 is the
+    largest N with 2 N^2 < p, so at most one reduced a/b is in range."""
+    r0, r1, t0, t1 = RESIDUE_P, r, 0, 1
+    while r1 > 32767:
+        k = r0 // r1
+        r0, r1, t0, t1 = r1, r0 - k * r1, t1, t0 - k * t1
+    if abs(t1) > 32767:
+        return None
+    return _reduced(r1 if t1 > 0 else -r1, 0, abs(t1))
 
 
 def _term_str(c: GaussRational, k: int) -> str:

@@ -3,15 +3,17 @@ and the round-tripping text encoding."""
 
 import operator
 import sys
+from collections import Counter
 from fractions import Fraction
 from math import comb, gcd, isqrt
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from qgl2.scalars import (GR_ONE, GR_ZERO, RESIDUE_I, RESIDUE_P, RESIDUE_Q0,
-                          GaussRational, I, ONE, Q, Scalar, ZERO, _padd,
-                          _pdivmod, _pgcd, _pmul, _pnorm, _power,
+import qgl2.scalars
+from qgl2.scalars import (GR_I, GR_ONE, GR_ZERO, RESIDUE_I, RESIDUE_P,
+                          RESIDUE_Q0, GaussRational, I, ONE, Q, Scalar, ZERO,
+                          _padd, _pdivmod, _pgcd, _pmul, _pnorm, _power,
                           parse_scalar, scalar)
 
 from oracles import q_integer
@@ -536,6 +538,30 @@ def assert_canonical_poly(a):
         assert_canonical(c)
 
 
+# dense divisors: every coefficient nonzero, the leading one non-real and
+# not 1, so that pseudo-division scales by the denominator of its inverse
+complex_leads = (st.sampled_from(SMALL[4:])
+                 | pairs.filter(lambda x: x[1]).map(
+                     lambda x: GaussRational(*x)))
+dense_divisors = st.builds(lambda low, lead: tuple(low) + (lead,),
+                           st.lists(coefficients.filter(bool), max_size=4),
+                           complex_leads)
+
+
+class TestPolynomialDivision:
+    @PROPERTY
+    @given(a=polys | sparse_polys, b=dense_divisors)
+    def test_pdivmod_matches_euclid(self, a, b):
+        quo, rem = _pdivmod(a, b)
+        assert (quo, rem) == pdivmod_reference(a, b)
+        assert _padd(pmul_reference(quo, b), rem) == a
+        assert len(rem) < len(b)
+        assert_canonical_poly(quo)
+        assert_canonical_poly(rem)
+        # a multiple of b divides exactly
+        assert _pdivmod(pmul_reference(a, b), b) == (a, ())
+
+
 class TestMonomialOperands:
     @PROPERTY
     @given(m=monomials, p=sparse_polys | monomials)
@@ -614,29 +640,109 @@ def shifted(s, *factors):
     return [GR_ZERO] * s + list(out)
 
 
+def tagged(case, pairs):
+    """(num, den, case): each pair tagged with the case of the gcd
+    certificate in Scalar.__init__ that it draws, or None."""
+    return pairs.map(lambda pair: (*pair, case))
+
+
+def sharing(factors, cofactors=prime_to_q):
+    """q^s f a over q^t f' b, for (f, f') drawn by factors, and cofactors
+    a and b."""
+    return st.builds(lambda s, t, f, a, b: (shifted(s, f[0], a),
+                                            shifted(t, f[1], b)),
+                     positive, positive, factors, cofactors, cofactors)
+
+
+def common(factor):
+    """(f, f) for each f drawn by factor."""
+    return factor.map(lambda f: (f, f))
+
+
+P = RESIDUE_P
+REAL = tuple(c for c in SMALL if not c.b)
+real_prime_to_q = st.builds(lambda c0, mid, c: [c0] + mid + [c],
+                            st.sampled_from(REAL),
+                            st.lists(st.sampled_from((GR_ZERO,) + REAL),
+                                     max_size=2),
+                            st.sampled_from(REAL))
+# non-monomial factors: c0 + c*q with c a multiple of p, or with c0 past
+# the reconstruction bound of 32767 or with p in its denominator
+lead_vanishes = st.builds(lambda c, k: [c, GaussRational(k * P)],
+                          st.sampled_from(SMALL), st.integers(1, 3))
+large = st.builds(lambda c: [GaussRational(c), GR_ONE],
+                  st.integers(32768, 10 ** 6) | st.integers(-10 ** 6, -32768))
+pole = st.builds(lambda c, k: [c * GaussRational(Fraction(1, k * P)), GR_ONE],
+                 st.sampled_from(SMALL), st.integers(1, 3))
+
 raw_pairs = (
-    st.tuples(raw_polys, raw_dens)
-    # q^s on both sides, s > 0 and either side's order the larger, and
-    # non-monomial remainders with a common factor f, or none
-    | st.builds(lambda s, t, f, a, b: (shifted(s, f, a), shifted(t, f, b)),
-                positive, positive, prime_to_q | st.just([GR_ONE]),
-                prime_to_q, prime_to_q)
-    # c*q^k over a non-monomial denominator of positive order
-    | st.tuples(raw_monomials, st.builds(shifted, positive, prime_to_q))
-    | st.tuples(raw_monomials, raw_monomials))
+    tagged(None, st.tuples(raw_polys, raw_dens)
+           # q^s on both sides, s > 0 and either side's order the larger,
+           # and non-monomial remainders with a common factor f, or none
+           | st.builds(lambda s, t, f, a, b: (shifted(s, f, a),
+                                              shifted(t, f, b)),
+                       positive, positive, prime_to_q | st.just([GR_ONE]),
+                       prime_to_q, prime_to_q)
+           # c*q^k over a non-monomial denominator of positive order
+           | st.tuples(raw_monomials, st.builds(shifted, positive,
+                                                prime_to_q))
+           | st.tuples(raw_monomials, raw_monomials))
+    # a common real factor with small parts: read off the residues
+    | tagged("reconstructed", sharing(common(real_prime_to_q),
+                                      cofactors=real_prime_to_q))
+    # the certificate abstains, and the Euclidean loop runs
+    | tagged("large", sharing(common(large)))
+    | tagged("pole", sharing(common(pole)))
+    | tagged("lead vanishes", sharing(common(lead_vanishes)))
+    # q - c against q - c - k*p: coprime, but equal mod p, so the
+    # candidate does not divide
+    | tagged("common mod p", sharing(st.builds(
+        lambda c, k: ([-c, GR_ONE], [-c - GaussRational(k * P), GR_ONE]),
+        st.sampled_from(REAL), st.integers(-2, 2).filter(bool))))
+    | tagged("non-real", sharing(common(st.sampled_from(
+        ([-GR_I, GR_ONE], [GR_I, GR_ONE, GR_ONE], [GR_ONE, GR_I]))))))
+
+
+def route_of(entered) -> str:
+    """The route Scalar.__init__ took, from the calls it made."""
+    if entered["_pgcd"]:
+        return "euclid"
+    if entered["_pdivmod"]:
+        return "reconstructed"
+    return "proved coprime" if entered["_gcd_mod_p"] else "no gcd"
 
 
 class TestCanonicalForm:
-    @PROPERTY
-    @given(pair=raw_pairs)
-    def test_init_matches_euclid_route(self, pair):
-        num, den = pair
-        x = Scalar(num, den)
-        assert (x.num, x.den) == canonical_reference(num, den)
-        assert_canonical_scalar(x)
-        # tuples, trimmed or not, give the same Scalar
-        assert Scalar(tuple(num), tuple(den)) == x
-        assert Scalar(_pnorm(num), _pnorm(den)) == x
+    def test_init_matches_euclid_route(self, monkeypatch):
+        entered, routes = Counter(), {}
+        for name in ("_gcd_mod_p", "_pdivmod", "_pgcd"):
+            def counted(*args, f=getattr(qgl2.scalars, name), name=name):
+                entered[name] += 1
+                return f(*args)
+            monkeypatch.setattr(qgl2.scalars, name, counted)
+
+        # more draws than PROPERTY, so that each case is drawn
+        @settings(derandomize=True, max_examples=400, deadline=None)
+        @given(pair=raw_pairs)
+        def check(pair):
+            num, den, case = pair
+            entered.clear()
+            x = Scalar(num, den)
+            routes.setdefault(case, set()).add(route_of(entered))
+            assert (x.num, x.den) == canonical_reference(num, den)
+            assert_canonical_scalar(x)
+            # tuples, trimmed or not, give the same Scalar
+            assert Scalar(tuple(num), tuple(den)) == x
+            assert Scalar(_pnorm(num), _pnorm(den)) == x
+
+        check()
+        # every route of the certificate is taken: the degree-0 proof, a
+        # candidate read off the residues, and each abstention
+        assert "proved coprime" in routes[None]
+        assert "reconstructed" in routes["reconstructed"]
+        for case in ("large", "pole", "lead vanishes", "common mod p",
+                     "non-real"):
+            assert "euclid" in routes[case], case
 
     def test_monomial_denominators(self):
         three, two_i = GaussRational(3), GaussRational(0, 2)

@@ -3,6 +3,7 @@
 import pytest
 
 import qgl2.matrices
+import qgl2.scalars
 from qgl2.matrices import Mat, MatSpace, Verdict
 from qgl2.scalars import GaussRational, Q
 from qgl2.spinors import (QSpinorRep, admissibility, check_spinor,
@@ -63,6 +64,34 @@ class TestQCommutant:
         a = Mat([[g(2), g(0)], [g(0), g(1)]])
         sol = q_commutant(a, q=g(2))
         assert sol == MatSpace.span([Mat.unit(2, 0, 1)])
+
+    def test_conjugated_entry_needs_no_euclidean_gcd(self, monkeypatch):
+        # admissible-a conjugated as in the conjugated-spinors benchmark
+        # workload (seed 11): its pivots, such as q^2 - 1, leave
+        # non-monomial denominators, and the mod-p certificate of
+        # Scalar.__init__ decides every gcd of the solve
+        calls = []
+        euclid = qgl2.scalars._pgcd
+
+        def counted(*args):
+            calls.append(args)
+            return euclid(*args)
+
+        monkeypatch.setattr(qgl2.scalars, "_pgcd", counted)
+        a = Mat.from_json({"n": 4, "entries": [
+            ["q", "q^2 - q", "-q^2 + 1", "0"], ["0", "q^2", "-q^2 + 1", "0"],
+            ["0", "0", "1", "0"], ["0", "0", "0", "q"]]})
+        space = q_commutant(a)
+        assert calls == []
+        assert [m.to_json()["entries"] for m in space.basis] == [
+            [["1", "-1", "0", "0"], ["1", "-1", "0", "0"],
+             ["0", "0", "0", "0"], ["0", "0", "0", "0"]],
+            [["0", "0", "1", "0"], ["0", "0", "0", "0"],
+             ["0", "0", "0", "0"], ["0", "0", "0", "0"]],
+            [["0", "0", "0", "1"], ["0", "0", "0", "1"],
+             ["0", "0", "0", "0"], ["0", "0", "0", "0"]],
+            [["0", "0", "0", "0"], ["0", "0", "0", "0"],
+             ["0", "0", "0", "0"], ["0", "0", "1", "0"]]]
 
 
 class TestAdmissibility:
