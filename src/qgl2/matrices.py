@@ -9,7 +9,7 @@ its costly operations visit only the nonzero ones: a product lists the
 nonzeros of each row of its right factor once and forms one product per
 matching pair of nonzeros; the operator rows of X -> X A - B X read the
 nonzeros of A's columns and of B's rows once; eval substitutes, and the
-residue probe maps, nonzero entries only; from_json parses each distinct
+residue rows map, nonzero entries only; from_json parses each distinct
 entry text once.  Public Mat(...) coerces ints, Fractions and strings
 and checks the shape.  Every result whose entries are already field
 elements (sums, products, scalings, inverses, eval, MatSpace bases) is
@@ -30,14 +30,16 @@ rref, every other one (span, closure) is built by _insert, and
 membership is one _reduce.  The form is unique: equal subspaces always
 have identical bases and space equality is structural.
 
-The one other elimination is over F_p, and it can only prove that a
-kernel is {0}.  Scalar.residue maps q to q0 and i to a square root of
--1 mod p; it is a ring homomorphism on the scalars with no pole there,
-so it maps each minor of a matrix of such scalars to the same minor of
-the image.  An image of full column rank has a nonzero maximal minor,
-whose preimage is then nonzero too: the exact matrix has full column
-rank.  stacked_nullspace returns the zero space on that proof; on a
-pole or a lower rank mod p it proves nothing and eliminates exactly.
+The one other elimination is over F_p (residues._residue_rref).
+Scalar.residue maps q to q0 and i to a square root of -1 mod p, and
+scalars._residue_at maps q to any point t the same way; such a map is a
+ring homomorphism on the scalars with no pole there, so it maps each
+minor of a matrix of such scalars to the same minor of the image, and a
+rank mod p never exceeds the exact rank.  stacked_nullspace uses that
+twice: full rank mod p proves a kernel {0}, and below it the reduced
+kernel basis is read off a few residue points, reconstructed as
+rational functions in q and accepted only after one exact check.  Where
+that abstains, the exact elimination answers.
 """
 
 from __future__ import annotations
@@ -47,8 +49,10 @@ from dataclasses import dataclass
 from itertools import combinations, count, product
 from typing import Iterable, Optional
 
-from .scalars import (GR_ZERO, MAX_N, ONE, Q, RESIDUE_P, ZERO, GaussRational,
-                      Scalar, _power, _valuation, scalar)
+from .residues import _lift, _residue_rref, _thiele
+from .scalars import (GR_ZERO, MAX_N, ONE, Q, RESIDUE_P, RESIDUE_Q0, ZERO,
+                      GaussRational, Scalar, _power, _residue_at, _residues,
+                      _valuation, scalar)
 
 
 def _entry(value):
@@ -460,38 +464,109 @@ def _operator_rows(n: int, a, b) -> list:
     return rows
 
 
-def _kernel_is_zero(pairs: list, n: int) -> bool:
-    """Whether the residues of the stacked operator of pairs, all of
-    Scalar entries, have rank n^2 modulo RESIDUE_P: a proof that its
-    kernel is {0} (see stacked_nullspace).  False proves nothing: a pole,
-    or a lower rank at the residue point.  A zero maps to 0 unasked."""
-    p = RESIDUE_P
-    rows = []
-    for a, b in pairs:
-        images = [[[x.residue() if x else 0 for x in row] for row in m.rows]
-                  for m in (a, b)]
+def _residue_rows(pairs: list, n: int):
+    """Yields (t, the stacked operator rows of pairs mapped to F_p at
+    q -> t) for t = RESIDUE_Q0, RESIDUE_Q0 + 1, ..., with None for the
+    rows at a pole.  Each entry is mapped as Scalar.residue maps it at
+    q0, with its coefficient residues read once; each row entry is a
+    residue or a difference of two."""
+    cells = [[[(_residues(x.num), _residues(x.den)) if x else 0
+               for x in row] for row in m.rows]
+             for pair in pairs for m in pair]
+    for t in count(RESIDUE_Q0):
+        images = [[[c and _residue_at(c, t) for c in row] for row in grid]
+                  for grid in cells]
         if any(None in row for grid in images for row in grid):
-            return False
-        rows += _operator_rows(n, *images)
-    # each entry is a residue or a difference of two, in (-p, p), so it is
-    # nonzero exactly when it is nonzero mod p, and each update leaves it
-    # in [0, p); a column that no row left holds ends the search
-    for col in range(n * n):
-        k = next((k for k, row in enumerate(rows) if col in row), None)
-        if k is None:
-            return False
-        pivot = rows.pop(k)
-        inv = pow(pivot.pop(col), -1, p)
-        for row in rows:
-            c = row.pop(col, None)
-            if c is not None:
-                c = c * inv % p
-                for m, y in pivot.items():
-                    x = (row.get(m, 0) - c * y) % p
+            yield t, None
+        else:
+            yield t, [row for a, b in zip(images[::2], images[1::2])
+                      for row in _operator_rows(n, a, b)]
+
+
+def _degree_bound(pairs: list, n: int, rows: list) -> int:
+    """A bound on both degrees of a ratio of r x r minors of the stacked
+    operator rows numbered rows, r = len(rows).  Row (i, j) of a pair
+    (A, B) holds entries of column j of A and row i of B, or a difference
+    of two; times the product L of their denominators it is polynomial,
+    of degree at most deg L + max deg num.  A minor of such rows has at
+    most the sum of their degrees, and the factors L cancel in a ratio."""
+    total = 0
+    for k in rows:
+        (a, b), (i, j) = pairs[k // (n * n)], divmod(k % (n * n), n)
+        xs = [row[j] for row in a.rows] + list(b.rows[i])
+        total += sum(len(x.den) - 1 for x in xs if x) \
+            + max(len(x.num) - 1 for x in xs)
+    return total
+
+
+def _residue_kernel(pairs: list, n: int) -> Optional[MatSpace]:
+    """The joint kernel of pairs read off residue points and proved, or
+    None where that abstains (see stacked_nullspace)."""
+    width, columns = n * n, range(n * n - 1, -1, -1)
+    for used, (t, rows) in enumerate(_residue_rows(pairs, n), 1):
+        if rows is None:
+            return None
+        if used == 1:
+            basis, picked = _residue_rref(rows, columns)
+            if len(basis) == width:
+                return MatSpace(n)
+            free = [f for f in range(width) if f not in basis]
+            fits = {(pc, f): ([], []) for f in free for pc in basis if pc > f}
+            pending, limit = list(fits), None
+        else:
+            at_t = _residue_rref([rows[k] for k in picked], columns)[0]
+            if at_t.keys() != basis.keys():
+                return None
+            basis = at_t
+        still = []
+        for pc, f in pending:
+            done = _thiele(*fits[pc, f], t, -basis[pc].get(f, 0) % RESIDUE_P)
+            if done is None:
+                return None
+            if not done:
+                still.append((pc, f))
+        pending = still
+        # the first point's values are tried as constants, which most
+        # kernels have: a candidate that passes the check is proved
+        if used == 1 or not pending:
+            lifted = {cell: _lift(*fit) for cell, fit in fits.items()}
+            if None not in lifted.values():
+                vectors = {f: {f: ONE} for f in free}
+                for (pc, f), x in lifted.items():
                     if x:
-                        row[m] = x
-                    else:
-                        row.pop(m, None)
+                        vectors[f][pc] = x
+                if _solves(vectors.values(), pairs, n):
+                    space = MatSpace(n)
+                    space._pivots = free
+                    space._vectors = list(vectors.values())
+                    return space
+            if not pending:
+                return None
+        # the degree bound caps the points of the other kernels
+        if used == 2:
+            limit = 2 * _degree_bound(pairs, n, picked) + 2
+        if used == limit:
+            return None
+
+
+def _solves(vectors: list, pairs: list, n: int) -> bool:
+    """Whether X A = B X exactly for every pair and the X of every kernel
+    row in vectors: X[i][k] meets row k of A and column i of B."""
+    for a, b in pairs:
+        arows = [[(j, y) for j, y in enumerate(row) if y] for row in a.rows]
+        bcols = [[(h, y) for h, y in enumerate(col) if y]
+                 for col in zip(*b.rows)]
+        for vec in vectors:
+            xa, bx = {}, {}
+            for c, x in vec.items():
+                i, k = divmod(c, n)
+                for j, y in arows[k]:
+                    xa[i * n + j] = xa.get(i * n + j, ZERO) + x * y
+                for h, y in bcols[i]:
+                    bx[h * n + k] = bx.get(h * n + k, ZERO) + y * x
+            if {m: x for m, x in xa.items() if x} != \
+                    {m: x for m, x in bx.items() if x}:
+                return False
     return True
 
 
@@ -501,17 +576,30 @@ def stacked_nullspace(pairs: list) -> MatSpace:
     field; every A and B must be n x n (ValueError "dimension mismatch"
     otherwise).
 
-    Scalar entries are first mapped to F_p by Scalar.residue.  Let R be
-    the scalars with no pole at the residue point.  residue is a ring
-    homomorphism on R, and each operator entry is a sum of entries of A
-    and B, so when all of those lie in R, each minor of the operator lies
-    in R and maps to the same minor of the residue rows.  If those have
-    rank n^2, a nonzero n^2 x n^2 minor of them lifts to a nonzero minor
-    of the operator: its rank is n^2 and the kernel is {0}, returned with
-    no work over Q(i)(q).  A pole, or a lower rank mod p, proves nothing.
-    The probe is skipped when A = B in every pair, since the identity is
-    then a solution.  Every other answer, each nonzero kernel among them,
-    comes from the one rref below, so from _insert.
+    Scalar entries are first solved at residue points (_residue_kernel),
+    except a centralizer (A = B in every pair): its kernel always holds
+    the identity, and the residue path showed no clear gain there.  The
+    map of Scalar.residue, taken at q -> t (scalars._residue_at), is a ring
+    homomorphism on the scalars with no pole there, and each operator
+    entry is a sum of entries of A and B; so with no pole, each minor of
+    the operator maps to the same minor of the residue rows.  Let those
+    have rank r at t = RESIDUE_Q0: a nonzero r x r minor lifts, so the
+    kernel has dimension at most N - r, N = n^2, and at r = N it is {0}.
+    Otherwise the r rows of that minor are reduced at t, t + 1, ...; by
+    Cramer's rule each entry of their reduced kernel basis is a ratio of
+    r x r minors, of degrees at most _degree_bound, reconstructed as a
+    Thiele fraction and lifted; the first point's values are tried as
+    constants first.  The candidate is accepted only when
+      1. it has N - r vectors, one per free column at RESIDUE_Q0;
+      2. it is in reduced echelon form: the vector of free column f is 1
+         at f and nonzero elsewhere only at pivot columns after f;
+      3. every X in it satisfies X A = B X exactly for every pair.
+    By 2 and 3 it holds N - r independent solutions, so by 1 it spans the
+    kernel, and a space has one reduced echelon basis: the bytes are the
+    exact path's.  A pole, a change of pivots, a fraction that
+    degenerates or outruns the bound, a coefficient that does not lift,
+    or a failed check abstains, and the one rref below answers, as it
+    does for GaussRational entries.
 
     That rref reduces the rows once, sparsest first (a stable sort by
     their length, which for a kernel row is its nonzero count; the reduced
@@ -525,9 +613,10 @@ def stacked_nullspace(pairs: list) -> MatSpace:
     if any(m.n != n for pair in pairs for m in pair):
         raise ValueError("dimension mismatch")
     one = type(pairs[0][0].rows[0][0]).one()
-    if isinstance(one, Scalar) and any(a != b for a, b in pairs) \
-            and _kernel_is_zero(pairs, n):
-        return MatSpace(n)
+    if isinstance(one, Scalar) and any(a != b for a, b in pairs):
+        space = _residue_kernel(pairs, n)
+        if space is not None:
+            return space
     last = n * n - 1
     rows = [{last - c: x for c, x in row.items()} for a, b in pairs
             for row in _operator_rows(n, a.rows, b.rows)]

@@ -505,13 +505,8 @@ class Scalar:
         image is 0.  On the scalars without a pole this is a ring
         homomorphism: their num/den lie in Z_(p)[i][q] with a unit image
         of den."""
-        num = _presidue(self.num)
-        if self.den == _P_ONE or num is None:
-            return num
-        den = _presidue(self.den)
-        if not den:
-            return None
-        return num * pow(den, -1, RESIDUE_P) % RESIDUE_P
+        return _residue_at((_residues(self.num), _residues(self.den)),
+                           RESIDUE_Q0)
 
     # -- text ---------------------------------------------------------------
 
@@ -589,15 +584,25 @@ def _residues(p: tuple):
     return out
 
 
-def _presidue(p: tuple):
-    """The image of the polynomial p in F_p by Horner's rule, or None when
-    p divides a coefficient denominator."""
-    rs = _residues(p)
-    if rs is None:
+def _residue_at(cell: tuple, t: int):
+    """The image at q -> t of num/den given by cell, the coefficient
+    residues (_residues) of num and of den: an int in [0, p), or None at
+    a pole (a coefficient residue list is None, or den maps to 0)."""
+    num, den = cell
+    if num is None or den is None:
         return None
+    d = _horner(den, t)
+    if d == 1:
+        return _horner(num, t)
+    return _horner(num, t) * pow(d, -1, RESIDUE_P) % RESIDUE_P if d else None
+
+
+def _horner(rs: list, t: int) -> int:
+    """The value at q = t of the polynomial over F_p whose coefficient
+    residues are rs, index = degree."""
     out = 0
     for r in reversed(rs):
-        out = (out * RESIDUE_Q0 + r) % RESIDUE_P
+        out = (out * t + r) % RESIDUE_P
     return out
 
 

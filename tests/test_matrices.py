@@ -13,10 +13,11 @@ from oracles import det_vanishes, sandwich_kernel
 from qgl2.catalog import CATALOG, closure_generators, instantiate
 from qgl2.clifford import build_action, counit_invariance_space
 from qgl2.gl2 import GL2Rep, gl2_equivalent
-from qgl2.matrices import (HOWS, Mat, MatSpace, Verdict, _kernel_is_zero,
-                           _operator_rows, _reduce, _scaled_conjugacy,
+from qgl2.matrices import (HOWS, Mat, MatSpace, Verdict, _operator_rows,
+                           _reduce, _residue_rows, _scaled_conjugacy,
                            _sparse, _traces, centralizer, invertible_element,
                            rref, stacked_nullspace, subalgebra_closure)
+from qgl2.residues import _residue_rref
 from qgl2.scalars import (RESIDUE_P, RESIDUE_Q0, GaussRational, I, ONE, Q,
                           ZERO, Scalar, scalar)
 from qgl2.spinors import (QSpinorRep, admissibility, check_spinor,
@@ -250,6 +251,14 @@ def reference_kernel(pairs: list) -> MatSpace:
                             for a, b in pairs])
 
 
+def residue_rank(pairs: list):
+    """The rank of the stacked operator of pairs at the first residue
+    point, or None at a pole there."""
+    n = pairs[0][0].n
+    _, rows = next(_residue_rows(pairs, n))
+    return None if rows is None else len(_residue_rref(rows, range(n * n))[0])
+
+
 POLES = pytest.mark.parametrize("entry", [
     scalar(Fraction(1, RESIDUE_P)),     # p divides a coefficient's d
     ONE / (Q - RESIDUE_Q0),             # the denominator vanishes at q0
@@ -266,7 +275,7 @@ class TestResidueProbe:
     def test_full_rank_is_proved(self, n):
         for pairs in ([(q_shift(n).scale(Q), q_shift(n))],
                       [(q_shift(n), q_shift(n).scale(Q))]):
-            assert _kernel_is_zero(pairs, n)
+            assert residue_rank(pairs) == n * n
             assert stacked_nullspace(pairs) == reference_kernel(pairs) \
                 == MatSpace(n)
 
@@ -275,7 +284,7 @@ class TestResidueProbe:
         assert entry.residue() is None
         a = Mat([[entry, ONE], [ZERO, Q]])
         pairs = [(a.scale(Q), a)]
-        assert not _kernel_is_zero(pairs, 2)
+        assert residue_rank(pairs) is None
         assert stacked_nullspace(pairs) == reference_kernel(pairs) \
             == MatSpace(2)
 
@@ -287,7 +296,7 @@ class TestResidueProbe:
         a = Mat([[entry, ONE], [ONE, entry.inverse()]])
         pairs = [(a, Mat.zero(2))]
         assert entry.inverse().residue() == 0
-        assert not _kernel_is_zero(pairs, 2)
+        assert residue_rank(pairs) is None
         assert stacked_nullspace(pairs) == reference_kernel(pairs)
         assert stacked_nullspace(pairs).dim == 2
 
@@ -296,9 +305,68 @@ class TestResidueProbe:
         # (q0 - q) x12 = 0, a unit over Q(i)(q) but 0 at q = q0
         a = Mat.diag(RESIDUE_Q0, 1)
         pairs = [(a.scale(Q), a)]
-        assert not _kernel_is_zero(pairs, 2)
+        assert residue_rank(pairs) == 3
         assert stacked_nullspace(pairs) == reference_kernel(pairs) \
             == MatSpace(2)
+
+
+# a unimodular integer conjugator, so the conjugated entry keeps small
+# integer coefficients and q in many of its entries
+CONJUGATOR = Mat([[1, 0, 1, 0], [0, 1, 0, 2], [0, 0, 1, 0], [1, 0, 0, 1]])
+
+
+def conjugated(m: Mat) -> Mat:
+    return CONJUGATOR * m * CONJUGATOR.inverse()
+
+
+def diagonal_conjugacy(u: Mat, d: Scalar) -> list:
+    """The pair (A, u A u^-1) of A = diag(d, q): its space {X : X A =
+    u A u^-1 X} is u times the diagonal matrices, so its reduced echelon
+    basis carries the entries of u."""
+    a = Mat.diag(d, Q)
+    return [(a, u * a * u.inverse())]
+
+
+class TestResidueKernel:
+    """A nonzero kernel is read off residue points and proved by one exact
+    check; wherever that abstains, the exact elimination gives the same
+    canonical basis."""
+
+    def test_answered_without_the_exact_elimination(self, monkeypatch):
+        rep = instantiate("rejected-double-jordan-up")
+        a, b = conjugated(rep.a), conjugated(rep.b)
+        solves = [[(a.scale(Q), a)], [(rep.a, a), (rep.b, b)]]
+        expected = [reference_kernel(pairs) for pairs in solves]
+
+        def exact(rows):
+            raise AssertionError("the exact elimination ran")
+
+        monkeypatch.setattr(qgl2.matrices, "rref", exact)
+        assert q_commutant(a) == expected[0]
+        assert expected[0].dim == 2
+        # the conjugator space of the pair and its conjugate holds the
+        # conjugator, and entries with q, which take more than one point
+        space = stacked_nullspace(solves[1])
+        assert space == expected[1] and space.dim == 2
+        assert any(x.den != ONE.den or len(x.num) > 1 for m in space.basis
+                   for row in m.rows for x in row)
+
+    @pytest.mark.parametrize("u, d", [
+        (Mat([[1, I], [0, 1]]), ONE),           # a non-real coefficient
+        (Mat([[1, 40000], [0, 1]]), ONE),       # a part over 32767
+        # a pole at the second residue point, reached since 1/q is no
+        # constant
+        (Mat([[1, Q], [0, 1]]), ONE / (Q - (RESIDUE_Q0 + 1))),
+    ], ids=["non-real", "large-part", "second-point-pole"])
+    def test_each_abstention_falls_back(self, monkeypatch, u, d):
+        pairs = diagonal_conjugacy(u, d)
+        calls = []
+        exact = qgl2.matrices.rref
+        monkeypatch.setattr(qgl2.matrices, "rref",
+                            lambda rows: calls.append(1) or exact(rows))
+        space = stacked_nullspace(pairs)
+        assert calls, "the residue path did not abstain"
+        assert space == reference_kernel(pairs) and space.dim == 2
 
 
 class TestSearchHelpers:
@@ -910,12 +978,12 @@ class TestSolvesMatchSandwichReference:
             space = stacked_nullspace(pairs)
             assert space == reference_kernel(pairs)
             dims.append(space.dim)
-            if isinstance(pool[0], Scalar) and _kernel_is_zero(pairs, n):
+            if isinstance(pool[0], Scalar) and residue_rank(pairs) == n * n:
                 assert space.dim == 0
                 proved.append(n)
 
         check()
-        # the draws reach the full-rank case, which the residue probe
+        # the draws reach the full-rank case, which the residue rank
         # answers for Scalar entries
         assert 0 in dims and max(dims) > 0
         assert bool(proved) == isinstance(pool[0], Scalar)
@@ -977,7 +1045,7 @@ def operator_by_definition(n: int, a, b, zero, one) -> list:
     return [_sparse(row) for row in zip(*cols)]
 
 
-# residues as _kernel_is_zero passes them: ints in [0, RESIDUE_P)
+# residues as _residue_rows passes them: ints in [0, RESIDUE_P)
 RESIDUES = (0, 1, 2, 7, RESIDUE_Q0, RESIDUE_P - 1)
 GRID_POOLS = pytest.mark.parametrize("pool, zero, one", [
     (SCALAR_POOL, ZERO, ONE),
