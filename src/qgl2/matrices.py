@@ -483,22 +483,6 @@ def _residue_rows(pairs: list, n: int):
                       for row in _operator_rows(n, a, b)]
 
 
-def _degree_bound(pairs: list, n: int, rows: list) -> int:
-    """A bound on both degrees of a ratio of r x r minors of the stacked
-    operator rows numbered rows, r = len(rows).  Row (i, j) of a pair
-    (A, B) holds entries of column j of A and row i of B, or a difference
-    of two; times the product L of their denominators it is polynomial,
-    of degree at most deg L + max deg num.  A minor of such rows has at
-    most the sum of their degrees, and the factors L cancel in a ratio."""
-    total = 0
-    for k in rows:
-        (a, b), (i, j) = pairs[k // (n * n)], divmod(k % (n * n), n)
-        xs = [row[j] for row in a.rows] + list(b.rows[i])
-        total += sum(len(x.den) - 1 for x in xs if x) \
-            + max(len(x.num) - 1 for x in xs)
-    return total
-
-
 def _residue_kernel(pairs: list, n: int) -> Optional[MatSpace]:
     """The joint kernel of pairs read off residue points and proved, or
     None where that abstains (see stacked_nullspace)."""
@@ -512,41 +496,39 @@ def _residue_kernel(pairs: list, n: int) -> Optional[MatSpace]:
                 return MatSpace(n)
             free = [f for f in range(width) if f not in basis]
             fits = {(pc, f): ([], []) for f in free for pc in basis if pc > f}
-            pending, limit = list(fits), None
         else:
             at_t = _residue_rref([rows[k] for k in picked], columns)[0]
             if at_t.keys() != basis.keys():
                 return None
             basis = at_t
-        still = []
-        for pc, f in pending:
-            done = _thiele(*fits[pc, f], t, -basis[pc].get(f, 0) % RESIDUE_P)
-            if done is None:
-                return None
-            if not done:
-                still.append((pc, f))
-        pending = still
+        done = [_thiele(*fit, t, -basis[pc].get(f, 0) % RESIDUE_P)
+                for (pc, f), fit in fits.items()]
+        if None in done:
+            return None
         # the first point's values are tried as constants, which most
         # kernels have: a candidate that passes the check is proved
-        if used == 1 or not pending:
+        if used == 1 or all(done):
             lifted = {cell: _lift(*fit) for cell, fit in fits.items()}
             if None not in lifted.values():
-                vectors = {f: {f: ONE} for f in free}
-                for (pc, f), x in lifted.items():
-                    if x:
-                        vectors[f][pc] = x
-                if _solves(vectors.values(), pairs, n):
-                    space = MatSpace(n)
-                    space._pivots = free
-                    space._vectors = list(vectors.values())
+                space = _kernel_space(n, free, lifted, ONE)
+                if _solves(space._vectors, pairs, n):
                     return space
-            if not pending:
+            if all(done):
                 return None
-        # the degree bound caps the points of the other kernels
-        if used == 2:
-            limit = 2 * _degree_bound(pairs, n, picked) + 2
-        if used == limit:
-            return None
+
+
+def _kernel_space(n: int, free: list, entries: dict, one) -> MatSpace:
+    """The space whose reduced echelon basis has one vector per free
+    column f, in increasing order: one at f and x at each pivot column pc
+    with a nonzero x = entries[pc, f]."""
+    vectors = {f: {f: one} for f in free}
+    for (pc, f), x in entries.items():
+        if x:
+            vectors[f][pc] = x
+    space = MatSpace(n)
+    space._pivots = free
+    space._vectors = list(vectors.values())
+    return space
 
 
 def _solves(vectors: list, pairs: list, n: int) -> bool:
@@ -586,10 +568,13 @@ def stacked_nullspace(pairs: list) -> MatSpace:
     have rank r at t = RESIDUE_Q0: a nonzero r x r minor lifts, so the
     kernel has dimension at most N - r, N = n^2, and at r = N it is {0}.
     Otherwise the r rows of that minor are reduced at t, t + 1, ...; by
-    Cramer's rule each entry of their reduced kernel basis is a ratio of
-    r x r minors, of degrees at most _degree_bound, reconstructed as a
-    Thiele fraction and lifted; the first point's values are tried as
-    constants first.  The candidate is accepted only when
+    Cramer's rule each entry of their reduced kernel basis is one ratio R
+    of r x r minors, of degrees at most some B, fed to a Thiele fraction.
+    Two fractions of degrees at most (B, B) that agree at 2B + 1 points
+    are equal, so the fraction is R after at most 2B + 1 terms and then
+    takes every later value (Cabay 1971).  The entries are lifted at the
+    first point, as constants, and once every fraction takes the values
+    of one point.  The candidate is accepted only when
       1. it has N - r vectors, one per free column at RESIDUE_Q0;
       2. it is in reduced echelon form: the vector of free column f is 1
          at f and nonzero elsewhere only at pivot columns after f;
@@ -597,9 +582,9 @@ def stacked_nullspace(pairs: list) -> MatSpace:
     By 2 and 3 it holds N - r independent solutions, so by 1 it spans the
     kernel, and a space has one reduced echelon basis: the bytes are the
     exact path's.  A pole, a change of pivots, a fraction that
-    degenerates or outruns the bound, a coefficient that does not lift,
-    or a failed check abstains, and the one rref below answers, as it
-    does for GaussRational entries.
+    degenerates, a coefficient that does not lift, or a failed check
+    abstains, and the one rref below answers, as it does for
+    GaussRational entries.
 
     That rref reduces the rows once, sparsest first (a stable sort by
     their length, which for a kernel row is its nonzero count; the reduced
@@ -622,16 +607,10 @@ def stacked_nullspace(pairs: list) -> MatSpace:
             for row in _operator_rows(n, a.rows, b.rows)]
     rows.sort(key=len)
     reduced, pivots = rref(rows)
-    space = MatSpace(n)
-    for fc in range(last, -1, -1):
-        if fc not in pivots:
-            v = {last - fc: one}
-            for row, pc in zip(reduced, pivots):
-                if fc in row:
-                    v[last - pc] = -row[fc]
-            space._vectors.append(v)
-            space._pivots.append(last - fc)
-    return space
+    free = [f for f in range(n * n) if last - f not in pivots]
+    return _kernel_space(n, free, {(last - pc, last - c): -x
+                                   for row, pc in zip(reduced, pivots)
+                                   for c, x in row.items() if c != pc}, one)
 
 
 def centralizer(mats: list) -> MatSpace:

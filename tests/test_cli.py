@@ -409,8 +409,8 @@ class TestEquiv:
         assert "equivalent: none within monomial scalings" in out
 
     def test_rep_file(self, capsys, tmp_path, diag_file, spinor_b_file):
-        a = json.loads(open(diag_file).read())
-        b = json.loads(open(spinor_b_file).read())
+        a = json.loads(pathlib.Path(diag_file).read_text())
+        b = json.loads(pathlib.Path(spinor_b_file).read_text())
         rep = write_json(tmp_path / "rep.json", {"a": a, "b": b})
         assert main(["equiv", rep, "admissible-a", "--format",
                      "json"]) == 0
@@ -421,7 +421,7 @@ class TestEquiv:
 
     def test_bad_matrix_in_rep_file_is_named(self, capsys, tmp_path,
                                              diag_file):
-        a = json.loads(open(diag_file).read())
+        a = json.loads(pathlib.Path(diag_file).read_text())
         rep = write_json(tmp_path / "rep.json",
                          {"a": a, "b": {"n": 4, "entries": "q"}})
         assert main(["equiv", "admissible-a", rep]) == 2

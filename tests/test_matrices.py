@@ -351,6 +351,27 @@ class TestResidueKernel:
         assert any(x.den != ONE.den or len(x.num) > 1 for m in space.basis
                    for row in m.rows for x in row)
 
+    def test_degree_twenty_needs_no_cap(self, monkeypatch):
+        # the entry 1/q^20 of the basis settles as a Thiele fraction after
+        # 2 * 20 + 1 terms, so the points stop by themselves at the 42nd
+        pairs = diagonal_conjugacy(Mat([[1, Q ** 20], [0, 1]]), ONE)
+        expected = reference_kernel(pairs)
+        points = []
+        residue_rows = qgl2.matrices._residue_rows
+
+        def counted(pairs, n):
+            for item in residue_rows(pairs, n):
+                points.append(item[0])
+                yield item
+
+        def exact(rows):
+            raise AssertionError("the exact elimination ran")
+
+        monkeypatch.setattr(qgl2.matrices, "_residue_rows", counted)
+        monkeypatch.setattr(qgl2.matrices, "rref", exact)
+        assert stacked_nullspace(pairs) == expected
+        assert len(points) == 42
+
     @pytest.mark.parametrize("u, d", [
         (Mat([[1, I], [0, 1]]), ONE),           # a non-real coefficient
         (Mat([[1, 40000], [0, 1]]), ONE),       # a part over 32767
