@@ -8,8 +8,9 @@ the catalog of built-in representations and the command-line interface.
 
 from .scalars import GaussRational, Scalar, Q, I, ONE, ZERO, scalar, \
     parse_scalar
-from .matrices import Mat, MatSpace, Verdict, centralizer, \
-    subalgebra_closure, stacked_nullspace, invertible_element
+from .matrices import Mat, MatSpace, centralizer, subalgebra_closure, \
+    stacked_nullspace, invertible_element
+from .conjugacy import Verdict
 from .spinors import QSpinorRep, check_spinor, \
     q_commutant, admissibility, spinor_equivalent
 from .gl2 import GL2Rep, RelationReport, InvertibilityReport, \

@@ -26,7 +26,8 @@ from fractions import Fraction
 
 from .catalog import closure_generators, get_entry, instantiate, list_entries
 from .gl2 import GL2Rep, gl2_equivalent
-from .matrices import MAX_EXPONENT, Mat, centralizer, subalgebra_closure
+from .conjugacy import MAX_EXPONENT
+from .matrices import Mat, centralizer, subalgebra_closure
 from .report import build_report, render_table, report_exit_code
 from .scalars import MAX_DIGITS
 from .spinors import QSpinorRep, admissibility, q_commutant, \

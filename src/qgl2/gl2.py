@@ -10,7 +10,8 @@ for equivalences between quadruples up to conjugation and column scaling.
 
 from dataclasses import dataclass, fields
 
-from .matrices import Mat, Verdict, _scaled_conjugacy
+from .conjugacy import Verdict, scaled_conjugacy
+from .matrices import Mat
 from .scalars import ONE, Q
 
 __all__ = [
@@ -231,14 +232,10 @@ def gl2_equivalent(r1: GL2Rep, r2: GL2Rep) -> Verdict:
         r2.c11 = u r1.c11 u^-1 alpha1,   r2.c21 = u r1.c21 u^-1 alpha1,
         r2.c12 = u r1.c12 u^-1 alpha2,   r2.c22 = u r1.c22 u^-1 alpha2,
 
-    the scalings ranging over monomials q^k, each k pinned by the power
-    traces of its column, or, for a column whose power traces all vanish,
-    |k| <= matrices.MAX_EXPONENT (matrices._scaled_conjugacy).  Column
-    rescaling preserves the defining relations, so this is the natural
-    equivalence for quadruples.  Returns a Verdict whose witness is the
-    exactly verified triple.  A "no" carries its how and is proved for
-    every scaling in that family.
+    over the monomials q^k of conjugacy.scaled_conjugacy, which returns
+    the Verdict.  Column rescaling preserves the defining relations, so
+    this is the natural equivalence for quadruples.
     """
-    return _scaled_conjugacy(
+    return scaled_conjugacy(
         [(r1.c11, r2.c11, 0), (r1.c21, r2.c21, 0),
          (r1.c12, r2.c12, 1), (r1.c22, r2.c22, 1)])

@@ -247,9 +247,8 @@ def _qspinor_checks(entry: CatalogEntry, rep, q0: Fraction, orientation: str,
 def _equivalence_classes(entries: list) -> dict:
     """Union-find over pairwise equivalence of the gl2 entries (at default
     parameters), merging on a found witness, which gl2_equivalent finds
-    whenever one exists within its scalings (the q^k that each column's
-    power traces pin, |k| <= 4 if they all vanish).  Returns entry name ->
-    representative name, in catalog order."""
+    whenever one exists within its scalings (conjugacy.scaled_conjugacy).
+    Returns entry name -> representative name, in catalog order."""
     gl2 = [e for e in entries if e.kind == "gl2"]
     reps = {e.name: instantiate(e) for e in gl2}
     parent = {e.name: e.name for e in gl2}

@@ -8,8 +8,8 @@ matrix c with c*b = q*b*c and c*a = q*a*c such that c*b is nonzero.
 
 from dataclasses import dataclass
 
-from .matrices import Mat, MatSpace, Verdict, _scaled_conjugacy, \
-    stacked_nullspace
+from .conjugacy import Verdict, scaled_conjugacy
+from .matrices import Mat, MatSpace, stacked_nullspace
 from .scalars import Q, Scalar
 
 __all__ = [
@@ -78,11 +78,6 @@ def admissibility(a: Mat, b: Mat, q: Scalar = Q,
 
 def spinor_equivalent(r1: QSpinorRep, r2: QSpinorRep) -> Verdict:
     """Search for (u, alpha) with r2.a = u r1.a u^-1 alpha and
-    r2.b = u r1.b u^-1 alpha, alpha a monomial q^k with k pinned by the
-    power traces of a and b, or |k| <= matrices.MAX_EXPONENT if they all
-    vanish (matrices._scaled_conjugacy).
-
-    Returns a Verdict whose witness is the exactly verified pair.  A "no"
-    carries its how and is proved for every alpha in that family.
-    """
-    return _scaled_conjugacy([(r1.a, r2.a, 0), (r1.b, r2.b, 0)])
+    r2.b = u r1.b u^-1 alpha over the monomials alpha = q^k of
+    conjugacy.scaled_conjugacy, which returns the Verdict."""
+    return scaled_conjugacy([(r1.a, r2.a, 0), (r1.b, r2.b, 0)])

@@ -9,7 +9,8 @@ from qgl2.catalog import (closure_generators, family_assignments, get_entry,
 from qgl2.clifford import build_action, counit_invariance_space, unitality_ok
 from qgl2.gl2 import GL2Rep, gl2_equivalent, \
     invertibility_nilpotency_check, verify_relations
-from qgl2.matrices import HOWS, MatSpace, centralizer, subalgebra_closure
+from qgl2.conjugacy import HOWS
+from qgl2.matrices import MatSpace, centralizer, subalgebra_closure
 from qgl2.report import build_report
 from qgl2.scalars import Q, scalar
 from qgl2.spinors import QSpinorRep, admissibility, check_spinor, \

@@ -3,7 +3,7 @@ commutators, quantum-plane splitting, equivalence search."""
 
 import pytest
 
-import qgl2.matrices
+import qgl2.conjugacy
 from qgl2.catalog import instantiate
 from qgl2.gl2 import (GL2Rep, RELATION_LABELS, gl2_equivalent,
                       invertibility_nilpotency_check, power_commutator_check,
@@ -268,8 +268,8 @@ class TestEquivalenceSearch:
         # c11, c22 and detq agree, but tr(c12^j) is 0 against 1 for every
         # j: no scaling of the second column passes, so nothing is solved
         solves = []
-        solve = qgl2.matrices.stacked_nullspace
-        monkeypatch.setattr(qgl2.matrices, "stacked_nullspace",
+        solve = qgl2.conjugacy.stacked_nullspace
+        monkeypatch.setattr(qgl2.conjugacy, "stacked_nullspace",
                             lambda *args: solves.append(1) or solve(*args))
         z, d = Mat.zero(4), Mat.diag(Q, Q, 1, 1)
         r1 = GL2Rep(Mat.identity(4), z, z, d)

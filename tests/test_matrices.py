@@ -1,6 +1,7 @@
 """Exact matrices, canonical subspaces, operator nullspaces, closures."""
 
 import random
+import sys
 from fractions import Fraction
 from itertools import islice, product
 from math import prod
@@ -8,15 +9,19 @@ from math import prod
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
+import qgl2.conjugacy
 import qgl2.matrices
+import qgl2.scalars
 from oracles import det_vanishes, sandwich_kernel
 from qgl2.catalog import CATALOG, closure_generators, instantiate
+from qgl2.cli import main
 from qgl2.clifford import build_action, counit_invariance_space
 from qgl2.gl2 import GL2Rep, gl2_equivalent
-from qgl2.matrices import (HOWS, Mat, MatSpace, Verdict, _operator_rows,
-                           _reduce, _residue_rows, _scaled_conjugacy,
-                           _sparse, _traces, centralizer, invertible_element,
-                           rref, stacked_nullspace, subalgebra_closure)
+from qgl2.conjugacy import HOWS, Verdict, _traces, scaled_conjugacy
+from qgl2.matrices import (Mat, MatSpace, _operator_rows, _reduce,
+                           _residue_rows, _sparse, centralizer,
+                           invertible_element, rref, stacked_nullspace,
+                           subalgebra_closure)
 from qgl2.residues import _residue_rref
 from qgl2.scalars import (RESIDUE_P, RESIDUE_Q0, GaussRational, I, ONE, Q,
                           ZERO, Scalar, scalar)
@@ -209,8 +214,9 @@ class TestClosuresAndCommutants:
         assert centralizer([Mat.identity(3)]).dim == 9
 
     def test_centralizer_requires_input(self):
-        with pytest.raises(ValueError):
-            centralizer([])
+        for solve in (centralizer, stacked_nullspace, scaled_conjugacy):
+            with pytest.raises(ValueError):
+                solve([])
 
     def test_mixed_sizes_are_rejected(self):
         small, big = Mat.identity(2), Mat.diag(1, 2, 3)
@@ -389,6 +395,47 @@ class TestResidueKernel:
         assert calls, "the residue path did not abstain"
         assert space == reference_kernel(pairs) and space.dim == 2
 
+    def test_catalog_round_solve_routes(self, monkeypatch, capsys):
+        # every solve of one verify-catalog round, counted through each
+        # qgl2 module that binds stacked_nullspace (as the benchmark's
+        # tracer patches them), keeps its route: a solve that slips to a
+        # slower one fails here, where timing noise would hide it
+        routes = dict.fromkeys(("solves", "residue", "abstained",
+                                "centralizer", "gauss", "pgcd"), 0)
+        solve = qgl2.matrices.stacked_nullspace
+        residue_kernel = qgl2.matrices._residue_kernel
+        pgcd = qgl2.scalars._pgcd
+
+        def counted_solve(pairs):
+            routes["solves"] += 1
+            if not isinstance(pairs[0][0].rows[0][0], Scalar):
+                routes["gauss"] += 1
+            elif all(a == b for a, b in pairs):
+                routes["centralizer"] += 1
+            return solve(pairs)
+
+        def counted_residue(pairs, n):
+            space = residue_kernel(pairs, n)
+            routes["abstained" if space is None else "residue"] += 1
+            return space
+
+        def counted_pgcd(*args):
+            routes["pgcd"] += 1
+            return pgcd(*args)
+
+        for name, module in list(sys.modules.items()):
+            if name.startswith("qgl2.") and \
+                    getattr(module, "stacked_nullspace", None) is solve:
+                monkeypatch.setattr(module, "stacked_nullspace",
+                                    counted_solve)
+        monkeypatch.setattr(qgl2.matrices, "_residue_kernel",
+                            counted_residue)
+        monkeypatch.setattr(qgl2.scalars, "_pgcd", counted_pgcd)
+        assert main(["verify-catalog", "--format", "json"]) == 1
+        capsys.readouterr()
+        assert routes == {"solves": 99, "residue": 40, "abstained": 0,
+                          "centralizer": 12, "gauss": 47, "pgcd": 0}
+
 
 class TestSearchHelpers:
     def test_power_traces(self):
@@ -399,10 +446,10 @@ class TestSearchHelpers:
     def test_second_trace_rules_out_before_any_solve(self, monkeypatch):
         # tr(g) is 0 on both sides; tr(g^2) is 2 against 0, which no
         # scaling q^k matches, so nothing is solved
-        monkeypatch.setattr(qgl2.matrices, "stacked_nullspace",
+        monkeypatch.setattr(qgl2.conjugacy, "stacked_nullspace",
                             lambda pairs: pytest.fail("solved"))
         g1, g2 = Mat.diag(1, -1), Mat.unit(2, 0, 1)
-        assert _scaled_conjugacy([(g1, g2, 0)]) == \
+        assert scaled_conjugacy([(g1, g2, 0)]) == \
             Verdict(None, "invariant differs")
 
     def test_invertible_element_from_singular_basis(self):
@@ -488,9 +535,9 @@ class TestTracePins:
         (Mat.diag(1, -1, 0), Mat([[0, "q", 0], [1, 0, 0], [0, 0, 0]]))],
         ids=["ratio-not-a-power-of-q", "gap-not-a-multiple-of-j"])
     def test_no_exponent_fits(self, monkeypatch, g1, g2):
-        monkeypatch.setattr(qgl2.matrices, "stacked_nullspace",
+        monkeypatch.setattr(qgl2.conjugacy, "stacked_nullspace",
                             lambda pairs: pytest.fail("solved"))
-        assert _scaled_conjugacy([(g1, g2, 0)]) == \
+        assert scaled_conjugacy([(g1, g2, 0)]) == \
             Verdict(None, "invariant differs")
 
     def test_nilpotent_pair_keeps_the_bounded_range(self):

@@ -2,9 +2,10 @@
 
 import pytest
 
-import qgl2.matrices
+import qgl2.conjugacy
 import qgl2.scalars
-from qgl2.matrices import Mat, MatSpace, Verdict
+from qgl2.conjugacy import Verdict
+from qgl2.matrices import Mat, MatSpace
 from qgl2.scalars import GaussRational, Q
 from qgl2.spinors import (QSpinorRep, admissibility, check_spinor,
                           q_commutant, spinor_equivalent)
@@ -189,13 +190,13 @@ class TestEquivalenceSearch:
         # only alpha = 1 passes the trace pins, and its conjugator space is
         # spanned by the singular e22, so no invertible conjugator exists
         spaces = []
-        solve = qgl2.matrices.stacked_nullspace
+        solve = qgl2.conjugacy.stacked_nullspace
 
         def recording_solve(*args):
             spaces.append(solve(*args))
             return spaces[-1]
 
-        monkeypatch.setattr(qgl2.matrices, "stacked_nullspace",
+        monkeypatch.setattr(qgl2.conjugacy, "stacked_nullspace",
                             recording_solve)
         a = Mat.diag(Q, 1)
         r1 = QSpinorRep(a, Mat.unit(2, 0, 1))
