@@ -22,11 +22,11 @@ Every operation ends in one pass to the canonical form, with one rule
 for the gcd.  With s = min(ord num, ord den), gcd(num, den) is q^s times
 the gcd of num/q^s and den/q^s, and one of those has a nonzero constant
 term, so their gcd is 1 when either is a monomial.  Both sides are
-sliced by s, and a gcd is taken only when neither is a monomial: first
-mod p, on the coefficient residues of Scalar.residue, where a degree 0
-proves the sides coprime and a candidate read off the residues is the
-gcd when it divides both exactly (_cancel); the Euclidean loop runs only
-where that certificate abstains.  Division is pseudo-division on the
+sliced by s, and a gcd is taken only when neither is a monomial, from
+coefficient residues mod primes p = 1 (mod 4) alone (_cancel): a degree
+0 mod p proves the sides coprime, and a candidate read off the residues
+is the gcd when it divides both exactly.  That route is complete, so
+no Euclidean gcd remains.  Division is pseudo-division on the
 Gaussian-integer numerators.  So the usual denominator c*q^k (about 99%
 of the results in a verify-catalog run) costs a slice and a scaling by
 1/c when c != 1.  A difference subtracts the coefficients in place; it
@@ -42,7 +42,7 @@ from __future__ import annotations
 
 import re
 from fractions import Fraction
-from math import gcd as _gcd, lcm as _lcm, log10 as _log10
+from math import gcd as _gcd, isqrt, lcm as _lcm, log10 as _log10
 
 
 def _power(x, k: int, one):
@@ -318,26 +318,6 @@ def _pdivmod(a: tuple, b: tuple):
                                 for x, y in zip(re[:n], im[:n])])
 
 
-def _pgcd(a: tuple, b: tuple) -> tuple:
-    """Monic gcd of a and b by the Euclidean loop alone: Scalar.__init__
-    runs it on two non-monomials only where the certificate of _cancel
-    abstains.  The remainders are made monic: unscaled, their
-    coefficients swell at every step (a closure of two dense 3 x 3
-    matrices took 21 s, then 2 s)."""
-    while b:
-        a, b = b, _pmonic(_pdivmod(a, b)[1])
-    return _pmonic(a)
-
-
-def _pmonic(a: tuple) -> tuple:
-    if not a:
-        return a
-    c = a[-1]
-    if c.a == 1 and c.d == 1 and not c.b:
-        return a
-    return _pscale(c.inverse(), a)
-
-
 _P_ONE = (GR_ONE,)
 
 
@@ -569,18 +549,18 @@ RESIDUE_I = 629208553
 RESIDUE_Q0 = 1234567891
 
 
-def _residues(p: tuple):
-    """The images in F_p of the coefficients of p under i -> RESIDUE_I,
-    or None when p divides a coefficient denominator."""
+def _residues(poly: tuple, p: int = RESIDUE_P, r: int = RESIDUE_I):
+    """The images in F_p of the coefficients of poly under i -> r, or None
+    when p divides a coefficient denominator."""
     out = []
-    for c in p:
+    for c in poly:
         d = c.d
-        num = c.a + c.b * RESIDUE_I
+        num = c.a + c.b * r
         if d != 1:
-            if not d % RESIDUE_P:
+            if not d % p:
                 return None
-            num *= pow(d, -1, RESIDUE_P)
-        out.append(num % RESIDUE_P)
+            num *= pow(d, -1, p)
+        out.append(num % p)
     return out
 
 
@@ -607,60 +587,110 @@ def _horner(rs: list, t: int) -> int:
 
 
 def _cancel(num: tuple, den: tuple) -> tuple:
-    """num/g and den/g, g the monic gcd of the non-monomials num and den,
-    certified by gcd_p, the gcd of their coefficient residues over F_p.
-    _residues maps R = Z[i] localized at P = (p, i - RESIDUE_I) onto
-    R/P = F_p.  With no pole and no leading coefficient in P, num and den
-    are units times monic polynomials of R[q], so g lies in R[q] (R is
-    integrally closed) and its monic image divides both images: deg g <=
-    deg gcd_p.  So gcd_p = 1 proves g = 1, and the monic h of degree
-    deg gcd_p read off gcd_p by rational reconstruction, if it divides
-    both exactly, divides g and so is g.  Every other case runs _pgcd, a
-    non-real g among them."""
-    rn, rd = _residues(num), _residues(den)
-    if rn is not None and rd is not None and rn[-1] and rd[-1]:
-        h = _gcd_mod_p(rn, rd)
+    """num/g and den/g, g the monic gcd of the non-monomials num and den.
+    For p = 1 (mod 4) prime and r^2 = -1, _residues maps R = Z[i]
+    localized at P = (p, i - r) onto R/P = F_p.  With no pole and no
+    leading coefficient in P, num and den are units times monic
+    polynomials of R[q], so g lies in R[q] (R is integrally closed) and
+    its image divides gcd_p, the gcd of theirs: deg g <= deg gcd_p.  So a
+    monic h of degree deg gcd_p that divides both exactly is g."""
+    for h in _candidates(num, den):
         if len(h) == 1:
             return num, den
-        h = tuple(map(_rational, h))
-        if None not in h:
-            qn, r = _pdivmod(num, h)
+        qn, r = _pdivmod(num, h)
+        if not r:
+            qd, r = _pdivmod(den, h)
             if not r:
-                qd, r = _pdivmod(den, h)
-                if not r:
-                    return qn, qd
-    g = _pgcd(num, den)
-    if len(g) > 1:
-        num, den = _pdivmod(num, g)[0], _pdivmod(den, g)[0]
-    return num, den
+                return qn, qd
 
 
-def _gcd_mod_p(a: list, b: list) -> list:
+def _candidates(num: tuple, den: tuple):
+    """The h of _cancel, each of the degree of a gcd_p at a P without a
+    pole or a leading coefficient in it.  First a real h read off gcd_p at
+    RESIDUE_P, i -> RESIDUE_I; then, for each (p, r) of _moduli where
+    gcd_p at i -> r and at i -> p - r have one degree, the h whose real
+    and imaginary parts are their half sum and half difference over r,
+    combined by CRT over the primes of the lowest degree met.  A prime is
+    unlucky (a pole, a leading coefficient in P, or deg gcd_p > deg g)
+    only if it divides one of finitely many nonzero integers fixed by num
+    and den, so the loop ends: past them every prime gives the images of
+    g, and their product comes to bound its parts."""
+    size = 0
+    for p, r in _moduli():
+        images = []
+        for s in (r, p - r):
+            rn, rd = _residues(num, p, s), _residues(den, p, s)
+            if rn is None or rd is None or not (rn[-1] and rd[-1]):
+                break
+            images.append(_gcd_mod_p(rn, rd, p))
+            if (p, s) == (RESIDUE_P, RESIDUE_I):
+                h = tuple(map(_rational, images[0]))
+                if None not in h:
+                    yield h
+        else:
+            a, b = images
+            if len(a) != len(b) or 0 < size < len(a):
+                continue
+            if len(a) != size:
+                size, m, combined = len(a), 1, [0] * (2 * len(a))
+            half, over, inv = (p + 1) // 2, pow(2 * r, -1, p), pow(m, -1, p)
+            parts = [(x + y) * half for x, y in zip(a, b)] \
+                + [(x - y) * over for x, y in zip(a, b)]
+            combined = [x + m * ((y - x) * inv % p)
+                        for x, y in zip(combined, parts)]
+            m *= p
+            h = [_rational(x, m) for x in combined]
+            if None not in h:
+                yield tuple(x + GR_I * y for x, y in zip(h[:size], h[size:]))
+
+
+def _moduli():
+    """(p, r), p a prime = 1 (mod 4) and r^2 = -1 (mod p): RESIDUE_P and
+    RESIDUE_I, then each such p above 2^62 in turn, proved prime by
+    Miller-Rabin on the 13 prime bases up to 41 (a proof below 3.3e24,
+    Sorenson and Webster 2015), with r = a^((p-1)/4) for the least
+    quadratic non-residue a."""
+    yield RESIDUE_P, RESIDUE_I
+    for p in range(2 ** 62 + 1, 3 * 10 ** 24, 4):
+        d, s = p - 1, 0
+        while not d & 1:
+            d, s = d >> 1, s + 1
+        for a in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41):
+            x = pow(a, d, p)
+            if x != 1 and p - 1 not in [pow(x, 1 << j, p) for j in range(s)]:
+                break
+        else:
+            a = next(a for a in range(2, p) if pow(a, p // 2, p) == p - 1)
+            yield p, pow(a, p // 4, p)
+
+
+def _gcd_mod_p(a: list, b: list, p: int = RESIDUE_P) -> list:
     """The monic gcd over F_p of two residue lists without trailing zeros,
     index = degree; both are used up."""
     while b:
-        inv, n = pow(b[-1], -1, RESIDUE_P), len(b) - 1
+        inv, n = pow(b[-1], -1, p), len(b) - 1
         while len(a) > n:
-            c = a.pop() * inv % RESIDUE_P
+            c = a.pop() * inv % p
             s = len(a) - n
             for k in range(n):
-                a[s + k] = (a[s + k] - c * b[k]) % RESIDUE_P
+                a[s + k] = (a[s + k] - c * b[k]) % p
             while a and not a[-1]:
                 a.pop()
         a, b = b, a
-    inv = pow(a[-1], -1, RESIDUE_P)
-    return [c * inv % RESIDUE_P for c in a]
+    inv = pow(a[-1], -1, p)
+    return [c * inv % p for c in a]
 
 
-def _rational(r: int):
-    """The rational a/b with |a|, b <= 32767 and a = b*r in F_p, or None,
-    by the half-extended Euclidean algorithm (Wang 1981).  32767 is the
-    largest N with 2 N^2 < p, so at most one reduced a/b is in range."""
-    r0, r1, t0, t1 = RESIDUE_P, r, 0, 1
-    while r1 > 32767:
+def _rational(r: int, m: int = RESIDUE_P):
+    """The rational a/b with |a|, b <= N = isqrt(m/2) and a = b*r mod m,
+    or None, by the half-extended Euclidean algorithm (Wang 1981).  2 N^2
+    < m for odd m, so at most one reduced a/b is in range."""
+    n = isqrt(m // 2)
+    r0, r1, t0, t1 = m, r, 0, 1
+    while r1 > n:
         k = r0 // r1
         r0, r1, t0, t1 = r1, r0 - k * r1, t1, t0 - k * t1
-    if abs(t1) > 32767:
+    if abs(t1) > n:
         return None
     return _reduced(r1 if t1 > 0 else -r1, 0, abs(t1))
 

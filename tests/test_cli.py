@@ -639,8 +639,9 @@ def test_dense_closure_answers_in_seconds(tmp_path):
 
 GRAMMAR = "0123456789iq+-*/^() "
 # entries that parse, so that well-shaped matrices reach the solvers
-VALUES = st.sampled_from(("0", "0", "1", "-1", "2", "i", "q", "-q", "q^2",
-                          "1/q", "q + 1", "(q - 1)/q", "2*i*q"))
+ENTRIES = ("0", "0", "1", "-1", "2", "i", "q", "-q", "q^2", "1/q", "q + 1",
+           "(q - 1)/q", "2*i*q")
+VALUES = st.sampled_from(ENTRIES)
 STRINGS = VALUES | st.text(alphabet=GRAMMAR, max_size=4)
 CELLS = STRINGS | st.integers(-2, 2) | st.none() \
     | st.lists(st.just("1"), max_size=1)
@@ -731,3 +732,27 @@ class TestGeneratedFiles:
             run_fuzz(["equiv", "{0}", second], [first])
         else:
             run_fuzz(["equiv", "{0}", "{1}"], [first, second])
+
+
+# sha256 of `closure --format json` on each dense pair below: M_3, with
+# the nine unit matrices as its basis
+DENSE_CLOSURE_DIGEST = \
+    "d649ea33f67319e06c9e1e24c97ab10f9d64733e24de994b70cc15a96dbdbcd0"
+
+
+def test_dense_closures_with_i_meet_a_cpu_budget(tmp_path, capsys):
+    # pairs of dense 3 x 3 matrices drawn from ENTRIES, as the generated
+    # files draw them: their gcds are non-real or have parts past 32767,
+    # and these five took 13 s of CPU in all when the Euclidean gcd
+    # decided them
+    rng = random.Random(1)
+    pairs = [[[[rng.choice(ENTRIES) for _ in range(3)] for _ in range(3)]
+              for _ in range(2)] for _ in range(100)]
+    start = time.process_time()
+    for k in (4, 31, 35, 45, 6):
+        paths = [write_json(tmp_path / f"{k}-{j}.json",
+                            {"n": 3, "entries": rows})
+                 for j, rows in enumerate(pairs[k])]
+        assert main(["closure", *paths, "--format", "json"]) == 0
+        assert sha256(capsys.readouterr().out) == DENSE_CLOSURE_DIGEST
+    assert time.process_time() - start < 6

@@ -23,8 +23,8 @@ from qgl2.matrices import (Mat, MatSpace, _operator_rows, _reduce,
                            invertible_element, rref, stacked_nullspace,
                            subalgebra_closure)
 from qgl2.residues import _residue_rref
-from qgl2.scalars import (RESIDUE_P, RESIDUE_Q0, GaussRational, I, ONE, Q,
-                          ZERO, Scalar, scalar)
+from qgl2.scalars import (RESIDUE_I, RESIDUE_P, RESIDUE_Q0, GaussRational,
+                          I, ONE, Q, ZERO, Scalar, scalar)
 from qgl2.spinors import (QSpinorRep, admissibility, check_spinor,
                           q_commutant, spinor_equivalent)
 
@@ -399,12 +399,15 @@ class TestResidueKernel:
         # every solve of one verify-catalog round, counted through each
         # qgl2 module that binds stacked_nullspace (as the benchmark's
         # tracer patches them), keeps its route: a solve that slips to a
-        # slower one fails here, where timing noise would hide it
+        # slower one fails here, where timing noise would hide it; and
+        # every gcd is decided at the first step of scalars._cancel, whose
+        # residue maps all send i to RESIDUE_I mod RESIDUE_P
         routes = dict.fromkeys(("solves", "residue", "abstained",
-                                "centralizer", "gauss", "pgcd"), 0)
+                                "centralizer", "gauss", "gcds",
+                                "past first step"), 0)
         solve = qgl2.matrices.stacked_nullspace
         residue_kernel = qgl2.matrices._residue_kernel
-        pgcd = qgl2.scalars._pgcd
+        cancel, residues = qgl2.scalars._cancel, qgl2.scalars._residues
 
         def counted_solve(pairs):
             routes["solves"] += 1
@@ -419,9 +422,13 @@ class TestResidueKernel:
             routes["abstained" if space is None else "residue"] += 1
             return space
 
-        def counted_pgcd(*args):
-            routes["pgcd"] += 1
-            return pgcd(*args)
+        def counted_cancel(num, den):
+            routes["gcds"] += 1
+            return cancel(num, den)
+
+        def counted_residues(poly, p=RESIDUE_P, r=RESIDUE_I):
+            routes["past first step"] += (p, r) != (RESIDUE_P, RESIDUE_I)
+            return residues(poly, p, r)
 
         for name, module in list(sys.modules.items()):
             if name.startswith("qgl2.") and \
@@ -430,11 +437,13 @@ class TestResidueKernel:
                                     counted_solve)
         monkeypatch.setattr(qgl2.matrices, "_residue_kernel",
                             counted_residue)
-        monkeypatch.setattr(qgl2.scalars, "_pgcd", counted_pgcd)
+        monkeypatch.setattr(qgl2.scalars, "_cancel", counted_cancel)
+        monkeypatch.setattr(qgl2.scalars, "_residues", counted_residues)
         assert main(["verify-catalog", "--format", "json"]) == 1
         capsys.readouterr()
         assert routes == {"solves": 99, "residue": 40, "abstained": 0,
-                          "centralizer": 12, "gauss": 47, "pgcd": 0}
+                          "centralizer": 12, "gauss": 47, "gcds": 73,
+                          "past first step": 0}
 
 
 class TestSearchHelpers:

@@ -3,17 +3,18 @@ and the round-tripping text encoding."""
 
 import operator
 import sys
-from collections import Counter
 from fractions import Fraction
+from itertools import islice
 from math import comb, gcd, isqrt
 
 import pytest
+import sympy
 from hypothesis import assume, given, settings, strategies as st
 
 import qgl2.scalars
 from qgl2.scalars import (GR_I, GR_ONE, GR_ZERO, RESIDUE_I, RESIDUE_P,
                           RESIDUE_Q0, GaussRational, I, ONE, Q, Scalar, ZERO,
-                          _padd, _pdivmod, _pgcd, _pmul, _pnorm, _power,
+                          _moduli, _padd, _pdivmod, _pmul, _pnorm, _power,
                           parse_scalar, scalar)
 
 from oracles import q_integer
@@ -423,7 +424,7 @@ scalars = laurent | non_monomial
 def assert_canonical_scalar(x):
     assert x.den and x.den[-1] == GR_ONE
     assert not x.num or x.num[-1]
-    assert _pgcd(x.num, x.den) == (GR_ONE,)
+    assert canonical_reference(x.num, x.den) == (x.num, x.den)
     for c in x.num + x.den:
         assert_canonical(c)
 
@@ -690,7 +691,7 @@ raw_pairs = (
     # a common real factor with small parts: read off the residues
     | tagged("reconstructed", sharing(common(real_prime_to_q),
                                       cofactors=real_prime_to_q))
-    # the certificate abstains, and the Euclidean loop runs
+    # the first step abstains, and a later one decides
     | tagged("large", sharing(common(large)))
     | tagged("pole", sharing(common(pole)))
     | tagged("lead vanishes", sharing(common(lead_vanishes)))
@@ -703,21 +704,25 @@ raw_pairs = (
         ([-GR_I, GR_ONE], [GR_I, GR_ONE, GR_ONE], [GR_ONE, GR_I]))))))
 
 
-def route_of(entered) -> str:
-    """The route Scalar.__init__ took, from the calls it made."""
-    if entered["_pgcd"]:
-        return "euclid"
-    if entered["_pdivmod"]:
+def route_of(calls) -> str:
+    """The route Scalar.__init__ took, from the calls it made: the (p, r)
+    of each residue map i -> r mod p, and each division."""
+    maps = {args for name, args in calls if name == "_residues"}
+    if any(p != P for p, _ in maps):
+        return "further prime"
+    if (P, P - RESIDUE_I) in maps:
+        return "conjugate embedding"
+    if ("_pdivmod", ()) in calls:
         return "reconstructed"
-    return "proved coprime" if entered["_gcd_mod_p"] else "no gcd"
+    return "proved coprime" if maps else "no gcd"
 
 
 class TestCanonicalForm:
     def test_init_matches_euclid_route(self, monkeypatch):
-        entered, routes = Counter(), {}
-        for name in ("_gcd_mod_p", "_pdivmod", "_pgcd"):
+        calls, routes = [], {}
+        for name in ("_residues", "_pdivmod"):
             def counted(*args, f=getattr(qgl2.scalars, name), name=name):
-                entered[name] += 1
+                calls.append((name, args[1:] if name == "_residues" else ()))
                 return f(*args)
             monkeypatch.setattr(qgl2.scalars, name, counted)
 
@@ -726,9 +731,9 @@ class TestCanonicalForm:
         @given(pair=raw_pairs)
         def check(pair):
             num, den, case = pair
-            entered.clear()
+            calls.clear()
             x = Scalar(num, den)
-            routes.setdefault(case, set()).add(route_of(entered))
+            routes.setdefault(case, set()).add(route_of(calls))
             assert (x.num, x.den) == canonical_reference(num, den)
             assert_canonical_scalar(x)
             # tuples, trimmed or not, give the same Scalar
@@ -736,13 +741,21 @@ class TestCanonicalForm:
             assert Scalar(_pnorm(num), _pnorm(den)) == x
 
         check()
-        # every route of the certificate is taken: the degree-0 proof, a
-        # candidate read off the residues, and each abstention
+        # the first step's degree-0 proof and its real candidate are
+        # taken; where it abstains, a non-real gcd with small parts is
+        # read off both embeddings of i mod RESIDUE_P (a non-real factor
+        # times a cofactor can be real, so not every such draw needs
+        # them), and each other case needs a further prime: RESIDUE_P is
+        # a pole, a root of the leading coefficient or a common root of
+        # coprime sides, or the parts are past 32767
         assert "proved coprime" in routes[None]
         assert "reconstructed" in routes["reconstructed"]
-        for case in ("large", "pole", "lead vanishes", "common mod p",
-                     "non-real"):
-            assert "euclid" in routes[case], case
+        for case, route in (("large", "further prime"),
+                            ("pole", "further prime"),
+                            ("lead vanishes", "further prime"),
+                            ("common mod p", "further prime"),
+                            ("non-real", "conjugate embedding")):
+            assert route in routes[case], case
 
     def test_monomial_denominators(self):
         three, two_i = GaussRational(3), GaussRational(0, 2)
@@ -773,6 +786,54 @@ class TestCanonicalForm:
         assert x.__rsub__("1") is NotImplemented
         assert x.__sub__(None) is NotImplemented
 
+
+
+# planted factors q + c, c real or not, with a part past 2^64: one prime
+# p < 2^64 reconstructs parts up to isqrt(p/2) < 2^32, and RESIDUE_P times
+# one such prime up to 2^47
+huge = st.integers(2 ** 64, 2 ** 80) | st.integers(-2 ** 80, -2 ** 64)
+huge_real = huge.map(lambda n: [GaussRational(n), GR_ONE])
+huge_non_real = st.builds(
+    lambda a, b, d: [GaussRational(Fraction(a, d), Fraction(b, d)), GR_ONE],
+    huge, huge, st.integers(1, 2 ** 70))
+
+
+class TestCompleteRoute:
+    """Gcds past the first step's reach, decided from residues alone and
+    checked against canonical_reference."""
+
+    @pytest.mark.parametrize("factor", [huge_real, huge_non_real],
+                             ids=["real", "non-real"])
+    def test_huge_parts_combine_primes(self, monkeypatch, factor):
+        primes = set()
+        residues = qgl2.scalars._residues
+
+        def counted(poly, p=P, r=RESIDUE_I):
+            primes.add(p)
+            return residues(poly, p, r)
+
+        monkeypatch.setattr(qgl2.scalars, "_residues", counted)
+
+        @PROPERTY
+        @given(pair=sharing(common(factor)))
+        def check(pair):
+            num, den = pair
+            primes.clear()
+            x = Scalar(num, den)
+            assert (x.num, x.den) == canonical_reference(num, den)
+            assert len(primes - {P}) >= 2
+
+        check()
+
+    def test_moduli(self):
+        moduli = list(islice(_moduli(), 30))
+        assert moduli[0] == (P, RESIDUE_I)
+        for p, r in moduli:
+            assert sympy.isprime(p) and p % 4 == 1 and r * r % p == p - 1
+        # after RESIDUE_P, every prime p = 1 (mod 4) above 2^62 in turn
+        ps = [p for p, _ in moduli[1:]]
+        assert ps == [p for p in range(2 ** 62 + 1, ps[-1] + 1, 4)
+                      if sympy.isprime(p)]
 
 # ---------------------------------------------------------------------------
 # generated parser input: every text parses to a Scalar or fails with a

@@ -3,10 +3,11 @@
 import pytest
 
 import qgl2.conjugacy
+import qgl2.matrices
 import qgl2.scalars
 from qgl2.conjugacy import Verdict
 from qgl2.matrices import Mat, MatSpace
-from qgl2.scalars import GaussRational, Q
+from qgl2.scalars import RESIDUE_I, RESIDUE_P, GaussRational, Q
 from qgl2.spinors import (QSpinorRep, admissibility, check_spinor,
                           q_commutant, spinor_equivalent)
 
@@ -68,22 +69,26 @@ class TestQCommutant:
 
     def test_conjugated_entry_needs_no_euclidean_gcd(self, monkeypatch):
         # admissible-a conjugated as in the conjugated-spinors benchmark
-        # workload (seed 11): its pivots, such as q^2 - 1, leave
-        # non-monomial denominators, and the mod-p certificate of
-        # Scalar.__init__ decides every gcd of the solve
-        calls = []
-        euclid = qgl2.scalars._pgcd
+        # workload (seed 11): the residue path reads its kernel off with
+        # no gcd at all, so the exact elimination is forced; its pivots,
+        # such as q^2 - 1, leave non-monomial denominators, and the first
+        # step of the gcd in Scalar.__init__, residues under i ->
+        # RESIDUE_I mod RESIDUE_P, decides every gcd of the solve
+        monkeypatch.setattr(qgl2.matrices, "_residue_kernel",
+                            lambda pairs, n: None)
+        maps = []
+        residues = qgl2.scalars._residues
 
-        def counted(*args):
-            calls.append(args)
-            return euclid(*args)
+        def counted(poly, p=RESIDUE_P, r=RESIDUE_I):
+            maps.append((p, r))
+            return residues(poly, p, r)
 
-        monkeypatch.setattr(qgl2.scalars, "_pgcd", counted)
+        monkeypatch.setattr(qgl2.scalars, "_residues", counted)
         a = Mat.from_json({"n": 4, "entries": [
             ["q", "q^2 - q", "-q^2 + 1", "0"], ["0", "q^2", "-q^2 + 1", "0"],
             ["0", "0", "1", "0"], ["0", "0", "0", "q"]]})
         space = q_commutant(a)
-        assert calls == []
+        assert maps and set(maps) == {(RESIDUE_P, RESIDUE_I)}
         assert [m.to_json()["entries"] for m in space.basis] == [
             [["1", "-1", "0", "0"], ["1", "-1", "0", "0"],
              ["0", "0", "0", "0"], ["0", "0", "0", "0"]],
