@@ -26,7 +26,7 @@ from fractions import Fraction
 
 from .catalog import closure_generators, get_entry, instantiate, list_entries
 from .gl2 import GL2Rep, gl2_equivalent
-from .conjugacy import MAX_EXPONENT
+from .conjugacy import HOWS, MAX_EXPONENT
 from .matrices import Mat, centralizer, subalgebra_closure
 from .report import build_report, render_table, report_exit_code
 from .scalars import MAX_DIGITS
@@ -171,7 +171,9 @@ def _cmd_equiv(args) -> tuple:
                    for k, a in zip(keys, alphas))
         return 0, obj
     if not found:
-        return 0, "equivalent: none within monomial scalings\n"
+        bound = (f"searched |k| <= {MAX_EXPONENT} only, for a {group} whose "
+                 "power traces all vanish\n") if verdict.how == HOWS[3] else ""
+        return 0, "equivalent: none within monomial scalings\n" + bound
     line = ", ".join(f"{k} = {a}" for k, a in zip(keys, alphas))
     return 0, f"equivalent: yes\n{line}\nu:\n{u}\n"
 

@@ -31,7 +31,9 @@ def _traces(m: Mat):
         yield t
 
 
-HOWS = ("witness found", "proved exactly", "invariant differs")
+MAX_EXPONENT = 4
+HOWS = ("witness found", "proved exactly", "invariant differs",
+        f"searched |k| <= {MAX_EXPONENT}")
 
 
 @dataclass(frozen=True)
@@ -51,9 +53,6 @@ class Verdict:
         return self.witness is not None
 
 
-MAX_EXPONENT = 4
-
-
 def scaled_conjugacy(equations: list) -> Verdict:
     """Search for (u, alpha_0, alpha_1, ...) with g2 = u g1 u^-1 alpha_g
     for each (g1, g2, g) in the nonempty equations, alpha_g = q^k.
@@ -70,7 +69,8 @@ def scaled_conjugacy(equations: list) -> Verdict:
     order (alpha_0 outermost).  The witness is the exactly verified tuple.
     A "no", for every k of a pinned group, is "invariant differs" when
     the sizes differ or a pair fails, and otherwise "proved exactly":
-    invertible_element decides each conjugator space.
+    invertible_element decides each conjugator space; with an unpinned
+    group it is HOWS[3], proved for |k| <= MAX_EXPONENT only.
     """
     if not equations:
         raise ValueError("conjugacy of an empty list")
@@ -98,4 +98,4 @@ def scaled_conjugacy(equations: list) -> Verdict:
         if u is not None and all((u * g1).scale(alphas[g]) == g2 * u
                                  for g1, g2, g in equations):
             return Verdict((u,) + alphas, "witness found")
-    return Verdict(None, "proved exactly")
+    return Verdict(None, HOWS[1] if None not in pinned else HOWS[3])

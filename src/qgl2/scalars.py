@@ -26,11 +26,12 @@ sliced by s, and a gcd is taken only when neither is a monomial, from
 coefficient residues mod primes p = 1 (mod 4) alone (_cancel): a degree
 0 mod p proves the sides coprime, and a candidate read off the residues
 is the gcd when it divides both exactly.  That route is complete, so
-no Euclidean gcd remains.  Division is pseudo-division on the
-Gaussian-integer numerators.  So the usual denominator c*q^k (about 99%
-of the results in a verify-catalog run) costs a slice and a scaling by
-1/c when c != 1.  A difference subtracts the coefficients in place; it
-builds no negated operand.
+no Euclidean gcd remains; its arithmetic over F_p, the lift of a
+candidate included, lives in residues.py.  Division is pseudo-division
+on the Gaussian-integer numerators.  So the usual denominator c*q^k
+(about 99% of the results in a verify-catalog run) costs a slice and a
+scaling by 1/c when c != 1.  A difference subtracts the coefficients in
+place; it builds no negated operand.
 
 Scalars print to, and parse from, plain expression strings over the
 tokens {integers, i, q, +, -, *, /, ^, parentheses}, e.g. "q^2",
@@ -42,7 +43,9 @@ from __future__ import annotations
 
 import re
 from fractions import Fraction
-from math import gcd as _gcd, isqrt, lcm as _lcm, log10 as _log10
+from math import gcd as _gcd, lcm as _lcm, log10 as _log10
+
+from .residues import RESIDUE_P, _gcd_mod_p, _lift, _moduli, _rational
 
 
 def _power(x, k: int, one):
@@ -478,16 +481,6 @@ class Scalar:
             raise ValueError("evaluation pole")
         return _peval(self.num, q0) * den.inverse()
 
-    def residue(self):
-        """The image of self in F_p, p = RESIDUE_P, under q -> RESIDUE_Q0
-        and i -> RESIDUE_I, as an int in [0, p); None at a pole, that is
-        when p divides a coefficient denominator or the denominator's
-        image is 0.  On the scalars without a pole this is a ring
-        homomorphism: their num/den lie in Z_(p)[i][q] with a unit image
-        of den."""
-        return _residue_at((_residues(self.num), _residues(self.den)),
-                           RESIDUE_Q0)
-
     # -- text ---------------------------------------------------------------
 
     def __str__(self):
@@ -541,56 +534,11 @@ def _peval(p: tuple, q0: GaussRational) -> GaussRational:
     return out
 
 
-# the residue point of Scalar.residue: a prime p = 1 (mod 4) below 2^31, a
-# square root of -1 mod p, and q0, a primitive root mod p, so that q0^k != 1
-# for 0 < k < p - 1
-RESIDUE_P = 2147483629
-RESIDUE_I = 629208553
-RESIDUE_Q0 = 1234567891
-
-
-def _residues(poly: tuple, p: int = RESIDUE_P, r: int = RESIDUE_I):
-    """The images in F_p of the coefficients of poly under i -> r, or None
-    when p divides a coefficient denominator."""
-    out = []
-    for c in poly:
-        d = c.d
-        num = c.a + c.b * r
-        if d != 1:
-            if not d % p:
-                return None
-            num *= pow(d, -1, p)
-        out.append(num % p)
-    return out
-
-
-def _residue_at(cell: tuple, t: int):
-    """The image at q -> t of num/den given by cell, the coefficient
-    residues (_residues) of num and of den: an int in [0, p), or None at
-    a pole (a coefficient residue list is None, or den maps to 0)."""
-    num, den = cell
-    if num is None or den is None:
-        return None
-    d = _horner(den, t)
-    if d == 1:
-        return _horner(num, t)
-    return _horner(num, t) * pow(d, -1, RESIDUE_P) % RESIDUE_P if d else None
-
-
-def _horner(rs: list, t: int) -> int:
-    """The value at q = t of the polynomial over F_p whose coefficient
-    residues are rs, index = degree."""
-    out = 0
-    for r in reversed(rs):
-        out = (out * t + r) % RESIDUE_P
-    return out
-
-
 def _cancel(num: tuple, den: tuple) -> tuple:
     """num/g and den/g, g the monic gcd of the non-monomials num and den.
-    For p = 1 (mod 4) prime and r^2 = -1, _residues maps R = Z[i]
-    localized at P = (p, i - r) onto R/P = F_p.  With no pole and no
-    leading coefficient in P, num and den are units times monic
+    For p = 1 (mod 4) prime and r^2 = -1, residues._residues maps
+    R = Z[i] localized at P = (p, i - r) onto R/P = F_p.  With no pole
+    and no leading coefficient in P, num and den are units times monic
     polynomials of R[q], so g lies in R[q] (R is integrally closed) and
     its image divides gcd_p, the gcd of theirs: deg g <= deg gcd_p.  So a
     monic h of degree deg gcd_p that divides both exactly is g."""
@@ -606,93 +554,31 @@ def _cancel(num: tuple, den: tuple) -> tuple:
 
 def _candidates(num: tuple, den: tuple):
     """The h of _cancel, each of the degree of a gcd_p at a P without a
-    pole or a leading coefficient in it.  First a real h read off gcd_p at
-    RESIDUE_P, i -> RESIDUE_I; then, for each (p, r) of _moduli where
-    gcd_p at i -> r and at i -> p - r have one degree, the h whose real
-    and imaginary parts are their half sum and half difference over r,
-    combined by CRT over the primes of the lowest degree met.  A prime is
-    unlucky (a pole, a leading coefficient in P, or deg gcd_p > deg g)
-    only if it divides one of finitely many nonzero integers fixed by num
-    and den, so the loop ends: past them every prime gives the images of
-    g, and their product comes to bound its parts."""
+    pole or a leading coefficient in it: a real h read off RESIDUE_P,
+    i -> RESIDUE_I, then at each (p, r) of _moduli where gcd_p at i -> r
+    and i -> p - r have one degree, the h that residues._lift lifts over
+    the primes of the lowest degree met (but not the real h again).  A
+    prime is unlucky (a pole, a leading coefficient in P, or deg gcd_p >
+    deg g) only if it divides one of finitely many nonzero integers fixed
+    by num and den, so the loop ends: past them every prime gives the
+    images of g, and their product comes to bound its parts."""
     size = 0
     for p, r in _moduli():
-        images = []
-        for s in (r, p - r):
-            rn, rd = _residues(num, p, s), _residues(den, p, s)
-            if rn is None or rd is None or not (rn[-1] and rd[-1]):
-                break
-            images.append(_gcd_mod_p(rn, rd, p))
-            if (p, s) == (RESIDUE_P, RESIDUE_I):
-                h = tuple(map(_rational, images[0]))
-                if None not in h:
-                    yield h
-        else:
-            a, b = images
-            if len(a) != len(b) or 0 < size < len(a):
-                continue
-            if len(a) != size:
-                size, m, combined = len(a), 1, [0] * (2 * len(a))
-            half, over, inv = (p + 1) // 2, pow(2 * r, -1, p), pow(m, -1, p)
-            parts = [(x + y) * half for x, y in zip(a, b)] \
-                + [(x - y) * over for x, y in zip(a, b)]
-            combined = [x + m * ((y - x) * inv % p)
-                        for x, y in zip(combined, parts)]
-            m *= p
-            h = [_rational(x, m) for x in combined]
+        a = _gcd_mod_p(num, den, p, r)
+        if a is None:
+            continue
+        if p == RESIDUE_P:
+            h = [_rational(x) for x in a]
             if None not in h:
-                yield tuple(x + GR_I * y for x, y in zip(h[:size], h[size:]))
-
-
-def _moduli():
-    """(p, r), p a prime = 1 (mod 4) and r^2 = -1 (mod p): RESIDUE_P and
-    RESIDUE_I, then each such p above 2^62 in turn, proved prime by
-    Miller-Rabin on the 13 prime bases up to 41 (a proof below 3.3e24,
-    Sorenson and Webster 2015), with r = a^((p-1)/4) for the least
-    quadratic non-residue a."""
-    yield RESIDUE_P, RESIDUE_I
-    for p in range(2 ** 62 + 1, 3 * 10 ** 24, 4):
-        d, s = p - 1, 0
-        while not d & 1:
-            d, s = d >> 1, s + 1
-        for a in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41):
-            x = pow(a, d, p)
-            if x != 1 and p - 1 not in [pow(x, 1 << j, p) for j in range(s)]:
-                break
-        else:
-            a = next(a for a in range(2, p) if pow(a, p // 2, p) == p - 1)
-            yield p, pow(a, p // 4, p)
-
-
-def _gcd_mod_p(a: list, b: list, p: int = RESIDUE_P) -> list:
-    """The monic gcd over F_p of two residue lists without trailing zeros,
-    index = degree; both are used up."""
-    while b:
-        inv, n = pow(b[-1], -1, p), len(b) - 1
-        while len(a) > n:
-            c = a.pop() * inv % p
-            s = len(a) - n
-            for k in range(n):
-                a[s + k] = (a[s + k] - c * b[k]) % p
-            while a and not a[-1]:
-                a.pop()
-        a, b = b, a
-    inv = pow(a[-1], -1, p)
-    return [c * inv % p for c in a]
-
-
-def _rational(r: int, m: int = RESIDUE_P):
-    """The rational a/b with |a|, b <= N = isqrt(m/2) and a = b*r mod m,
-    or None, by the half-extended Euclidean algorithm (Wang 1981).  2 N^2
-    < m for odd m, so at most one reduced a/b is in range."""
-    n = isqrt(m // 2)
-    r0, r1, t0, t1 = m, r, 0, 1
-    while r1 > n:
-        k = r0 // r1
-        r0, r1, t0, t1 = r1, r0 - k * r1, t1, t0 - k * t1
-    if abs(t1) > n:
-        return None
-    return _reduced(r1 if t1 > 0 else -r1, 0, abs(t1))
+                yield tuple(_reduced(x, 0, d) for x, d in h)
+        b = _gcd_mod_p(num, den, p, p - r)
+        if b is None or len(a) != len(b) or 0 < size < len(a):
+            continue
+        if len(a) != size:
+            size, combined, m = len(a), [], 1
+        combined, m, h = _lift(a, b, p, r, combined, m)
+        if h is not None and not (m == RESIDUE_P and a == b):
+            yield tuple(_reduced(*c) for c in h)
 
 
 def _term_str(c: GaussRational, k: int) -> str:

@@ -2,6 +2,7 @@
 
 from qgl2.gl2 import GL2Rep
 from qgl2.matrices import Mat, MatSpace, _sparse, rref
+from qgl2.residues import RESIDUE_Q0, _residue_at, _residues
 from qgl2.scalars import ONE, Q, Scalar
 
 
@@ -10,6 +11,15 @@ def q_integer(k: int) -> Scalar:
     if not isinstance(k, int) or k <= 0:
         raise ValueError("undefined q-integer")
     return (Q ** k - ONE) / (Q - ONE)
+
+
+def residue(x: Scalar):
+    """The image of x in F_p, p = RESIDUE_P, under q -> RESIDUE_Q0 and
+    i -> RESIDUE_I, as an int in [0, p); None at a pole, that is when p
+    divides a coefficient denominator or the denominator's image is 0.
+    On the scalars without a pole this is a ring homomorphism: their
+    num/den lie in Z_(p)[i][q] with a unit image of den."""
+    return _residue_at((_residues(x.num), _residues(x.den)), RESIDUE_Q0)
 
 
 def classical_point(n: int = 4) -> GL2Rep:

@@ -261,7 +261,7 @@ class TestVerdictLabels:
                 hows[verdict.how] += 1
                 labels[first, second] = verdict.how
         assert hows == {"witness found": 23, "proved exactly": 10,
-                        "invariant differs": 152}
+                        "invariant differs": 152, "searched |k| <= 4": 0}
         assert all(labels[pair] == "proved exactly"
                    for pair in SEARCH_MISSES)
 
@@ -271,7 +271,7 @@ class TestVerdictLabels:
             rep = instantiate(name)
             hows[admissibility(rep.a, rep.b)[1].how] += 1
         assert hows == {"witness found": 3, "proved exactly": 10,
-                        "invariant differs": 0}
+                        "invariant differs": 0, "searched |k| <= 4": 0}
 
 
 class TestExternalEntries:

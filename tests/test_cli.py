@@ -16,7 +16,8 @@ from hypothesis import given, settings, strategies as st
 
 from qgl2.catalog import CATALOG, instantiate
 from qgl2.cli import _load_matrix, main
-from qgl2.scalars import MAX_N
+from qgl2.matrices import Mat
+from qgl2.scalars import MAX_N, Q
 
 
 def write_json(path, obj):
@@ -444,6 +445,28 @@ class TestEquiv:
         assert main(["equiv", "admissible-a", "admissible-jordan",
                      "--format", fmt]) == 0
         assert tail in capsys.readouterr().out
+
+    @pytest.mark.parametrize("fmt", ["table", "json"])
+    def test_bounded_search_is_labelled(self, capsys, tmp_path, fmt):
+        # a = E12 + E23, b = E13: every power trace vanishes, so no trace
+        # pins k, and the witness alpha = q^5 lies past the searched range
+        a = Mat.unit(3, 0, 1) + Mat.unit(3, 1, 2)
+        b = Mat.unit(3, 0, 2)
+        first = write_json(tmp_path / "r.json",
+                           {"a": a.to_json(), "b": b.to_json()})
+        second = write_json(tmp_path / "s.json", {
+            "a": a.scale(Q ** 5).to_json(), "b": b.scale(Q ** 5).to_json()})
+        assert main(["equiv", first, second, "--format", fmt]) == 0
+        out = capsys.readouterr().out
+        if fmt == "table":
+            assert out == ("equivalent: none within monomial scalings\n"
+                           "searched |k| <= 4 only, for a pair whose power "
+                           "traces all vanish\n")
+        else:
+            # the JSON of any "no" names the bound in scaling_family
+            assert json.loads(out) == {"equivalent": False,
+                                       "scaling_family": SPINOR_FAMILY,
+                                       "u": None, "alpha": None}
 
     def test_kind_mismatch(self, capsys):
         assert main(["equiv", "perturbed-a", "admissible-a"]) == 2

@@ -5,14 +5,16 @@ import sys
 from fractions import Fraction
 from itertools import islice, product
 from math import prod
+from time import process_time
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 import qgl2.conjugacy
 import qgl2.matrices
+import qgl2.residues
 import qgl2.scalars
-from oracles import det_vanishes, sandwich_kernel
+from oracles import det_vanishes, residue, sandwich_kernel
 from qgl2.catalog import CATALOG, closure_generators, instantiate
 from qgl2.cli import main
 from qgl2.clifford import build_action, counit_invariance_space
@@ -22,9 +24,8 @@ from qgl2.matrices import (Mat, MatSpace, _operator_rows, _reduce,
                            _residue_rows, _sparse, centralizer,
                            invertible_element, rref, stacked_nullspace,
                            subalgebra_closure)
-from qgl2.residues import _residue_rref
-from qgl2.scalars import (RESIDUE_I, RESIDUE_P, RESIDUE_Q0, GaussRational,
-                          I, ONE, Q, ZERO, Scalar, scalar)
+from qgl2.residues import RESIDUE_I, RESIDUE_P, RESIDUE_Q0, _residue_rref
+from qgl2.scalars import GaussRational, I, ONE, Q, ZERO, Scalar, scalar
 from qgl2.spinors import (QSpinorRep, admissibility, check_spinor,
                           q_commutant, spinor_equivalent)
 
@@ -261,7 +262,7 @@ def residue_rank(pairs: list):
     """The rank of the stacked operator of pairs at the first residue
     point, or None at a pole there."""
     n = pairs[0][0].n
-    _, rows = next(_residue_rows(pairs, n))
+    _, rows = next(_residue_rows(pairs, n, RESIDUE_P, RESIDUE_I))
     return None if rows is None else len(_residue_rref(rows, range(n * n))[0])
 
 
@@ -287,7 +288,7 @@ class TestResidueProbe:
 
     @POLES
     def test_pole_abstains(self, entry):
-        assert entry.residue() is None
+        assert residue(entry) is None
         a = Mat([[entry, ONE], [ZERO, Q]])
         pairs = [(a.scale(Q), a)]
         assert residue_rank(pairs) is None
@@ -301,7 +302,7 @@ class TestResidueProbe:
         # [[r, 1], [1, 0]] mod p, which is invertible
         a = Mat([[entry, ONE], [ONE, entry.inverse()]])
         pairs = [(a, Mat.zero(2))]
-        assert entry.inverse().residue() == 0
+        assert residue(entry.inverse()) == 0
         assert residue_rank(pairs) is None
         assert stacked_nullspace(pairs) == reference_kernel(pairs)
         assert stacked_nullspace(pairs).dim == 2
@@ -333,6 +334,15 @@ def diagonal_conjugacy(u: Mat, d: Scalar) -> list:
     return [(a, u * a * u.inverse())]
 
 
+def forbid_exact_elimination(monkeypatch) -> None:
+    """Patch matrices.rref to raise: every solve must then be answered at
+    residue points."""
+    def exact(rows):
+        raise AssertionError("the exact elimination ran")
+
+    monkeypatch.setattr(qgl2.matrices, "rref", exact)
+
+
 class TestResidueKernel:
     """A nonzero kernel is read off residue points and proved by one exact
     check; wherever that abstains, the exact elimination gives the same
@@ -344,10 +354,7 @@ class TestResidueKernel:
         solves = [[(a.scale(Q), a)], [(rep.a, a), (rep.b, b)]]
         expected = [reference_kernel(pairs) for pairs in solves]
 
-        def exact(rows):
-            raise AssertionError("the exact elimination ran")
-
-        monkeypatch.setattr(qgl2.matrices, "rref", exact)
+        forbid_exact_elimination(monkeypatch)
         assert q_commutant(a) == expected[0]
         assert expected[0].dim == 2
         # the conjugator space of the pair and its conjugate holds the
@@ -365,26 +372,21 @@ class TestResidueKernel:
         points = []
         residue_rows = qgl2.matrices._residue_rows
 
-        def counted(pairs, n):
-            for item in residue_rows(pairs, n):
+        def counted(*args):
+            for item in residue_rows(*args):
                 points.append(item[0])
                 yield item
 
-        def exact(rows):
-            raise AssertionError("the exact elimination ran")
-
         monkeypatch.setattr(qgl2.matrices, "_residue_rows", counted)
-        monkeypatch.setattr(qgl2.matrices, "rref", exact)
+        forbid_exact_elimination(monkeypatch)
         assert stacked_nullspace(pairs) == expected
         assert len(points) == 42
 
     @pytest.mark.parametrize("u, d", [
-        (Mat([[1, I], [0, 1]]), ONE),           # a non-real coefficient
-        (Mat([[1, 40000], [0, 1]]), ONE),       # a part over 32767
         # a pole at the second residue point, reached since 1/q is no
         # constant
         (Mat([[1, Q], [0, 1]]), ONE / (Q - (RESIDUE_Q0 + 1))),
-    ], ids=["non-real", "large-part", "second-point-pole"])
+    ], ids=["second-point-pole"])
     def test_each_abstention_falls_back(self, monkeypatch, u, d):
         pairs = diagonal_conjugacy(u, d)
         calls = []
@@ -394,6 +396,64 @@ class TestResidueKernel:
         space = stacked_nullspace(pairs)
         assert calls, "the residue path did not abstain"
         assert space == reference_kernel(pairs) and space.dim == 2
+
+    # u = [[1, 0], [c, 1]] puts c into the basis; each part past
+    # isqrt(M/2) needs a larger M = RESIDUE_P p1 ... pk, and each prime
+    # p1, p2, ... of _moduli past RESIDUE_P is above 2^62
+    @pytest.mark.parametrize("u, primes", [
+        (Mat([[1, I], [0, 1]]), 1),             # a non-real coefficient
+        (Mat([[1, 40000], [0, 1]]), 2),         # a part over 32767
+        (Mat([[1, 0], [2 ** 32 + 15, 1]]), 2),
+        (Mat([[1, 0], [GaussRational(2 ** 32 + 15, -2 ** 33 - 7), 1]]), 2),
+        (Mat([[1, 0], [2 ** 64 + 13, 1]]), 3),
+        (Mat([[1, 0], [GaussRational(Fraction(-2 ** 64 - 13, 7),
+                                     2 ** 65 + 9), 1]]), 3),
+    ], ids=["non-real", "large-part", "2^32", "2^32-non-real", "2^64",
+            "2^64-non-real"])
+    def test_lifted_without_the_exact_elimination(self, monkeypatch, u,
+                                                  primes):
+        pairs = diagonal_conjugacy(u, ONE)
+        expected = reference_kernel(pairs)
+        moduli = set()
+        residue_rows = qgl2.matrices._residue_rows
+
+        def counted(pairs, n, p, r):
+            moduli.add(p)
+            return residue_rows(pairs, n, p, r)
+
+        monkeypatch.setattr(qgl2.matrices, "_residue_rows", counted)
+        forbid_exact_elimination(monkeypatch)
+        space = stacked_nullspace(pairs)
+        assert space == expected and space.dim == 2
+        assert len(moduli) == primes
+
+    def test_conjugated_jordan_entries_lift(self, monkeypatch):
+        # B(a') and B'(a') of two catalog entries conjugated by a dense u
+        # with i and q among its entries: the kernels have non-real
+        # entries, which the exact elimination took seconds for
+        values = ["0", "1", "-1", "2", "q", "q + 1", "1 - q", "i",
+                  "i*q + 1"]
+        inputs = []
+        for seed in (1, 2):
+            rng = random.Random(seed)
+            u = Mat([[rng.choice(values) for _ in range(4)]
+                     for _ in range(4)])
+            inverse = u.inverse()
+            for name in ("admissible-jordan", "rejected-double-jordan-up"):
+                inputs.append(u * instantiate(name).a * inverse)
+        with monkeypatch.context() as m:
+            m.setattr(qgl2.matrices, "_residue_kernel", lambda pairs, n: None)
+            expected = [(q_commutant(a), q_commutant(a, reverse=True))
+                        for a in inputs]
+
+        forbid_exact_elimination(monkeypatch)
+        start = process_time()
+        spaces = [(q_commutant(a), q_commutant(a, reverse=True))
+                  for a in inputs]
+        assert process_time() - start < 2.5
+        assert spaces == expected
+        assert any(x.num[-1].b for space, _ in spaces for m in space.basis
+                   for row in m.rows for x in row if x)
 
     def test_catalog_round_solve_routes(self, monkeypatch, capsys):
         # every solve of one verify-catalog round, counted through each
@@ -407,7 +467,7 @@ class TestResidueKernel:
                                 "past first step"), 0)
         solve = qgl2.matrices.stacked_nullspace
         residue_kernel = qgl2.matrices._residue_kernel
-        cancel, residues = qgl2.scalars._cancel, qgl2.scalars._residues
+        cancel, residues = qgl2.scalars._cancel, qgl2.residues._residues
 
         def counted_solve(pairs):
             routes["solves"] += 1
@@ -438,7 +498,7 @@ class TestResidueKernel:
         monkeypatch.setattr(qgl2.matrices, "_residue_kernel",
                             counted_residue)
         monkeypatch.setattr(qgl2.scalars, "_cancel", counted_cancel)
-        monkeypatch.setattr(qgl2.scalars, "_residues", counted_residues)
+        monkeypatch.setattr(qgl2.residues, "_residues", counted_residues)
         assert main(["verify-catalog", "--format", "json"]) == 1
         capsys.readouterr()
         assert routes == {"solves": 99, "residue": 40, "abstained": 0,
@@ -554,7 +614,7 @@ class TestTracePins:
         # vanishes, so nothing pins k.  (q^5 a, q^5 b) is q^5 times
         # (a, b), so alpha = q^5 with u = 1 is a witness; the "no" below
         # is the documented bound MAX_EXPONENT = 4 for such a pair, not a
-        # proof that none exists
+        # proof that none exists, and the verdict says so
         a = Mat.unit(3, 0, 1) + Mat.unit(3, 1, 2)
         b = Mat.unit(3, 0, 2)
         r = QSpinorRep(a, b)
@@ -564,7 +624,7 @@ class TestTracePins:
         assert alpha == Q ** 4
         assert spinor_equivalent(
             r, QSpinorRep(a.scale(Q ** 5), b.scale(Q ** 5))) == \
-            Verdict(None, "proved exactly")
+            Verdict(None, "searched |k| <= 4")
 
 
 def _seeded_space(rng, n: int) -> MatSpace:
@@ -631,7 +691,8 @@ class TestCommonNullVector:
         calls = self.count_ranks(monkeypatch)
         z = Mat.zero(5)
         verdict = spinor_equivalent(QSpinorRep(z, z), QSpinorRep(z, self.E15))
-        assert verdict == Verdict(None, "proved exactly")
+        # every power trace vanishes, so the nine exponents are a bound
+        assert verdict == Verdict(None, "searched |k| <= 4")
         assert len(calls) == 9 * 24
 
     def test_quadruples(self, monkeypatch):

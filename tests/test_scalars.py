@@ -11,13 +11,14 @@ import pytest
 import sympy
 from hypothesis import assume, given, settings, strategies as st
 
+import qgl2.residues
 import qgl2.scalars
-from qgl2.scalars import (GR_I, GR_ONE, GR_ZERO, RESIDUE_I, RESIDUE_P,
-                          RESIDUE_Q0, GaussRational, I, ONE, Q, Scalar, ZERO,
-                          _moduli, _padd, _pdivmod, _pmul, _pnorm, _power,
-                          parse_scalar, scalar)
+from qgl2.residues import RESIDUE_I, RESIDUE_P, RESIDUE_Q0, _moduli
+from qgl2.scalars import (GR_I, GR_ONE, GR_ZERO, GaussRational, I, ONE, Q,
+                          Scalar, ZERO, _padd, _pdivmod, _pmul, _pnorm,
+                          _power, parse_scalar, scalar)
 
-from oracles import q_integer
+from oracles import q_integer, residue
 
 
 class TestGaussRational:
@@ -463,9 +464,10 @@ def is_prime(n: int) -> bool:
 
 
 class TestResidue:
-    """Scalar.residue maps the scalars without a pole at (q0, i) to F_p
-    as a ring homomorphism: matrices.stacked_nullspace proves empty
-    kernels on it."""
+    """The residue map (residues._residues, then residues._residue_at at
+    q0) takes the scalars without a pole at (q0, i) to F_p as a ring
+    homomorphism: matrices.stacked_nullspace proves empty kernels on
+    it."""
 
     def test_the_point(self):
         p = RESIDUE_P
@@ -478,30 +480,30 @@ class TestResidue:
 
     def test_values_and_poles(self):
         p = RESIDUE_P
-        assert Q.residue() == RESIDUE_Q0 and I.residue() == RESIDUE_I
-        assert ZERO.residue() == 0 and ONE.residue() == 1
-        assert scalar("(q - 1)/(2*q)").residue() == \
+        assert residue(Q) == RESIDUE_Q0 and residue(I) == RESIDUE_I
+        assert residue(ZERO) == 0 and residue(ONE) == 1
+        assert residue(scalar("(q - 1)/(2*q)")) == \
             (RESIDUE_Q0 - 1) * pow(2 * RESIDUE_Q0, -1, p) % p
         # p in a numerator is a zero residue, in a denominator a pole
-        assert scalar(p).residue() == 0
-        assert scalar(Fraction(1, p)).residue() is None
-        assert scalar(Fraction(3, 2 * p) + Q).residue() is None
-        assert (Q - RESIDUE_Q0).residue() == 0
-        assert (ONE / (Q - RESIDUE_Q0)).residue() is None
+        assert residue(scalar(p)) == 0
+        assert residue(scalar(Fraction(1, p))) is None
+        assert residue(scalar(Fraction(3, 2 * p) + Q)) is None
+        assert residue(Q - RESIDUE_Q0) == 0
+        assert residue(ONE / (Q - RESIDUE_Q0)) is None
 
     @settings(derandomize=True, max_examples=100, deadline=None)
     @given(x=scalars, y=scalars)
     def test_ring_homomorphism(self, x, y):
         p = RESIDUE_P
-        rx, ry = x.residue(), y.residue()
+        rx, ry = residue(x), residue(y)
         assume(rx is not None and ry is not None)
-        assert (x + y).residue() == (rx + ry) % p
-        assert (x * y).residue() == rx * ry % p
-        assert (-x).residue() == -rx % p
+        assert residue(x + y) == (rx + ry) % p
+        assert residue(x * y) == rx * ry % p
+        assert residue(-x) == -rx % p
         if rx:
-            assert x.inverse().residue() == pow(rx, -1, p)
+            assert residue(x.inverse()) == pow(rx, -1, p)
         elif x:
-            assert x.inverse().residue() is None
+            assert residue(x.inverse()) is None
 
 
 # monomials c*q^k, the common operand: _pmul shifts them instead of
@@ -720,11 +722,14 @@ def route_of(calls) -> str:
 class TestCanonicalForm:
     def test_init_matches_euclid_route(self, monkeypatch):
         calls, routes = [], {}
-        for name in ("_residues", "_pdivmod"):
-            def counted(*args, f=getattr(qgl2.scalars, name), name=name):
+        # each routine is counted in its own module: the residue maps of
+        # the gcd are taken in qgl2.residues, the divisions in qgl2.scalars
+        for module, name in ((qgl2.residues, "_residues"),
+                             (qgl2.scalars, "_pdivmod")):
+            def counted(*args, f=getattr(module, name), name=name):
                 calls.append((name, args[1:] if name == "_residues" else ()))
                 return f(*args)
-            monkeypatch.setattr(qgl2.scalars, name, counted)
+            monkeypatch.setattr(module, name, counted)
 
         # more draws than PROPERTY, so that each case is drawn
         @settings(derandomize=True, max_examples=400, deadline=None)
@@ -806,13 +811,13 @@ class TestCompleteRoute:
                              ids=["real", "non-real"])
     def test_huge_parts_combine_primes(self, monkeypatch, factor):
         primes = set()
-        residues = qgl2.scalars._residues
+        residues = qgl2.residues._residues
 
         def counted(poly, p=P, r=RESIDUE_I):
             primes.add(p)
             return residues(poly, p, r)
 
-        monkeypatch.setattr(qgl2.scalars, "_residues", counted)
+        monkeypatch.setattr(qgl2.residues, "_residues", counted)
 
         @PROPERTY
         @given(pair=sharing(common(factor)))
@@ -824,6 +829,28 @@ class TestCompleteRoute:
             assert len(primes - {P}) >= 2
 
         check()
+
+    def test_a_real_candidate_is_tried_once(self, monkeypatch):
+        # (q - 3)(q + 2) over (q - 3 - p)(q + 5): equal mod p = RESIDUE_P,
+        # so the first step's real candidate q - 3 divides the numerator
+        # and not the denominator.  The conjugate image at RESIDUE_P
+        # equals the first, as the sides are real, and rebuilds the same
+        # candidate, which is not divided by again; the next prime proves
+        # the sides coprime
+        divisions = []
+        pdivmod = qgl2.scalars._pdivmod
+
+        def counted(a, b):
+            divisions.append(b)
+            return pdivmod(a, b)
+
+        monkeypatch.setattr(qgl2.scalars, "_pdivmod", counted)
+        g = GaussRational
+        num = _pmul((g(-3), GR_ONE), (g(2), GR_ONE))
+        den = _pmul((g(-3 - P), GR_ONE), (g(5), GR_ONE))
+        x = Scalar(num, den)
+        assert divisions == [(g(-3), GR_ONE)] * 2
+        assert (x.num, x.den) == canonical_reference(num, den)
 
     def test_moduli(self):
         moduli = list(islice(_moduli(), 30))

@@ -4,10 +4,11 @@ import pytest
 
 import qgl2.conjugacy
 import qgl2.matrices
-import qgl2.scalars
+import qgl2.residues
 from qgl2.conjugacy import Verdict
 from qgl2.matrices import Mat, MatSpace
-from qgl2.scalars import RESIDUE_I, RESIDUE_P, GaussRational, Q
+from qgl2.residues import RESIDUE_I, RESIDUE_P
+from qgl2.scalars import GaussRational, Q
 from qgl2.spinors import (QSpinorRep, admissibility, check_spinor,
                           q_commutant, spinor_equivalent)
 
@@ -77,13 +78,13 @@ class TestQCommutant:
         monkeypatch.setattr(qgl2.matrices, "_residue_kernel",
                             lambda pairs, n: None)
         maps = []
-        residues = qgl2.scalars._residues
+        residues = qgl2.residues._residues
 
         def counted(poly, p=RESIDUE_P, r=RESIDUE_I):
             maps.append((p, r))
             return residues(poly, p, r)
 
-        monkeypatch.setattr(qgl2.scalars, "_residues", counted)
+        monkeypatch.setattr(qgl2.residues, "_residues", counted)
         a = Mat.from_json({"n": 4, "entries": [
             ["q", "q^2 - q", "-q^2 + 1", "0"], ["0", "q^2", "-q^2 + 1", "0"],
             ["0", "0", "1", "0"], ["0", "0", "0", "q"]]})
