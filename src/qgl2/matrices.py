@@ -31,15 +31,10 @@ rref, every other one (span, closure) is built by _insert, and
 membership is one _reduce.  The form is unique: equal subspaces always
 have identical bases and space equality is structural.
 
-The one other elimination is over F_p (residues._residue_rref), on
-residue rows: residues._residue_at maps q to a point t and i to a
-square root of -1 mod p, a ring homomorphism on the scalars with no
-pole there, so it maps each minor of a matrix of such scalars to the
-same minor of the image, and a rank mod p never exceeds the exact rank.
-stacked_nullspace uses that twice: full rank mod p proves a kernel {0},
-and below it the reduced kernel basis is read off residue points,
-lifted to rational functions over Q(i) and accepted only after one
-exact check.  Where that abstains, the exact elimination answers.
+The one other elimination is over F_p (residues._residue_rref):
+stacked_nullspace reads a kernel off residue points, lifts it to Q(i)(q)
+and accepts it only after one exact check (its docstring has the
+proof); where that abstains, the exact elimination answers.
 """
 
 from __future__ import annotations
@@ -48,9 +43,9 @@ from bisect import bisect_left
 from itertools import combinations, count, product
 from typing import Iterable, Optional
 
-from .residues import (RESIDUE_I, RESIDUE_P, RESIDUE_Q0, _fold, _lift,
-                       _moduli, _rational, _residue_at, _residue_rref,
-                       _residues, _thiele)
+from .residues import (RESIDUE_P, RESIDUE_Q0, _fold, _lift, _moduli,
+                       _rational, _residue_at, _residue_rref, _residues,
+                       _thiele)
 from .scalars import (GR_ZERO, MAX_N, ONE, ZERO, GaussRational, Scalar,
                       _power, _reduced, scalar)
 
@@ -466,9 +461,9 @@ def _operator_rows(n: int, a, b) -> list:
 
 def _residue_rows(pairs: list, n: int, p: int, r: int):
     """Yields (t, the stacked operator rows of pairs mapped to F_p at
-    i -> r and q -> t) for t = RESIDUE_Q0, RESIDUE_Q0 + 1, ..., with None
-    for the rows at a pole.  The coefficient residues of each entry are
-    read once; each row entry is a residue or a difference of two."""
+    i -> r and q -> t) for t = RESIDUE_Q0, RESIDUE_Q0 + 1, ..., up to the
+    first pole.  The coefficient residues of each entry are read once;
+    each row entry is a residue or a difference of two."""
     cells = [[[(_residues(x.num, p, r), _residues(x.den, p, r)) if x else 0
                for x in row] for row in m.rows]
              for pair in pairs for m in pair]
@@ -476,29 +471,26 @@ def _residue_rows(pairs: list, n: int, p: int, r: int):
         images = [[[c and _residue_at(c, t, p) for c in row] for row in grid]
                   for grid in cells]
         if any(None in row for grid in images for row in grid):
-            yield t, None
-        else:
-            yield t, [row for a, b in zip(images[::2], images[1::2])
-                      for row in _operator_rows(n, a, b)]
+            return
+        yield t, [row for a, b in zip(images[::2], images[1::2])
+                  for row in _operator_rows(n, a, b)]
 
 
 def _residue_fits(pairs: list, n: int, p: int, r: int):
-    """Yields (pivots, shape, coefficients, settled) of the reduced kernel
-    basis of pairs over F_p at i -> r: at each point of _residue_rows its
-    entry at each cell (pc, f), pc a pivot column after the free column
-    f, is fed to a Thiele fraction, folded into P/Q where it is yielded:
-    shape holds each (len(P), len(Q)), coefficients all of theirs.  It
-    yields at the first point, and once every fraction takes the values
-    of one point, settled; a pole, a change of pivots or a fraction that
-    degenerates ends it."""
+    """Yields (form, coefficients, settled) of the reduced kernel basis of
+    pairs over F_p at i -> r: at each point of _residue_rows its entry at
+    each cell (pc, f), pc a pivot column after the free column f, is fed
+    to a Thiele fraction, folded into P/Q where it is yielded.  form holds
+    the free columns and each (cell, len(P), len(Q)), coefficients all
+    of theirs.  It yields at the first point, and once every fraction
+    takes the values of one point, settled; a pole, a change of pivots
+    or a fraction that degenerates ends it."""
     columns = range(n * n - 1, -1, -1)
     for used, (t, rows) in enumerate(_residue_rows(pairs, n, p, r), 1):
-        if rows is None:
-            return
         if used == 1:
             basis, picked = _residue_rref(rows, columns, p)
-            fits = {(pc, f): ([], []) for f in range(n * n) if f not in basis
-                    for pc in basis if pc > f}
+            free = tuple(f for f in range(n * n) if f not in basis)
+            fits = {(pc, f): ([], []) for f in free for pc in basis if pc > f}
         else:
             at_t = _residue_rref([rows[k] for k in picked], columns, p)[0]
             if at_t.keys() != basis.keys():
@@ -512,66 +504,60 @@ def _residue_fits(pairs: list, n: int, p: int, r: int):
             folded = [_fold(*fit, p) for fit in fits.values()]
             if None in folded:
                 return
-            yield (basis.keys(), [(len(P), len(Q)) for P, Q in folded],
+            yield ((free, tuple((cell, len(P), len(Q))
+                                for cell, (P, Q) in zip(fits, folded))),
                    [c for pq in folded for part in pq for c in part],
                    all(done))
             if all(done):
                 return
 
 
-def _settled(pairs: list, n: int, p: int, r: int, first: tuple):
-    """The coefficients of _residue_fits at (p, r) once settled with the
-    pivots and shape of first, else None."""
-    out = None
-    for *key, coefficients, settled in _residue_fits(pairs, n, p, r):
-        out = coefficients if settled and tuple(key) == first else None
-    return out
-
-
-def _proved(pairs: list, n: int, pivots, shape: list, h: list):
-    """The kernel of pairs whose entry at each cell of _residue_fits is
-    P/Q, each (len(P), len(Q)) of shape taking in turn the coefficients
-    (x + y*i)/d of the triples (x, y, d) of h, if _solves proves it."""
-    free = [f for f in range(n * n) if f not in pivots]
-    cells = [(pc, f) for f in free for pc in pivots if pc > f]
-    h, entries = iter(h), {}
-    for cell, (dp, dq) in zip(cells, shape):
-        parts = [[_reduced(*next(h)) for _ in range(d)] for d in (dp, dq)]
-        if dp:
-            entries[cell] = Scalar(*parts)
-    space = _kernel_space(n, free, entries, ONE)
-    return space if _solves(space._vectors, pairs, n) else None
-
-
 def _residue_kernel(pairs: list, n: int) -> Optional[MatSpace]:
     """The joint kernel of pairs read off residue points and proved, or
-    None where that abstains (see stacked_nullspace)."""
-    settled = None
-    for pivots, shape, coefficients, settled in _residue_fits(
-            pairs, n, RESIDUE_P, RESIDUE_I):
-        if len(pivots) == n * n:
-            return MatSpace(n)
-        h = [_rational(c) for c in coefficients]
-        if None not in h:
-            space = _proved(pairs, n, pivots, shape, [(x, 0, d) for x, d in h])
-            if space is not None:
-                return space
-    if not settled:
-        return None
-    combined, m, first, tried = [], 1, (pivots, shape), None
+    None where that abstains (see stacked_nullspace): the first candidate
+    of _kernel_candidates that _solves proves."""
+    for (free, shape), h in _kernel_candidates(pairs, n):
+        h = iter([_reduced(*c) for c in h])
+        entries = {cell: Scalar([next(h) for _ in range(dp)],
+                                [next(h) for _ in range(dq)])
+                   for cell, dp, dq in shape if dp}
+        space = _kernel_space(n, list(free), entries, ONE)
+        if _solves(space._vectors, pairs, n):
+            return space
+    return None
+
+
+def _kernel_candidates(pairs: list, n: int):
+    """(form, h) of each candidate of _residue_kernel, h a triple (x, y,
+    d) for each coefficient (x + y*i)/d of the fractions of form.  Each
+    fit at RESIDUE_P, i -> RESIDUE_I is read as real; then the settled
+    fits at i -> r and i -> p - r are lifted over the primes of _moduli.
+    It ends where the fits do not settle or settle to another form than
+    the first modulus's, and on a lifted h equal to the one before: a
+    wrong pivot at RESIDUE_Q0 itself gives the same wrong h at every
+    prime."""
+    first = tried = None
+    combined, m = [], 1
     for p, r in _moduli():
-        a = coefficients if p == RESIDUE_P else _settled(pairs, n, p, r, first)
-        b = _settled(pairs, n, p, p - r, first)
-        if a is None or b is None:
-            return None
-        combined, m, h = _lift(a, b, p, r, combined, m)
-        if h is None or p == RESIDUE_P and a == b:
+        images = []
+        for s in (r, p - r):
+            settled = False
+            for form, coefficients, settled in _residue_fits(pairs, n, p, s):
+                if first is None:
+                    h = [_rational(c) for c in coefficients]
+                    if None not in h:
+                        yield form, [(x, 0, d) for x, d in h]
+            if not settled or first not in (None, form):
+                return
+            first = form
+            images.append(coefficients)
+        combined, m, h = _lift(*images, p, r, combined, m)
+        if h is None or m == RESIDUE_P and images[0] == images[1]:
             continue
         if h == tried:
-            return None
-        tried, space = h, _proved(pairs, n, pivots, shape, h)
-        if space is not None:
-            return space
+            return
+        tried = h
+        yield first, h
 
 
 def _kernel_space(n: int, free: list, entries: dict, one) -> MatSpace:
@@ -629,21 +615,17 @@ def stacked_nullspace(pairs: list) -> MatSpace:
     of r x r minors, of degrees at most some B, fed to a Thiele fraction.
     Two fractions of degrees at most (B, B) that agree at 2B + 1 points
     are equal, so the fraction is R after at most 2B + 1 terms and then
-    takes every later value (Cabay 1971).  Candidates are read off the
-    first point and the settled fractions with rational coefficients,
-    then lifted at both embeddings of i over the primes of
-    residues._moduli (residues._lift).  A candidate is accepted only when
+    takes every later value (Cabay 1971).  The candidates of
+    _kernel_candidates lift such fractions at both embeddings of i over
+    the primes of residues._moduli.  A candidate is accepted only when
       1. it has N - r vectors, one per free column at RESIDUE_Q0;
       2. it is in reduced echelon form: the vector of free column f is 1
          at f and nonzero elsewhere only at pivot columns after f;
       3. every X in it satisfies X A = B X exactly for every pair.
     By 2 and 3 it holds N - r independent solutions, so by 1 it spans the
     kernel, and a space has one reduced echelon basis: the bytes are the
-    exact path's.  A pole, a change of pivots, a fraction that
-    degenerates, pivots or degrees that differ from the first modulus's,
-    or a candidate that fails the check and that a further prime lifts
-    again abstains, and the one rref below answers, as it does for
-    GaussRational entries.
+    exact path's.  Where no candidate is accepted, the one rref below
+    answers, as it does for GaussRational entries.
 
     That rref reduces the rows once, sparsest first (a stable sort by
     their length, which for a kernel row is its nonzero count; the reduced

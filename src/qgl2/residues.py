@@ -41,7 +41,7 @@ def _moduli():
             yield p, pow(a, p // 4, p)
 
 
-def _residues(poly: tuple, p: int = RESIDUE_P, r: int = RESIDUE_I):
+def _residues(poly: tuple, p: int, r: int):
     """The images in F_p of the coefficients of poly under i -> r, or None
     when p divides a coefficient denominator."""
     out = []
@@ -56,7 +56,7 @@ def _residues(poly: tuple, p: int = RESIDUE_P, r: int = RESIDUE_I):
     return out
 
 
-def _residue_at(cell: tuple, t: int, p: int = RESIDUE_P):
+def _residue_at(cell: tuple, t: int, p: int):
     """The image at q -> t of num/den given by cell, the coefficient
     residues (_residues) of num and of den, by Horner's rule: an int in
     [0, p), or None at a pole (a residue list is None, or den maps to 0)."""
@@ -127,7 +127,7 @@ def _lift(a: list, b: list, p: int, r: int, combined: list, m: int) -> tuple:
                          in zip(lifted[:len(a)], lifted[len(a):])]
 
 
-def _residue_rref(rows: list, columns: range, p: int = RESIDUE_P) -> tuple:
+def _residue_rref(rows: list, columns: range, p: int) -> tuple:
     """The reduced echelon form over F_p of kernel rows of nonzero ints
     in (-p, p), which are used up, pivots taken in the order of the range
     columns: (each reduced row by its pivot, without its 1 there; the
@@ -164,7 +164,7 @@ def _subtract_mod_p(row: dict, c: int, other: dict, p: int) -> None:
             row.pop(m, None)
 
 
-def _thiele(xs: list, a: list, x: int, y: int, p: int = RESIDUE_P):
+def _thiele(xs: list, a: list, x: int, y: int, p: int):
     """Feed y at x to a[0] + (q - xs[0]) / (a[1] + (q - xs[1]) / ...),
     the Thiele fraction over F_p of inverse differences a: True when it
     already takes y at x (the last difference divides by 0), None on
@@ -181,7 +181,7 @@ def _thiele(xs: list, a: list, x: int, y: int, p: int = RESIDUE_P):
     return False
 
 
-def _fold(xs: list, a: list, p: int = RESIDUE_P) -> Optional[tuple]:
+def _fold(xs: list, a: list, p: int) -> Optional[tuple]:
     """The Thiele fraction (xs, a) as (P, Q) over F_p, folded from its
     last term, with Q monic and P without trailing zeros (([], []) for
     0), or None when Q is 0."""

@@ -2,7 +2,8 @@
 
 from qgl2.gl2 import GL2Rep
 from qgl2.matrices import Mat, MatSpace, _sparse, rref
-from qgl2.residues import RESIDUE_Q0, _residue_at, _residues
+from qgl2.residues import (RESIDUE_I, RESIDUE_P, RESIDUE_Q0, _residue_at,
+                           _residues)
 from qgl2.scalars import ONE, Q, Scalar
 
 
@@ -19,7 +20,9 @@ def residue(x: Scalar):
     divides a coefficient denominator or the denominator's image is 0.
     On the scalars without a pole this is a ring homomorphism: their
     num/den lie in Z_(p)[i][q] with a unit image of den."""
-    return _residue_at((_residues(x.num), _residues(x.den)), RESIDUE_Q0)
+    p, r = RESIDUE_P, RESIDUE_I
+    return _residue_at((_residues(x.num, p, r), _residues(x.den, p, r)),
+                       RESIDUE_Q0, p)
 
 
 def classical_point(n: int = 4) -> GL2Rep:

@@ -262,8 +262,9 @@ def residue_rank(pairs: list):
     """The rank of the stacked operator of pairs at the first residue
     point, or None at a pole there."""
     n = pairs[0][0].n
-    _, rows = next(_residue_rows(pairs, n, RESIDUE_P, RESIDUE_I))
-    return None if rows is None else len(_residue_rref(rows, range(n * n))[0])
+    _, rows = next(_residue_rows(pairs, n, RESIDUE_P, RESIDUE_I), (0, None))
+    return None if rows is None \
+        else len(_residue_rref(rows, range(n * n), RESIDUE_P)[0])
 
 
 POLES = pytest.mark.parametrize("entry", [
@@ -386,7 +387,10 @@ class TestResidueKernel:
         # a pole at the second residue point, reached since 1/q is no
         # constant
         (Mat([[1, Q], [0, 1]]), ONE / (Q - (RESIDUE_Q0 + 1))),
-    ], ids=["second-point-pole"])
+        # (q + 1)/(q + 1 + p) is 1 mod p = RESIDUE_P, so its fraction
+        # degrees at the next prime differ from the first modulus's
+        (Mat([[1, 0], [(Q + 1) / (Q + 1 + RESIDUE_P), 1]]), ONE),
+    ], ids=["second-point-pole", "degrees-differ"])
     def test_each_abstention_falls_back(self, monkeypatch, u, d):
         pairs = diagonal_conjugacy(u, d)
         calls = []

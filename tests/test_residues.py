@@ -6,8 +6,8 @@ then takes every later value without growing."""
 from fractions import Fraction
 from itertools import islice
 
-from qgl2.residues import (RESIDUE_P, RESIDUE_Q0, _fold, _lift, _moduli,
-                           _residues, _thiele)
+from qgl2.residues import (RESIDUE_I, RESIDUE_P, RESIDUE_Q0, _fold, _lift,
+                           _moduli, _residues, _thiele)
 from qgl2.scalars import GaussRational, Q, scalar
 
 
@@ -15,21 +15,23 @@ def feed(values) -> tuple:
     """A fresh Thiele fraction fed values at RESIDUE_Q0, RESIDUE_Q0 + 1,
     ...: (each _thiele result, the points, the inverse differences)."""
     xs, a = [], []
-    done = [_thiele(xs, a, RESIDUE_Q0 + k, y) for k, y in enumerate(values)]
+    done = [_thiele(xs, a, RESIDUE_Q0 + k, y, RESIDUE_P)
+            for k, y in enumerate(values)]
     return done, xs, a
 
 
 def residues_of(x) -> tuple:
     """The coefficient residues of the canonical num and monic den of x,
     which a folded fraction of x equals."""
-    return _residues(x.num), _residues(x.den)
+    return (_residues(x.num, RESIDUE_P, RESIDUE_I),
+            _residues(x.den, RESIDUE_P, RESIDUE_I))
 
 
 def test_a_constant_settles_at_its_second_point():
     done, xs, a = feed([5] * 4)
     assert done == [False, True, True, True]
     assert a == [5]
-    assert _fold(xs, a) == residues_of(scalar(5))
+    assert _fold(xs, a, RESIDUE_P) == residues_of(scalar(5))
 
 
 def test_degrees_two_and_one_settle_after_four_terms():
@@ -41,7 +43,7 @@ def test_degrees_two_and_one_settle_after_four_terms():
     done, xs, a = feed(values)
     assert done == [False] * 4 + [True] * 5
     assert len(a) == 4
-    assert _fold(xs, a) == residues_of((Q ** 2 + 3) / (Q * 2 - 1))
+    assert _fold(xs, a, RESIDUE_P) == residues_of((Q ** 2 + 3) / (Q * 2 - 1))
 
 
 def test_a_division_by_zero_before_the_last_term_abstains():
