@@ -517,9 +517,9 @@ def _residue_kernel(pairs: list, n: int) -> Optional[MatSpace]:
     None where that abstains (see stacked_nullspace): the first candidate
     of _kernel_candidates that _solves proves."""
     for (free, shape), h in _kernel_candidates(pairs, n):
-        h = iter([_reduced(*c) for c in h])
-        entries = {cell: Scalar([next(h) for _ in range(dp)],
-                                [next(h) for _ in range(dq)])
+        values = iter([_reduced(*c) for c in h])
+        entries = {cell: Scalar([next(values) for _ in range(dp)],
+                                [next(values) for _ in range(dq)])
                    for cell, dp, dq in shape if dp}
         space = _kernel_space(n, list(free), entries, ONE)
         if _solves(space._vectors, pairs, n):
