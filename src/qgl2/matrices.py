@@ -43,9 +43,8 @@ from bisect import bisect_left
 from itertools import combinations, count, product
 from typing import Iterable, Optional
 
-from .residues import (RESIDUE_P, RESIDUE_Q0, _fold, _lift, _moduli,
-                       _rational, _residue_at, _residue_rref, _residues,
-                       _thiele)
+from .residues import (RESIDUE_Q0, _fold, _lift, _moduli, _residue_at,
+                       _residue_rref, _residues, _thiele)
 from .scalars import (GR_ZERO, MAX_N, ONE, ZERO, GaussRational, Scalar,
                       _power, _reduced, scalar)
 
@@ -141,13 +140,13 @@ class Mat:
         if other.n != n:
             raise ValueError("dimension mismatch")
         z = type(self.rows[0][0]).zero()
-        brows = [[(j, b) for j, b in enumerate(row) if b]
+        brows = [[(j, b) for j, b in enumerate(row) if b is not z and b]
                  for row in other.rows]
         out = []
         for arow in self.rows:
             orow = [z] * n
             for a, brow in zip(arow, brows):
-                if a:
+                if a is not z and a:
                     for j, b in brow:
                         orow[j] = orow[j] + a * b
             out.append(tuple(orow))
@@ -515,27 +514,29 @@ def _residue_fits(pairs: list, n: int, p: int, r: int):
 def _residue_kernel(pairs: list, n: int) -> Optional[MatSpace]:
     """The joint kernel of pairs read off residue points and proved, or
     None where that abstains (see stacked_nullspace): the first candidate
-    of _kernel_candidates that _solves proves."""
+    of _kernel_candidates with X A = B X for each X of its basis."""
     for (free, shape), h in _kernel_candidates(pairs, n):
         values = iter([_reduced(*c) for c in h])
         entries = {cell: Scalar([next(values) for _ in range(dp)],
                                 [next(values) for _ in range(dq)])
                    for cell, dp, dq in shape if dp}
         space = _kernel_space(n, list(free), entries, ONE)
-        if _solves(space._vectors, pairs, n):
+        basis = space.basis
+        if all(x * a == b * x for a, b in pairs for x in basis):
             return space
     return None
 
 
 def _kernel_candidates(pairs: list, n: int):
     """(form, h) of each candidate of _residue_kernel, h a triple (x, y,
-    d) for each coefficient (x + y*i)/d of the fractions of form.  Each
-    fit at RESIDUE_P, i -> RESIDUE_I is read as real; then the settled
-    fits at i -> r and i -> p - r are lifted over the primes of _moduli.
-    It ends where the fits do not settle or settle to another form than
-    the first modulus's, and on a lifted h equal to the one before: a
-    wrong pivot at RESIDUE_Q0 itself gives the same wrong h at every
-    prime."""
+    d) for each coefficient (x + y*i)/d of the fractions of form: the
+    first point's fits at RESIDUE_P, i -> RESIDUE_I, read as real, then
+    the settled fits lifted by residues._lift over the primes of _moduli
+    at i -> r and, unless the input is real (read at the first modulus,
+    after its guess), i -> p - r.  It ends where the fits do not settle
+    or settle to another form than the first modulus's, and on a lifted
+    h equal to the one before: a wrong pivot at RESIDUE_Q0 itself gives
+    the same wrong h at every prime."""
     first = tried = None
     combined, m = [], 1
     for p, r in _moduli():
@@ -543,21 +544,25 @@ def _kernel_candidates(pairs: list, n: int):
         for s in (r, p - r):
             settled = False
             for form, coefficients, settled in _residue_fits(pairs, n, p, s):
-                if first is None:
-                    h = [_rational(c) for c in coefficients]
-                    if None not in h:
-                        yield form, [(x, 0, d) for x, d in h]
+                if m == 1 and s == r and not settled:
+                    h = _lift(coefficients, coefficients, p, r, [], 1)[2]
+                    if h is not None:
+                        yield form, h
             if not settled or first not in (None, form):
                 return
             first = form
             images.append(coefficients)
-        combined, m, h = _lift(*images, p, r, combined, m)
-        if h is None or m == RESIDUE_P and images[0] == images[1]:
-            continue
-        if h == tried:
-            return
-        tried = h
-        yield first, h
+            real = real if m > 1 else not any(
+                c.b for pair in pairs for a in pair for row in a.rows
+                for x in row for c in x.num + x.den)
+            if real:
+                break
+        combined, m, h = _lift(images[0], images[-1], p, r, combined, m)
+        if h is not None:
+            if h == tried:
+                return
+            tried = h
+            yield first, h
 
 
 def _kernel_space(n: int, free: list, entries: dict, one) -> MatSpace:
@@ -572,27 +577,6 @@ def _kernel_space(n: int, free: list, entries: dict, one) -> MatSpace:
     space._pivots = free
     space._vectors = list(vectors.values())
     return space
-
-
-def _solves(vectors: list, pairs: list, n: int) -> bool:
-    """Whether X A = B X exactly for every pair and the X of every kernel
-    row in vectors: X[i][k] meets row k of A and column i of B."""
-    for a, b in pairs:
-        arows = [[(j, y) for j, y in enumerate(row) if y] for row in a.rows]
-        bcols = [[(h, y) for h, y in enumerate(col) if y]
-                 for col in zip(*b.rows)]
-        for vec in vectors:
-            xa, bx = {}, {}
-            for c, x in vec.items():
-                i, k = divmod(c, n)
-                for j, y in arows[k]:
-                    xa[i * n + j] = xa.get(i * n + j, ZERO) + x * y
-                for h, y in bcols[i]:
-                    bx[h * n + k] = bx.get(h * n + k, ZERO) + y * x
-            if {m: x for m, x in xa.items() if x} != \
-                    {m: x for m, x in bx.items() if x}:
-                return False
-    return True
 
 
 def stacked_nullspace(pairs: list) -> MatSpace:
@@ -615,13 +599,13 @@ def stacked_nullspace(pairs: list) -> MatSpace:
     of r x r minors, of degrees at most some B, fed to a Thiele fraction.
     Two fractions of degrees at most (B, B) that agree at 2B + 1 points
     are equal, so the fraction is R after at most 2B + 1 terms and then
-    takes every later value (Cabay 1971).  The candidates of
-    _kernel_candidates lift such fractions at both embeddings of i over
-    the primes of residues._moduli.  A candidate is accepted only when
+    takes every later value (Cabay 1971).  _kernel_candidates lifts such
+    fractions over the primes of residues._moduli, at both embeddings of
+    i unless the input is real.  A candidate is accepted only when
       1. it has N - r vectors, one per free column at RESIDUE_Q0;
       2. it is in reduced echelon form: the vector of free column f is 1
          at f and nonzero elsewhere only at pivot columns after f;
-      3. every X in it satisfies X A = B X exactly for every pair.
+      3. every X in it has X A = B X for every pair, by Mat products.
     By 2 and 3 it holds N - r independent solutions, so by 1 it spans the
     kernel, and a space has one reduced echelon basis: the bytes are the
     exact path's.  Where no candidate is accepted, the one rref below

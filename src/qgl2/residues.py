@@ -92,7 +92,7 @@ def _gcd_mod_p(num: tuple, den: tuple, p: int, r: int) -> Optional[list]:
     return [c * inv % p for c in a]
 
 
-def _rational(r: int, m: int = RESIDUE_P) -> Optional[tuple]:
+def _rational(r: int, m: int) -> Optional[tuple]:
     """(a, b) for the rational a/b with |a|, b <= N = isqrt(m/2), b > 0
     and a = b*r mod m, or None, by the half-extended Euclidean algorithm
     (Wang 1981).  2 N^2 < m for odd m, so at most one reduced a/b is in
@@ -110,11 +110,11 @@ def _rational(r: int, m: int = RESIDUE_P) -> Optional[tuple]:
 def _lift(a: list, b: list, p: int, r: int, combined: list, m: int) -> tuple:
     """One prime's step of the lift of coefficients of Q(i) with images a
     at i -> r and b at i -> p - r: their real and imaginary parts mod p,
-    half sum and half difference over r, join by CRT combined, the parts
-    mod m, the product of the primes before ([] at m = 1).  Returns
-    (combined, M = m p, h), h each coefficient (x + y*i)/d as (x, y, d),
-    both parts reconstructed by _rational at M, or None."""
-    half, over, inv = (p + 1) // 2, pow(2 * r, -1, p), pow(m, -1, p)
+    half sum and half difference times 1/r = -r, join by CRT combined,
+    the parts mod m, the product of the primes before ([] at m = 1).
+    Returns (combined, M = m p, h), h each coefficient (x + y*i)/d as
+    (x, y, d), both parts reconstructed by _rational at M, or None."""
+    half, over, inv = (p + 1) // 2, (p + 1) // 2 * (p - r), pow(m, -1, p)
     parts = [(x + y) * half for x, y in zip(a, b)] \
         + [(x - y) * over for x, y in zip(a, b)]
     combined = [x + m * ((y - x) * inv % p)

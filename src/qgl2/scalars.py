@@ -24,10 +24,10 @@ the gcd of num/q^s and den/q^s, and one of those has a nonzero constant
 term, so their gcd is 1 when either is a monomial.  Both sides are
 sliced by s, and a gcd is taken only when neither is a monomial, from
 coefficient residues mod primes p = 1 (mod 4) alone (_cancel): a degree
-0 mod p proves the sides coprime, and a candidate read off the residues
-is the gcd when it divides both exactly.  That route is complete, so
-no Euclidean gcd remains; its arithmetic over F_p, the lift of a
-candidate included, lives in residues.py.  Division is pseudo-division
+0 mod p proves the sides coprime, and the candidate that residues._lift
+reads off them is the gcd when it divides both exactly.  That route is
+complete, so no Euclidean gcd remains; its arithmetic over F_p, the lift
+of a candidate included, lives in residues.py.  Division is pseudo-division
 on the Gaussian-integer numerators.  So the usual denominator c*q^k
 (about 99% of the results in a verify-catalog run) costs a slice and a
 scaling by 1/c when c != 1.  A difference subtracts the coefficients in
@@ -45,7 +45,7 @@ import re
 from fractions import Fraction
 from math import gcd as _gcd, lcm as _lcm, log10 as _log10
 
-from .residues import RESIDUE_P, _gcd_mod_p, _lift, _moduli, _rational
+from .residues import _gcd_mod_p, _lift, _moduli
 
 
 def _power(x, k: int, one):
@@ -554,30 +554,26 @@ def _cancel(num: tuple, den: tuple) -> tuple:
 
 def _candidates(num: tuple, den: tuple):
     """The h of _cancel, each of the degree of a gcd_p at a P without a
-    pole or a leading coefficient in it: a real h read off RESIDUE_P,
-    i -> RESIDUE_I, then at each (p, r) of _moduli where gcd_p at i -> r
-    and i -> p - r have one degree, the h that residues._lift lifts over
-    the primes of the lowest degree met (but not the real h again).  A
+    pole or a leading coefficient in it: at each (p, r) of _moduli where
+    gcd_p at i -> r and i -> p - r have one degree, the h that
+    residues._lift lifts over the primes of the lowest degree met; i -> r
+    alone is mapped for a real input or a gcd_p of degree 0 (g = 1).  A
     prime is unlucky (a pole, a leading coefficient in P, or deg gcd_p >
     deg g) only if it divides one of finitely many nonzero integers fixed
     by num and den, so the loop ends: past them every prime gives the
     images of g, and their product comes to bound its parts."""
-    size = 0
+    real, size = not any(c.b for c in num + den), 0
     for p, r in _moduli():
         a = _gcd_mod_p(num, den, p, r)
         if a is None:
             continue
-        if p == RESIDUE_P:
-            h = [_rational(x) for x in a]
-            if None not in h:
-                yield tuple(_reduced(x, 0, d) for x, d in h)
-        b = _gcd_mod_p(num, den, p, p - r)
+        b = a if real or len(a) == 1 else _gcd_mod_p(num, den, p, p - r)
         if b is None or len(a) != len(b) or 0 < size < len(a):
             continue
         if len(a) != size:
             size, combined, m = len(a), [], 1
         combined, m, h = _lift(a, b, p, r, combined, m)
-        if h is not None and not (m == RESIDUE_P and a == b):
+        if h is not None:
             yield tuple(_reduced(*c) for c in h)
 
 

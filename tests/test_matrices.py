@@ -418,18 +418,30 @@ class TestResidueKernel:
                                                   primes):
         pairs = diagonal_conjugacy(u, ONE)
         expected = reference_kernel(pairs)
-        moduli = set()
+        moduli, maps = set(), set()
         residue_rows = qgl2.matrices._residue_rows
+        residues = qgl2.residues._residues
 
         def counted(pairs, n, p, r):
             moduli.add(p)
             return residue_rows(pairs, n, p, r)
 
+        def mapped(poly, p, r):
+            maps.add((p, r))
+            return residues(poly, p, r)
+
         monkeypatch.setattr(qgl2.matrices, "_residue_rows", counted)
+        # the kernel's residue maps and those of the gcds in its proof
+        monkeypatch.setattr(qgl2.matrices, "_residues", mapped)
+        monkeypatch.setattr(qgl2.residues, "_residues", mapped)
         forbid_exact_elimination(monkeypatch)
         space = stacked_nullspace(pairs)
         assert space == expected and space.dim == 2
         assert len(moduli) == primes
+        # a real input has one image at both embeddings of i, so each
+        # prime is mapped at one of them only
+        real = not any(c.b for x in pairs[0][1].flatten() for c in x.num)
+        assert len(maps) == len(moduli) * (1 if real else 2)
 
     def test_conjugated_jordan_entries_lift(self, monkeypatch):
         # B(a') and B'(a') of two catalog entries conjugated by a dense u
@@ -464,8 +476,9 @@ class TestResidueKernel:
         # qgl2 module that binds stacked_nullspace (as the benchmark's
         # tracer patches them), keeps its route: a solve that slips to a
         # slower one fails here, where timing noise would hide it; and
-        # every gcd is decided at the first step of scalars._cancel, whose
-        # residue maps all send i to RESIDUE_I mod RESIDUE_P
+        # every gcd is decided at the first modulus of scalars._cancel, whose
+        # residue maps all send i to RESIDUE_I mod RESIDUE_P (the "first
+        # step" that the last count looks past)
         routes = dict.fromkeys(("solves", "residue", "abstained",
                                 "centralizer", "gauss", "gcds",
                                 "past first step"), 0)

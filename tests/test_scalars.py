@@ -693,7 +693,7 @@ raw_pairs = (
     # a common real factor with small parts: read off the residues
     | tagged("reconstructed", sharing(common(real_prime_to_q),
                                       cofactors=real_prime_to_q))
-    # the first step abstains, and a later one decides
+    # RESIDUE_P does not decide, and a further prime does
     | tagged("large", sharing(common(large)))
     | tagged("pole", sharing(common(pole)))
     | tagged("lead vanishes", sharing(common(lead_vanishes)))
@@ -746,13 +746,13 @@ class TestCanonicalForm:
             assert Scalar(_pnorm(num), _pnorm(den)) == x
 
         check()
-        # the first step's degree-0 proof and its real candidate are
-        # taken; where it abstains, a non-real gcd with small parts is
-        # read off both embeddings of i mod RESIDUE_P (a non-real factor
-        # times a cofactor can be real, so not every such draw needs
-        # them), and each other case needs a further prime: RESIDUE_P is
-        # a pole, a root of the leading coefficient or a common root of
-        # coprime sides, or the parts are past 32767
+        # mod RESIDUE_P, a degree-0 proof or a real gcd of real sides
+        # with small parts takes i -> RESIDUE_I alone; a non-real gcd
+        # with small parts is read off both embeddings of i there (a
+        # non-real factor times a cofactor can be real, so not every such
+        # draw needs them), and each other case needs a further prime:
+        # RESIDUE_P is a pole, a root of the leading coefficient or a
+        # common root of coprime sides, or the parts are past 32767
         assert "proved coprime" in routes[None]
         assert "reconstructed" in routes["reconstructed"]
         for case, route in (("large", "further prime"),
@@ -804,17 +804,18 @@ huge_non_real = st.builds(
 
 
 class TestCompleteRoute:
-    """Gcds past the first step's reach, decided from residues alone and
+    """Gcds past RESIDUE_P's reach, decided from residues alone and
     checked against canonical_reference."""
 
     @pytest.mark.parametrize("factor", [huge_real, huge_non_real],
                              ids=["real", "non-real"])
     def test_huge_parts_combine_primes(self, monkeypatch, factor):
-        primes = set()
+        primes, maps, real = set(), set(), []
         residues = qgl2.residues._residues
 
         def counted(poly, p=P, r=RESIDUE_I):
             primes.add(p)
+            maps.add((p, r))
             return residues(poly, p, r)
 
         monkeypatch.setattr(qgl2.residues, "_residues", counted)
@@ -824,19 +825,25 @@ class TestCompleteRoute:
         def check(pair):
             num, den = pair
             primes.clear()
+            maps.clear()
             x = Scalar(num, den)
             assert (x.num, x.den) == canonical_reference(num, den)
             assert len(primes - {P}) >= 2
+            # real sides have one image at both embeddings of i, so each
+            # prime is mapped at one of them only
+            if not any(c.b for c in num + den):
+                real.append(pair)
+                assert len(maps) == len(primes)
 
         check()
+        assert real or factor is huge_non_real
 
     def test_a_real_candidate_is_tried_once(self, monkeypatch):
         # (q - 3)(q + 2) over (q - 3 - p)(q + 5): equal mod p = RESIDUE_P,
-        # so the first step's real candidate q - 3 divides the numerator
-        # and not the denominator.  The conjugate image at RESIDUE_P
-        # equals the first, as the sides are real, and rebuilds the same
-        # candidate, which is not divided by again; the next prime proves
-        # the sides coprime
+        # so the candidate q - 3 lifted there divides the numerator and
+        # not the denominator.  The sides are real, so RESIDUE_P maps them
+        # at i -> RESIDUE_I alone and builds that candidate once; the next
+        # prime proves the sides coprime
         divisions = []
         pdivmod = qgl2.scalars._pdivmod
 
