@@ -217,7 +217,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--q0", type=_rational, default=Fraction(2),
                    metavar="RATIONAL",
                    help="sample point for the numeric crosscheck "
-                        "(default 2)")
+                        "(default 2); write a negative one as --q0=-1/2")
     p.add_argument("--orientation", choices=("default", "flipped"),
                    default="default",
                    help="q-commutation orientation for admissibility")

@@ -38,7 +38,7 @@ HOWS = ("witness found", "proved exactly", "invariant differs",
 
 @dataclass(frozen=True)
 class Verdict:
-    """A decision: witness is the exactly verified object or None, and
+    """A decision: witness is the exactly proved object or None, and
     how is one of HOWS, "witness found" exactly when there is a witness."""
 
     witness: object
@@ -57,20 +57,20 @@ def scaled_conjugacy(equations: list) -> Verdict:
     """Search for (u, alpha_0, alpha_1, ...) with g2 = u g1 u^-1 alpha_g
     for each (g1, g2, g) in the nonempty equations, alpha_g = q^k.
 
-    Conjugation preserves power traces, so each equation gives the
-    necessary condition tr(g2^j) = q^(jk) tr(g1^j), j = 1..n, on the
-    exponent k of its group g.  The first pair of a group with both sides
-    nonzero pins k = m/j, m the gap of their q-adic valuations, and every
-    pair of the group must then hold with that k.  The traces come lazily
-    (_traces), j = 1 for every equation first, and a failed pair ends the
-    search at once: a pair that tr(g) or tr(g^2) rules out forms no matrix
-    product.  Only a group whose power traces all vanish (so its matrices
-    are nilpotent) tries each |k| <= MAX_EXPONENT, in itertools.product
-    order (alpha_0 outermost).  The witness is the exactly verified tuple.
-    A "no", for every k of a pinned group, is "invariant differs" when
-    the sizes differ or a pair fails, and otherwise "proved exactly":
-    invertible_element decides each conjugator space; with an unpinned
-    group it is HOWS[3], proved for |k| <= MAX_EXPONENT only.
+    Conjugation preserves power traces, so each equation gives the necessary
+    condition tr(g2^j) = q^(jk) tr(g1^j), j = 1..n, on the exponent k of its
+    group g.  The first pair of a group with both sides nonzero pins k = m/j,
+    m the gap of their q-adic valuations, and every pair of the group must
+    then hold with that k.  The traces come lazily (_traces), j = 1 for every
+    equation first, and a failed pair ends the search at once: a pair that
+    tr(g) or tr(g^2) rules out forms no matrix product.  Only a group whose
+    power traces all vanish (so its matrices are nilpotent) tries each
+    |k| <= MAX_EXPONENT, in itertools.product order (alpha_0 outermost).
+    The witness's u needs no product check: it is in the proved space of
+    X g1 alpha = g2 X, at full rank.  A "no", for every k of a pinned group,
+    is "invariant differs" when the sizes differ or a pair fails, and
+    otherwise "proved exactly": invertible_element decides each conjugator
+    space; with an unpinned group it is HOWS[3], proved for those k only.
     """
     if not equations:
         raise ValueError("conjugacy of an empty list")
@@ -93,9 +93,6 @@ def scaled_conjugacy(equations: list) -> Verdict:
         space = stacked_nullspace([(g1.scale(alphas[g]), g2)
                                    for g1, g2, g in equations])
         u = invertible_element(space)
-        # u is invertible (invertible_element checked its rank), so
-        # g2 = u g1 u^-1 alpha is u g1 alpha = g2 u
-        if u is not None and all((u * g1).scale(alphas[g]) == g2 * u
-                                 for g1, g2, g in equations):
+        if u is not None:
             return Verdict((u,) + alphas, "witness found")
     return Verdict(None, HOWS[1] if None not in pinned else HOWS[3])

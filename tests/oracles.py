@@ -83,16 +83,55 @@ def sandwich_kernel(n: int, operators: list) -> MatSpace:
     return space
 
 
+def _sympy_scalar(x):
+    """A qgl2 scalar, or its text, as a sympy expression over Q(i)(q)
+    with q a symbol."""
+    import sympy
+
+    names = {"q": sympy.Symbol("q"), "i": sympy.I}
+    return sympy.sympify(str(x).replace("^", "**"), locals=names)
+
+
+def _sympy_matrix(rows):
+    import sympy
+
+    return sympy.Matrix([[_sympy_scalar(x) for x in row] for row in rows])
+
+
+def _cancels(m) -> bool:
+    import sympy
+
+    return all(sympy.cancel(x) == 0 for x in m)
+
+
 def det_vanishes(space: MatSpace) -> bool:
     """Whether det(sum t_j B_j) over the basis B_1..B_d of space is the
     zero polynomial in t_1..t_d, computed by sympy with q a symbol."""
     import sympy
 
-    names = {"q": sympy.Symbol("q"), "i": sympy.I}
     ts = sympy.symbols(f"t1:{space.dim + 1}")
     total = sympy.zeros(space.n)
     for t, b in zip(ts, space.basis):
-        total += t * sympy.Matrix([
-            [sympy.sympify(str(x).replace("^", "**"), locals=names)
-             for x in row] for row in b.rows])
-    return sympy.cancel(total.det()) == 0
+        total += t * _sympy_matrix(b.rows)
+    return _cancels([total.det()])
+
+
+def intertwines(x, equations) -> bool:
+    """Whether x g1 alpha - g2 x cancels to 0 for every (g1, g2, alpha)
+    in equations, computed by sympy with q a symbol.  Matrices are given
+    by their rows and alpha as a scalar, each entry a qgl2 scalar or its
+    text; so the check runs no qgl2 arithmetic."""
+    x = _sympy_matrix(x)
+    return all(_cancels(x * _sympy_matrix(g1) * _sympy_scalar(alpha)
+                        - _sympy_matrix(g2) * x)
+               for g1, g2, alpha in equations)
+
+
+def singular(x) -> bool:
+    """Whether det x cancels to 0, x given as for intertwines."""
+    return _cancels([_sympy_matrix(x).det()])
+
+
+def product_vanishes(x, y) -> bool:
+    """Whether x y cancels to 0, x and y given as for intertwines."""
+    return _cancels(_sympy_matrix(x) * _sympy_matrix(y))

@@ -14,6 +14,7 @@ import time
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from oracles import intertwines, product_vanishes, singular
 from qgl2.catalog import CATALOG, instantiate
 from qgl2.cli import _load_matrix, main
 from qgl2.matrices import Mat
@@ -140,6 +141,16 @@ class TestVerifyCatalog:
         err = capsys.readouterr().err
         assert code == 2
         assert "evaluation pole" in err
+
+    def test_negative_fraction_q0(self, capsys):
+        # "--q0 -1/2" is a usage error, as argparse reads -1/2 as an
+        # option; the --q0 help and the README give the form that works
+        code = main(["verify-catalog", "--q0=-1/2",
+                     "--entry", "rejected-j3-lower"])
+        out = capsys.readouterr().out
+        assert code == 0
+        assert out.splitlines()[0] == (
+            "catalog verification  (q0 = -1/2, orientation = default)")
 
     @pytest.mark.parametrize("q0", ["1/0", "abc", "1e5000", "1e20000000"])
     def test_bad_q0_is_a_usage_error(self, capsys, q0):
@@ -493,9 +504,22 @@ GRID_WITNESSES = {
 }
 
 
+def witness_equations(r1, r2, obj) -> list:
+    """(g1, g2, alpha) for each generator that the printed witness obj of
+    `equiv r1 r2 --format json` carries from r1 to r2: alpha1 scales the
+    first column of a quadruple and alpha2 the second."""
+    if "alpha" in obj:
+        scalings = {"a": obj["alpha"], "b": obj["alpha"]}
+    else:
+        scalings = {"c11": obj["alpha1"], "c21": obj["alpha1"],
+                    "c12": obj["alpha2"], "c22": obj["alpha2"]}
+    return [(getattr(r1, k).rows, getattr(r2, k).rows, alpha)
+            for k, alpha in scalings.items()]
+
+
 def test_equiv_catalog_pairs_bytes(capsys):
     entries = [e for e in CATALOG if e.builder is not None]
-    out, pairs, found = [], 0, 0
+    out, pairs, witnesses = [], 0, []
     for first in entries:
         for second in entries:
             if first.kind != second.kind:
@@ -505,15 +529,39 @@ def test_equiv_catalog_pairs_bytes(capsys):
             text = capsys.readouterr().out
             obj = json.loads(text)
             assert type(obj["equivalent"]) is bool
-            found += obj["equivalent"]
+            if obj["equivalent"]:
+                witnesses.append((first.name, second.name, obj))
             if first is second and first.name in GRID_WITNESSES:
                 assert obj["u"]["entries"] == [
                     [str(x) for x in row]
                     for row in GRID_WITNESSES[first.name]]
             pairs += 1
             out.append(text)
-    assert (pairs, found) == (185, 23)
+    assert (pairs, len(witnesses)) == (185, 23)
+    # qgl2 proves a witness by its conjugator space and a rank; sympy
+    # re-proves each one here from the reps and the printed u and alphas
+    for first, second, obj in witnesses:
+        u = obj["u"]["entries"]
+        assert not singular(u), (first, second)
+        assert intertwines(u, witness_equations(
+            instantiate(first), instantiate(second), obj)), (first, second)
     assert sha256("".join(out)) == EQUIV_PAIRS_DIGEST
+
+
+def test_admissibility_witnesses_are_proved(capsys, tmp_path):
+    # the printed c of each admissible catalog entry, re-proved by sympy:
+    # c b = q b c and c a = q a c, so c b (1/q) = b c, and c b != 0
+    names = [e.name for e in CATALOG if e.claims.admissible]
+    assert names == ["admissible-a", "admissible-b", "admissible-jordan"]
+    for name in names:
+        rep = instantiate(name)
+        files = [write_json(tmp_path / f"{name}-{k}.json", m.to_json())
+                 for k, m in (("a", rep.a), ("b", rep.b))]
+        assert main(["admissible", *files, "--format", "json"]) == 0
+        c = json.loads(capsys.readouterr().out)["witness"]["entries"]
+        assert intertwines(c, [(g.rows, g.rows, "1/q")
+                               for g in (rep.b, rep.a)]), name
+        assert not product_vanishes(c, rep.b.rows), name
 
 
 # sha256 of the exit code and stdout of every command but verify-catalog,

@@ -446,21 +446,30 @@ class TestResidueKernel:
     def test_conjugated_jordan_entries_lift(self, monkeypatch):
         # B(a') and B'(a') of two catalog entries conjugated by a dense u
         # with i and q among its entries: the kernels have non-real
-        # entries, which the exact elimination took seconds for
+        # entries, which the exact elimination took seconds for.  The
+        # reference is exact and cheap: a x = q x a iff a' x' = q x' a'
+        # for a' = u a u^-1 and x' = u x u^-1, and likewise for B', so
+        # conjugating the bases of the sparse a, solved by the exact
+        # elimination, spans B(a') and B'(a')
         values = ["0", "1", "-1", "2", "q", "q + 1", "1 - q", "i",
                   "i*q + 1"]
-        inputs = []
-        for seed in (1, 2):
-            rng = random.Random(seed)
-            u = Mat([[rng.choice(values) for _ in range(4)]
-                     for _ in range(4)])
-            inverse = u.inverse()
-            for name in ("admissible-jordan", "rejected-double-jordan-up"):
-                inputs.append(u * instantiate(name).a * inverse)
+        inputs, expected = [], []
         with monkeypatch.context() as m:
             m.setattr(qgl2.matrices, "_residue_kernel", lambda pairs, n: None)
-            expected = [(q_commutant(a), q_commutant(a, reverse=True))
-                        for a in inputs]
+            for seed in (1, 2):
+                rng = random.Random(seed)
+                u = Mat([[rng.choice(values) for _ in range(4)]
+                         for _ in range(4)])
+                inverse = u.inverse()
+                for name in ("admissible-jordan",
+                             "rejected-double-jordan-up"):
+                    a = instantiate(name).a
+                    inputs.append(u * a * inverse)
+                    expected.append(tuple(
+                        MatSpace.span((u * x * inverse for x in b.basis),
+                                      n=4)
+                        for b in (q_commutant(a),
+                                  q_commutant(a, reverse=True))))
 
         forbid_exact_elimination(monkeypatch)
         start = process_time()
