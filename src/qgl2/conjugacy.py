@@ -61,9 +61,11 @@ def scaled_conjugacy(equations: list) -> Verdict:
     condition tr(g2^j) = q^(jk) tr(g1^j), j = 1..n, on the exponent k of its
     group g.  The first pair of a group with both sides nonzero pins k = m/j,
     m the gap of their q-adic valuations, and every pair of the group must
-    then hold with that k.  The traces come lazily (_traces), j = 1 for every
-    equation first, and a failed pair ends the search at once: a pair that
-    tr(g) or tr(g^2) rules out forms no matrix product.  Only a group whose
+    hold with that k at that j.  Traces only pin k: once every group is
+    pinned, no later trace is drawn and no power formed, and the solve
+    decides.  They come lazily (_traces), j = 1 for every equation first,
+    and a failed pair ends the search at once: a pair that tr(g) or
+    tr(g^2) rules out forms no matrix product.  Only a group whose
     power traces all vanish (so its matrices are nilpotent) tries each
     |k| <= MAX_EXPONENT, in itertools.product order (alpha_0 outermost).
     The witness's u needs no product check: it is in the proved space of
@@ -80,6 +82,8 @@ def scaled_conjugacy(equations: list) -> Verdict:
     pinned = [None] * (1 + max(g for *_, g in equations))
     traces = [(zip(_traces(g1), _traces(g2)), g) for g1, g2, g in equations]
     for j in range(1, n + 1):
+        if None not in pinned:
+            break
         for pairs, g in traces:
             x1, x2 = next(pairs)
             if pinned[g] is None and x1 and x2:

@@ -555,8 +555,8 @@ def _cancel(num: tuple, den: tuple) -> tuple:
 def _candidates(num: tuple, den: tuple):
     """The h of _cancel, each of the degree of a gcd_p at a P without a
     pole or a leading coefficient in it: at each (p, r) of _moduli where
-    gcd_p at i -> r and i -> p - r have one degree, the h that
-    residues._lift lifts over the primes of the lowest degree met; i -> r
+    gcd_p at i -> r and i -> p - r have one degree, the h of that degree
+    that residues._lift lifts over the primes of the lowest degree met; i -> r
     alone is mapped for a real input or a gcd_p of degree 0 (g = 1).  A
     prime is unlucky (a pole, a leading coefficient in P, or deg gcd_p >
     deg g) only if it divides one of finitely many nonzero integers fixed
@@ -573,7 +573,7 @@ def _candidates(num: tuple, den: tuple):
         if len(a) != size:
             size, combined, m = len(a), [], 1
         combined, m, h = _lift(a, b, p, r, combined, m)
-        if h is not None:
+        if h is not None and len(h) == len(a):
             yield tuple(_reduced(*c) for c in h)
 
 

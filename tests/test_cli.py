@@ -14,10 +14,12 @@ import time
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import qgl2.scalars
 from oracles import intertwines, product_vanishes, singular
 from qgl2.catalog import CATALOG, instantiate
 from qgl2.cli import _load_matrix, main
 from qgl2.matrices import Mat
+from qgl2.residues import RESIDUE_P
 from qgl2.scalars import MAX_N, Q
 
 
@@ -165,6 +167,30 @@ class TestVerifyCatalog:
             f"qgl2 verify-catalog: error: argument --q0: "
             f"invalid Fraction value: '{q0}'")
         assert err.count("error") == 1 and "Traceback" not in err
+
+
+class TestSearchAdversaries:
+    """A search routine only proposes and an exact check accepts, so an
+    adversary in its place changes no output byte."""
+
+    def test_gcd_candidate_of_the_wrong_degree(self, monkeypatch, capsys):
+        # at RESIDUE_P, residues._lift returns the constant 1 for every
+        # gcd_p of degree >= 1; scalars._candidates must discard it, not
+        # let scalars._cancel read it as "coprime" and leave num/den
+        # uncancelled, as (q^2 - 1)/(q - 1) would be
+        lift, hits = qgl2.scalars._lift, []
+
+        def adversary(a, b, p, r, combined, m):
+            combined, m, h = lift(a, b, p, r, combined, m)
+            if p == RESIDUE_P and len(a) > 1 and h is not None:
+                hits.append(h)
+                h = [(1, 0, 1)]
+            return combined, m, h
+
+        monkeypatch.setattr(qgl2.scalars, "_lift", adversary)
+        assert main(["verify-catalog", "--format", "json"]) == 1
+        assert sha256(capsys.readouterr().out) == CATALOG_DIGESTS["json"]
+        assert hits
 
 
 class TestCommutant:

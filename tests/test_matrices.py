@@ -598,8 +598,9 @@ def unimodular(draw, n: int) -> Mat:
 
 
 class TestTracePins:
-    """The first nonzero power trace of a group fixes its exponent k;
-    only a group whose power traces all vanish tries |k| <= MAX_EXPONENT."""
+    """The first nonzero power trace of a group fixes its exponent k, and
+    no later trace is drawn once every group is fixed; only a group whose
+    power traces all vanish tries |k| <= MAX_EXPONENT."""
 
     @settings(derandomize=True, max_examples=20, deadline=None)
     @given(st.data())
@@ -634,6 +635,52 @@ class TestTracePins:
                             lambda pairs: pytest.fail("solved"))
         assert scaled_conjugacy([(g1, g2, 0)]) == \
             Verdict(None, "invariant differs")
+
+    def counted(self, monkeypatch):
+        """The number of power traces drawn from each _traces generator,
+        in call order, and the pairs of each solve."""
+        drawn, solves = [], []
+        traces = qgl2.conjugacy._traces
+        solve = qgl2.conjugacy.stacked_nullspace
+
+        def counted_traces(m):
+            drawn.append(0)
+            k = len(drawn) - 1
+            for t in traces(m):
+                drawn[k] += 1
+                yield t
+
+        def counted_solve(pairs):
+            solves.append(pairs)
+            return solve(pairs)
+
+        monkeypatch.setattr(qgl2.conjugacy, "_traces", counted_traces)
+        monkeypatch.setattr(qgl2.conjugacy, "stacked_nullspace",
+                            counted_solve)
+        return drawn, solves
+
+    def test_pinned_groups_form_no_power(self, monkeypatch):
+        # tr(g) pins both column groups of the perturbed pair, so no
+        # power trace past j = 1 is drawn, and one solve finds the witness
+        drawn, solves = self.counted(monkeypatch)
+        verdict = gl2_equivalent(instantiate("perturbed-a"),
+                                 instantiate("perturbed-b"))
+        assert verdict.found
+        assert drawn == [1] * 8
+        assert len(solves) == 1
+
+    def test_pinned_pair_is_decided_by_the_solve(self, monkeypatch):
+        # tr(a) = 2 on both sides pins k = 0 at j = 1, and tr(b) = 0 pins
+        # nothing more.  tr(a^2) = 2 against 4 is not drawn: the one solve,
+        # X diag(1, 1, 0) = diag(2, 0, 0) X, leaves only matrices that
+        # vanish off the last column, so there is no invertible u
+        zero = Mat.zero(3)
+        drawn, solves = self.counted(monkeypatch)
+        verdict = spinor_equivalent(QSpinorRep(Mat.diag(1, 1, 0), zero),
+                                    QSpinorRep(Mat.diag(2, 0, 0), zero))
+        assert verdict == Verdict(None, "proved exactly")
+        assert drawn == [1] * 4
+        assert len(solves) == 1
 
     def test_nilpotent_pair_keeps_the_bounded_range(self):
         # a b = q b a holds, as both products vanish; every power trace
