@@ -1,34 +1,19 @@
 """Equivalence up to conjugation and monomial rescaling: scaled_conjugacy."""
 
 from dataclasses import dataclass
-from itertools import count, product
+from itertools import product
 
 from .matrices import Mat, invertible_element, stacked_nullspace
 from .scalars import Q, _valuation
 
 
 def _traces(m: Mat):
-    """tr(m), tr(m^2), ... exactly and lazily.  tr(m^j) is
-    tr(m^h m^b) = sum_ik (m^h)_ik (m^b)_ki with h = ceil(j / 2) and
-    b = j - h, which reads n^2 products instead of forming m^j; so tr(m)
-    and tr(m^2) form no matrix product, and each later power m^h is
-    formed once, when first needed."""
-    yield m.trace()
-    powers = [m]                        # powers[k] = m^(k+1)
-    zero = type(m.rows[0][0]).zero()
-    for j in count(2):
-        h = (j + 1) // 2
-        if len(powers) < h:
-            powers.append(powers[-1] * m)
-        top, b = powers[h - 1].rows, powers[j - h - 1].rows
-        t = zero
-        for i, row in enumerate(top):
-            for k, x in enumerate(row):
-                if x:
-                    y = b[k][i]
-                    if y:
-                        t = t + x * y
-        yield t
+    """tr(m), tr(m^2), ... exactly and lazily: m^j is formed only when
+    tr(m^j) is drawn."""
+    power = m
+    while True:
+        yield power.trace()
+        power = power * m
 
 
 MAX_EXPONENT = 4
@@ -64,10 +49,10 @@ def scaled_conjugacy(equations: list) -> Verdict:
     hold with that k at that j.  Traces only pin k: once every group is
     pinned, no later trace is drawn and no power formed, and the solve
     decides.  They come lazily (_traces), j = 1 for every equation first,
-    and a failed pair ends the search at once: a pair that tr(g) or
-    tr(g^2) rules out forms no matrix product.  Only a group whose
-    power traces all vanish (so its matrices are nilpotent) tries each
-    |k| <= MAX_EXPONENT, in itertools.product order (alpha_0 outermost).
+    and a failed pair ends the search at once: a pair that tr(g) rules
+    out forms no matrix product.  Only a group whose power traces all
+    vanish (so its matrices are nilpotent) tries each |k| <= MAX_EXPONENT,
+    in itertools.product order (alpha_0 outermost).
     The witness's u needs no product check: it is in the proved space of
     X g1 alpha = g2 X, at full rank.  A "no", for every k of a pinned group,
     is "invariant differs" when the sizes differ or a pair fails, and

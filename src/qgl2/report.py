@@ -21,7 +21,7 @@ from typing import Optional
 
 from .catalog import CATALOG, CatalogEntry, closure_generators, get_entry, \
     instantiate
-from .clifford import build_action, counit_invariance_space, unitality_ok
+from .clifford import build_action, counit_invariance_space
 from .gl2 import gl2_equivalent, invertibility_nilpotency_check, \
     power_commutator_check, quantum_plane_split, verify_relations
 from .matrices import MatSpace, centralizer, subalgebra_closure
@@ -159,12 +159,11 @@ def _gl2_checks(entry: CatalogEntry, rep, q0: Fraction, orientation: str,
                                  "invariant space differs from claimed "
                                  "unit pattern", disc)
 
-    action_ok = unital = False
+    action_ok = False
     counit_dim = counit_matches = None
     try:
         action = build_action(rep)
         action_ok = True
-        unital = unitality_ok(action)
         counit = counit_invariance_space(action)
         counit_dim = counit.dim
         if spaces:
@@ -173,8 +172,6 @@ def _gl2_checks(entry: CatalogEntry, rep, q0: Fraction, orientation: str,
         pass
     _check(action_ok, True, "inner action undefined (block matrix singular)",
            disc)
-    if action_ok:
-        _check(unital, True, "inner action is not unital", disc)
 
     fields = {
         "relations": {k: bool(v) for k, v in rel.relations.items()},
@@ -193,15 +190,12 @@ def _gl2_checks(entry: CatalogEntry, rep, q0: Fraction, orientation: str,
         "mode_divergence": dims and dims["single"] != dims["family"],
         "operator_space_matches_claim": op_space_claim,
         "invariant_space_matches_claim": inv_space_claim,
-        "action": {
-            "well_defined": action_ok,
-            "unital": unital,
-            # unitality proves the module-algebra law for all v, w: it
-            # holds iff M M* = I, so M* M = I (M square), and then
-            # sum_k act(i,k,v) act(k,j,w) = sum_ab m_ia v (M*M)_ab w m*_bj
-            # = act(i,j,v w)
-            "module_algebra": unital,
-        },
+        # M* is the exact inverse of M (Mat.inverse), so act(i,j,1) is
+        # block (i,j) of M M* = I, and M* M = I gives sum_k act(i,k,v)
+        # act(k,j,w) = sum_ab m_ia v (M*M)_ab w m*_bj = act(i,j,v w): a
+        # defined action is unital and satisfies the module-algebra law
+        "action": {"well_defined": action_ok, "unital": action_ok,
+                   "module_algebra": action_ok},
         "counit_invariants_dim": counit_dim,
         "counit_matches_centralizer": counit_matches,
     }

@@ -2,12 +2,17 @@
 scalars._cancel and the residue kernel of matrices.stacked_nullspace.
 
 A prime p = 1 (mod 4) and a square root r of -1 mod p map Z[i] localized
-at (p, i - r) onto F_p (_residues, then _residue_at for q -> t).  Over
-F_p there are one gcd (_gcd_mod_p), one Gauss-Jordan elimination
-(_residue_rref) and Thiele fractions (_thiele, _fold).  Both routes lift
-coefficients by _lift over the primes of _moduli, each part by
-_rational.  Only ints enter and leave: scalars.py and matrices.py build
-every GaussRational and Scalar, and prove or drop each candidate.
+at (p, i - r) onto F_p (_residues, then _residue_at for q -> t).  Those
+maps, the rank of _residue_rref (it bounds a kernel) and the degree of
+_gcd_mod_p (it bounds a gcd) are the trusted core here; elsewhere it is
+Scalar arithmetic, scalars._pdivmod, Mat.__mul__, and in matrices.py
+_residue_rows, the exact rref and invertible_element's exact rank.  The
+rest only searches: Thiele fractions (_thiele, _fold), and the lift
+(_lift, each part by _rational) over the primes of _moduli.  Only ints
+enter and leave: scalars.py and matrices.py build every GaussRational
+and Scalar and prove or drop each candidate, so a search error that is
+not made anew at every prime costs time, never a byte
+(tests/test_cli.py::TestSearchAdversaries).
 """
 
 from math import isqrt

@@ -1,5 +1,7 @@
 """Reference objects that only the tests use."""
 
+import random
+
 from qgl2.gl2 import GL2Rep
 from qgl2.matrices import Mat, MatSpace, _sparse, rref
 from qgl2.residues import (RESIDUE_I, RESIDUE_P, RESIDUE_Q0, _residue_at,
@@ -12,6 +14,24 @@ def q_integer(k: int) -> Scalar:
     if not isinstance(k, int) or k <= 0:
         raise ValueError("undefined q-integer")
     return (Q ** k - ONE) / (Q - ONE)
+
+
+def unimodular(entry, n: int) -> Mat:
+    """An integer matrix of determinant 1: a lower times an upper
+    unitriangular matrix, each off-diagonal entry an int entry() draws."""
+    def part(upper):
+        return Mat([[1 if i == j else entry() if (j > i) == upper else 0
+                     for j in range(n)] for i in range(n)])
+    return part(False) * part(True)
+
+
+def dense_conjugator(seed: int) -> Mat:
+    """A dense 4 x 4 u with i and q among its entries, drawn by
+    random.Random(seed); seed 1 gives the u of the installed-command CI
+    step."""
+    values = ["0", "1", "-1", "2", "q", "q + 1", "1 - q", "i", "i*q + 1"]
+    rng = random.Random(seed)
+    return Mat([[rng.choice(values) for _ in range(4)] for _ in range(4)])
 
 
 def residue(x: Scalar):

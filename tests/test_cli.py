@@ -14,8 +14,9 @@ import time
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import qgl2.matrices
 import qgl2.scalars
-from oracles import intertwines, product_vanishes, singular
+from oracles import dense_conjugator, intertwines, product_vanishes, singular
 from qgl2.catalog import CATALOG, instantiate
 from qgl2.cli import _load_matrix, main
 from qgl2.matrices import Mat
@@ -169,11 +170,40 @@ class TestVerifyCatalog:
         assert err.count("error") == 1 and "Traceback" not in err
 
 
+@pytest.fixture(scope="class")
+def jordan_commutant(tmp_path_factory):
+    """(argv, stdout) of `commutant --format json`, with no adversary in
+    place, on the a of admissible-jordan conjugated by the dense u of the
+    installed-command CI step: its B(a) has non-real entries, read off
+    residue points at both embeddings of i."""
+    u = dense_conjugator(1)
+    a = u * instantiate("admissible-jordan").a * u.inverse()
+    path = write_json(tmp_path_factory.mktemp("jordan") / "a.json",
+                      a.to_json())
+    argv = ["commutant", path, "--format", "json"]
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        assert main(argv) == 0
+    return argv, out.getvalue()
+
+
 class TestSearchAdversaries:
     """A search routine only proposes and an exact check accepts, so an
-    adversary in its place changes no output byte."""
+    adversary in its place changes no output byte.  Each adversary is
+    wrong at finitely many primes, or wrong the same way at every prime:
+    one wrong at every prime in a new way would keep the lift from ever
+    settling.  So no case corrupts the residue images at one prime only,
+    which CRT would carry into every later modulus."""
 
-    def test_gcd_candidate_of_the_wrong_degree(self, monkeypatch, capsys):
+    def assert_bytes_kept(self, capsys, jordan_commutant):
+        assert main(["verify-catalog", "--format", "json"]) == 1
+        assert sha256(capsys.readouterr().out) == CATALOG_DIGESTS["json"]
+        argv, out = jordan_commutant
+        assert main(argv) == 0
+        assert capsys.readouterr().out == out
+
+    def test_gcd_candidate_of_the_wrong_degree(self, monkeypatch, capsys,
+                                               jordan_commutant):
         # at RESIDUE_P, residues._lift returns the constant 1 for every
         # gcd_p of degree >= 1; scalars._candidates must discard it, not
         # let scalars._cancel read it as "coprime" and leave num/den
@@ -188,8 +218,46 @@ class TestSearchAdversaries:
             return combined, m, h
 
         monkeypatch.setattr(qgl2.scalars, "_lift", adversary)
-        assert main(["verify-catalog", "--format", "json"]) == 1
-        assert sha256(capsys.readouterr().out) == CATALOG_DIGESTS["json"]
+        self.assert_bytes_kept(capsys, jordan_commutant)
+        assert hits
+
+    def test_kernel_coefficients_off_by_one(self, monkeypatch, capsys,
+                                            jordan_commutant):
+        # at RESIDUE_P, every kernel candidate that residues._lift returns
+        # has each coefficient (x + y*i)/d raised by 1; the Mat products of
+        # matrices._residue_kernel must refuse each, and the next prime,
+        # whose CRT state is honest, proposes the true kernel
+        lift, hits = qgl2.matrices._lift, []
+
+        def adversary(a, b, p, r, combined, m):
+            combined, m, h = lift(a, b, p, r, combined, m)
+            if p == RESIDUE_P and h is not None:
+                hits.append(h)
+                h = [(x + d, y, d) for x, y, d in h]
+            return combined, m, h
+
+        monkeypatch.setattr(qgl2.matrices, "_lift", adversary)
+        self.assert_bytes_kept(capsys, jordan_commutant)
+        assert hits
+
+    def test_thiele_numerator_off_by_one(self, monkeypatch, capsys,
+                                         jordan_commutant):
+        # every folded Thiele fraction P/Q has P[0] + 1 in place of P[0],
+        # at every prime: the lift settles on a wrong kernel, the exact
+        # check refuses it, the same h at the next prime ends the search,
+        # and the exact elimination answers
+        fold, hits = qgl2.matrices._fold, []
+
+        def adversary(xs, a, p):
+            folded = fold(xs, a, p)
+            if folded and folded[0]:
+                hits.append(folded)
+                num, den = folded
+                folded = [(num[0] + 1) % p] + num[1:], den
+            return folded
+
+        monkeypatch.setattr(qgl2.matrices, "_fold", adversary)
+        self.assert_bytes_kept(capsys, jordan_commutant)
         assert hits
 
 

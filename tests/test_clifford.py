@@ -273,8 +273,9 @@ class TestInnerAction:
                                      pairs=seeded_pairs(3, seed=1))
 
     def test_wrong_inverse_fails_certificate_and_oracle(self):
-        # the report takes the module-algebra verdict from unitality_ok;
-        # with m* not the inverse of m both checks must reject the action
+        # the report takes unitality and the module-algebra law from the
+        # exact inverse m*; with m* not the inverse of m, both oracles that
+        # re-check them must reject the action
         action = build_action(case2())
         (s00, s01), (s10, s11) = action.mstar
         action.mstar = ((s01, s00), (s11, s10))

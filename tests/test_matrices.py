@@ -14,7 +14,8 @@ import qgl2.conjugacy
 import qgl2.matrices
 import qgl2.residues
 import qgl2.scalars
-from oracles import det_vanishes, residue, sandwich_kernel
+from oracles import (dense_conjugator, det_vanishes, residue,
+                     sandwich_kernel, unimodular)
 from qgl2.catalog import CATALOG, closure_generators, instantiate
 from qgl2.cli import main
 from qgl2.clifford import build_action, counit_invariance_space
@@ -451,15 +452,11 @@ class TestResidueKernel:
         # for a' = u a u^-1 and x' = u x u^-1, and likewise for B', so
         # conjugating the bases of the sparse a, solved by the exact
         # elimination, spans B(a') and B'(a')
-        values = ["0", "1", "-1", "2", "q", "q + 1", "1 - q", "i",
-                  "i*q + 1"]
         inputs, expected = [], []
         with monkeypatch.context() as m:
             m.setattr(qgl2.matrices, "_residue_kernel", lambda pairs, n: None)
             for seed in (1, 2):
-                rng = random.Random(seed)
-                u = Mat([[rng.choice(values) for _ in range(4)]
-                         for _ in range(4)])
+                u = dense_conjugator(seed)
                 inverse = u.inverse()
                 for name in ("admissible-jordan",
                              "rejected-double-jordan-up"):
@@ -587,16 +584,6 @@ class TestSearchHelpers:
         assert invertible_element(s) == invertible_element(s)
 
 
-def unimodular(draw, n: int) -> Mat:
-    """An integer matrix of determinant 1: a lower times an upper
-    unitriangular matrix, off-diagonal entries in -2..2."""
-    def part(upper):
-        return Mat([[1 if i == j else
-                     draw(st.integers(-2, 2)) if (j > i) == upper else 0
-                     for j in range(n)] for i in range(n)])
-    return part(False) * part(True)
-
-
 class TestTracePins:
     """The first nonzero power trace of a group fixes its exponent k, and
     no later trace is drawn once every group is fixed; only a group whose
@@ -615,7 +602,7 @@ class TestTracePins:
             groups = {"a": 0, "b": 0}
             search = spinor_equivalent
         ks = [data.draw(st.integers(-8, 8)) for _ in set(groups.values())]
-        u0 = unimodular(data.draw, 4)
+        u0 = unimodular(lambda: data.draw(st.integers(-2, 2)), 4)
         ui0 = u0.inverse()
         copy = type(rep)(**{f: (u0 * getattr(rep, f) * ui0).scale(Q ** ks[g])
                             for f, g in groups.items()})
@@ -680,6 +667,21 @@ class TestTracePins:
                                     QSpinorRep(Mat.diag(2, 0, 0), zero))
         assert verdict == Verdict(None, "proved exactly")
         assert drawn == [1] * 4
+        assert len(solves) == 1
+
+    @pytest.mark.parametrize("k", [6, -7])
+    def test_pin_at_j2_beyond_the_bounded_range(self, monkeypatch, k):
+        # tr(a) = 0 on both sides pins nothing; tr(a^2) = 2 + 2q^2 and
+        # q^(2k) times it pin k at j = 2, though |k| > MAX_EXPONENT.  One
+        # solve then finds alpha = q^k, and no trace past j = 2 is drawn
+        a = Mat.diag(1, -1, Q, -Q)
+        zero = Mat.zero(4)
+        drawn, solves = self.counted(monkeypatch)
+        verdict = spinor_equivalent(QSpinorRep(a, zero),
+                                    QSpinorRep(a.scale(Q ** k), zero))
+        assert verdict.found
+        assert verdict.witness[1] == Q ** k
+        assert drawn == [2] * 4
         assert len(solves) == 1
 
     def test_nilpotent_pair_keeps_the_bounded_range(self):

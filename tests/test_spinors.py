@@ -1,10 +1,14 @@
 """q-spinor pairs: commutant spaces, admissibility, equivalence search."""
 
+import random
+
 import pytest
 
 import qgl2.conjugacy
 import qgl2.matrices
 import qgl2.residues
+from oracles import dense_conjugator, unimodular
+from qgl2.catalog import CATALOG, instantiate
 from qgl2.conjugacy import Verdict
 from qgl2.matrices import Mat, MatSpace
 from qgl2.residues import RESIDUE_I, RESIDUE_P
@@ -99,6 +103,39 @@ class TestQCommutant:
              ["0", "0", "0", "0"], ["0", "0", "0", "0"]],
             [["0", "0", "0", "0"], ["0", "0", "0", "0"],
              ["0", "0", "0", "0"], ["0", "0", "1", "0"]]]
+
+
+def transpose(m: Mat) -> Mat:
+    return Mat(zip(*m.rows))
+
+
+SPINOR_ENTRIES = [e.name for e in CATALOG
+                  if e.kind == "qspinor" and e.builder is not None]
+RNG = random.Random(11)
+# a seeded unimodular u per entry, then admissible-jordan with a dense u
+PLANTED = [(name, unimodular(lambda: RNG.randint(-2, 2), 4))
+           for name in SPINOR_ENTRIES] \
+    + [("admissible-jordan", dense_conjugator(1))]
+
+
+class TestPlantedKernels:
+    """Relations that the kernel must keep, with no oracle: a x = q x a
+    iff a' x' = q x' a' for a' = u a u^-1 and x' = u x u^-1, and iff
+    x^T a^T = q a^T x^T.  So B(u a u^-1) = u B(a) u^-1 and B'(a^T) =
+    B(a)^T, compared as canonical bases, on the q-spinor entries' a, whose
+    B(a) has dimension 1 to 4."""
+
+    @pytest.mark.parametrize("name, u", PLANTED, ids=[
+        *SPINOR_ENTRIES, "admissible-jordan-dense-u-with-i"])
+    def test_conjugate_and_transpose(self, name, u):
+        a = instantiate(name).a
+        basis = q_commutant(a).basis
+        assert 1 <= len(basis) <= 4
+        inverse = u.inverse()
+        assert q_commutant(u * a * inverse) == \
+            MatSpace.span([u * x * inverse for x in basis], n=4)
+        assert q_commutant(transpose(a), reverse=True) == \
+            MatSpace.span([transpose(x) for x in basis], n=4)
 
 
 class TestAdmissibility:
