@@ -44,36 +44,37 @@ def _read_json(path: str):
             raise ValueError(f"{path}: JSON nested too deeply") from None
 
 
-def _matrix(path: str, obj) -> Mat:
-    """Mat.from_json(obj), its errors naming the file obj came from."""
+def _matrix(path: str, obj, parsed: dict) -> Mat:
+    """Mat.from_json(obj, parsed), its errors naming the file obj came
+    from; parsed is the one text table of the calling handler."""
     try:
-        return Mat.from_json(obj)
+        return Mat.from_json(obj, parsed)
     except ValueError as exc:
         raise ValueError(f"{path}: {exc}") from None
 
 
-def _load_matrix(path: str) -> Mat:
-    return _matrix(path, _read_json(path))
+def _load_matrix(path: str, parsed: dict) -> Mat:
+    return _matrix(path, _read_json(path), parsed)
 
 
-def _load_rep(path: str):
+def _load_rep(path: str, parsed: dict):
     """A gl2 quadruple ({"c11": .., "c12": .., "c21": .., "c22": ..}) or a
     q-spinor pair ({"a": .., "b": ..})."""
     obj = _read_json(path)
     for cls, keys in ((GL2Rep, ("c11", "c12", "c21", "c22")),
                       (QSpinorRep, ("a", "b"))):
         if isinstance(obj, dict) and all(k in obj for k in keys):
-            return cls(*(_matrix(path, obj[k]) for k in keys))
+            return cls(*(_matrix(path, obj[k], parsed) for k in keys))
     raise ValueError(f"{path}: expected keys c11/c12/c21/c22 or a/b")
 
 
-def _resolve_rep(ref: str):
+def _resolve_rep(ref: str, parsed: dict):
     """A catalog entry name, or a path to a rep file."""
     try:
         entry = get_entry(ref)
     except ValueError:
         try:
-            return _load_rep(ref)
+            return _load_rep(ref, parsed)
         except OSError:
             raise ValueError(
                 f"{ref!r} is neither a catalog entry nor a readable "
@@ -102,15 +103,16 @@ def _cmd_verify_catalog(args) -> tuple:
 
 
 def _cmd_commutant(args) -> tuple:
-    space = q_commutant(_load_matrix(args.matrix), reverse=args.reverse)
+    space = q_commutant(_load_matrix(args.matrix, {}), reverse=args.reverse)
     title = "x*a = q*a*x solutions" if args.reverse \
         else "a*x = q*x*a solutions"
     return 0, _space(args, title, space, reverse=args.reverse)
 
 
 def _cmd_admissible(args) -> tuple:
-    a = _load_matrix(args.a)
-    b = _load_matrix(args.b)
+    parsed = {}
+    a = _load_matrix(args.a, parsed)
+    b = _load_matrix(args.b, parsed)
     c_space, verdict = admissibility(a, b, orientation=args.orientation)
     c_out = _space(args, "c-space", c_space)
     if args.format == "json":
@@ -129,7 +131,8 @@ def _cmd_admissible(args) -> tuple:
 
 
 def _cmd_centralizer(args) -> tuple:
-    space = centralizer([_load_matrix(p) for p in args.matrices])
+    parsed = {}
+    space = centralizer([_load_matrix(p, parsed) for p in args.matrices])
     return 0, _space(args, "centralizer", space)
 
 
@@ -142,14 +145,16 @@ def _cmd_closure(args) -> tuple:
     else:
         if not args.matrices:
             raise ValueError("need matrix files or --entry")
-        gens = [_load_matrix(p) for p in args.matrices]
+        parsed = {}
+        gens = [_load_matrix(p, parsed) for p in args.matrices]
         title = "closure"
     return 0, _space(args, title, subalgebra_closure(gens))
 
 
 def _cmd_equiv(args) -> tuple:
-    r1 = _resolve_rep(args.first)
-    r2 = _resolve_rep(args.second)
+    parsed = {}
+    r1 = _resolve_rep(args.first, parsed)
+    r2 = _resolve_rep(args.second, parsed)
     if isinstance(r1, GL2Rep) != isinstance(r2, GL2Rep):
         raise ValueError("cannot compare a quadruple with a q-spinor pair")
     if isinstance(r1, GL2Rep):

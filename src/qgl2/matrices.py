@@ -11,10 +11,11 @@ nonzeros of each row of its right factor once and forms one product per
 matching pair of nonzeros; the operator rows of X -> X A - B X read the
 nonzeros of A's columns and of B's rows once; eval substitutes, and the
 residue rows map, nonzero entries only; from_json parses each distinct
-entry text once.  Public Mat(...) coerces ints, Fractions and strings
-and checks the shape.  Every result whose entries are already field
-elements (sums, products, scalings, inverses, eval, MatSpace bases) is
-built by _mat, which does neither: it is for field entries only.
+entry text once per text table, which a command's matrices share.
+Public Mat(...) coerces ints, Fractions and strings and checks the
+shape.  Every result whose entries are already field elements (sums,
+products, scalings, inverses, eval, from_json, MatSpace bases) is built
+by _mat, which does neither: it is for field entries only.
 
 One row-reduction kernel, _insert (with _reduce), makes every exact
 decision: it adds a row to a fully reduced echelon basis kept sorted by
@@ -204,11 +205,13 @@ class Mat:
         return {"n": self.n, "entries": [[str(x) for x in row] for row in self.rows]}
 
     @classmethod
-    def from_json(cls, obj: dict) -> "Mat":
+    def from_json(cls, obj: dict, parsed: Optional[dict] = None) -> "Mat":
         """The matrix of {"n": n, "entries": n x n expression strings}.  n
         is at most MAX_N: a commutant solves for n^2 unknowns from n^4
         operator cells, so a large n runs out of memory, not into an
-        error."""
+        error.  parsed, a dict from entry text to Scalar that the matrices
+        of one command share, gains each new text; a text in it is not
+        parsed again."""
         if not isinstance(obj, dict) or "n" not in obj or "entries" not in obj:
             raise ValueError("matrix object must have 'n' and 'entries'")
         n = obj["n"]
@@ -221,13 +224,16 @@ class Mat:
                 or not all(isinstance(r, list) and len(r) == n
                            for r in entries):
             raise ValueError("entries must form an n x n grid")
+        if not entries:
+            raise ValueError("matrix must be square and nonempty")
         if not all(isinstance(x, str) for row in entries for x in row):
             raise ValueError("matrix entries must be strings")
-        # each distinct text is parsed once, in row-major order of first
+        parsed = {} if parsed is None else parsed
+        # each new text is parsed once, in row-major order of first
         # appearance, so the first bad entry raises first
-        parsed = {x: scalar(x) for x in
-                  dict.fromkeys(x for row in entries for x in row)}
-        return cls([[parsed[x] for x in row] for row in entries])
+        parsed.update((x, scalar(x)) for x in dict.fromkeys(
+            x for row in entries for x in row) if x not in parsed)
+        return _mat(tuple(tuple(parsed[x] for x in row) for row in entries))
 
     def __str__(self):
         cells = [[str(x) for x in row] for row in self.rows]

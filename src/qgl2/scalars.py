@@ -18,20 +18,24 @@ and one scaling by c.  Other polynomial products convolve the
 Gaussian-integer numerators over a common denominator per operand and
 reduce each output coefficient once.
 
-Every operation ends in one pass to the canonical form, with one rule
-for the gcd.  With s = min(ord num, ord den), gcd(num, den) is q^s times
-the gcd of num/q^s and den/q^s, and one of those has a nonzero constant
-term, so their gcd is 1 when either is a monomial.  Both sides are
-sliced by s, and a gcd is taken only when neither is a monomial, from
-coefficient residues mod primes p = 1 (mod 4) alone (_cancel): a degree
-0 mod p proves the sides coprime, and the candidate that residues._lift
-reads off them is the gcd when it divides both exactly.  That route is
-complete, so no Euclidean gcd remains; its arithmetic over F_p, the lift
-of a candidate included, lives in residues.py.  Division is pseudo-division
-on the Gaussian-integer numerators.  So the usual denominator c*q^k
-(about 99% of the results in a verify-catalog run) costs a slice and a
-scaling by 1/c when c != 1.  A difference subtracts the coefficients in
-place; it builds no negated operand.
+Every result takes one of two routes to the canonical form.  A sum,
+difference or product of two Laurent scalars p/q^k (a power of q as
+denominator) takes _laurent: a sum shifts the numerator over the smaller
+power, a product adds the exponents, and the common power of q is
+stripped, so no denominators are multiplied.  Every other result takes
+the general pass, Scalar(num, den), with one rule for the gcd.  With
+s = min(ord num, ord den), gcd(num, den) is q^s times the gcd of num/q^s
+and den/q^s, and one of those has a nonzero constant term, so their gcd
+is 1 when either is a monomial.  Both sides are sliced by s, and a gcd
+is taken only when neither is a monomial, from coefficient residues mod
+primes p = 1 (mod 4) alone (_cancel): a degree 0 mod p proves the sides
+coprime, and the candidate that residues._lift reads off them is the gcd
+when it divides both exactly.  That route is complete, so no Euclidean
+gcd remains; its arithmetic over F_p, the lift of a candidate included,
+lives in residues.py.  Division is pseudo-division on the
+Gaussian-integer numerators.  So a denominator c*q^k costs the general
+pass a slice and a scaling by 1/c when c != 1.  A difference subtracts
+the coefficients in place; it builds no negated operand.
 
 Scalars print to, and parse from, plain expression strings over the
 tokens {integers, i, q, +, -, *, /, ^, parentheses}, e.g. "q^2",
@@ -429,9 +433,9 @@ class Scalar:
             return NotImplemented
         if not self.num or not o.num:
             return ZERO
-        # a monic constant denominator is 1
-        if len(self.den) == 1 and len(o.den) == 1:
-            return _scalar(_pmul(self.num, o.num), _P_ONE)
+        if not any(self.den[:-1]) and not any(o.den[:-1]):
+            return _laurent(_pmul(self.num, o.num),
+                            len(self.den) + len(o.den) - 2)
         return Scalar(_pmul(self.num, o.num), _pmul(self.den, o.den))
 
     __rmul__ = __mul__
@@ -511,8 +515,23 @@ def _scalar(num: tuple, den: tuple) -> Scalar:
     return x
 
 
+def _laurent(num: tuple, k: int) -> Scalar:
+    """The canonical form of num/q^k, k >= 0, for num without trailing
+    zeros: the power of q common to both is stripped."""
+    if not num:
+        return ZERO
+    s = 0
+    while s < k and not num[s]:
+        s += 1
+    return _scalar(num[s:], (GR_ZERO,) * (k - s) + _P_ONE)
+
+
 def _combine(x: Scalar, y: Scalar, op) -> Scalar:
     """x + y (op = _padd) or x - y (op = _psub), x and y nonzero."""
+    if not any(x.den[:-1]) and not any(y.den[:-1]):
+        a, b = len(x.den), len(y.den)
+        return _laurent(op((GR_ZERO,) * (b - a) + x.num,
+                           (GR_ZERO,) * (a - b) + y.num), max(a, b) - 1)
     if x.den == y.den:
         return Scalar(op(x.num, y.num), x.den)
     return Scalar(op(_pmul(x.num, y.den), _pmul(y.num, x.den)),

@@ -368,6 +368,34 @@ class TestCentralizerAndClosure:
         assert main(["centralizer", ident]) == 0
         assert "centralizer: dimension 4" in capsys.readouterr().out
 
+    def test_shared_texts_are_parsed_once_per_call(self, monkeypatch,
+                                                    capsys, tmp_path):
+        grids = ([["q", "1/q"], ["0", "q"]], [["1/q", "0"], ["q + 1", "q"]],
+                 [["0", "q + 1"], ["q", "1/q"]])
+        files = [write_json(tmp_path / f"{k}.json", {"n": 2, "entries": g})
+                 for k, g in enumerate(grids)]
+        parsed = []
+        parse = qgl2.matrices.scalar
+
+        def counted(text):
+            parsed.append(text)
+            return parse(text)
+        monkeypatch.setattr(qgl2.matrices, "scalar", counted)
+        for _ in range(2):
+            assert main(["centralizer", *files]) == 0
+        # the second call parses again: the table lives for one call
+        assert parsed == ["q", "1/q", "0", "q + 1"] * 2
+        assert "centralizer: dimension 1" in capsys.readouterr().out
+
+    def test_bad_entry_in_third_file_is_named(self, capsys, tmp_path):
+        files = [write_json(tmp_path / f"{k}.json", {
+            "n": 2, "entries": [["q", "1/q"], ["0", text]]})
+            for k, text in enumerate(("q", "q", "q^^2"))]
+        assert main(["centralizer", *files]) == 2
+        assert capsys.readouterr().err == (
+            f"error: {files[2]}: parse error at position 2: integer exponent "
+            "expected\n")
+
     def test_closure_files(self, capsys, tmp_path):
         e12 = write_json(tmp_path / "e12.json", {
             "n": 2, "entries": [["0", "1"], ["0", "0"]]})
@@ -455,10 +483,17 @@ def test_bad_input_exits_2_with_one_line(capsys, tmp_path, argv, files):
     assert err.count("\n") == 1 and err.endswith("\n")
 
 
+def test_empty_matrix_is_refused(capsys, tmp_path):
+    path = write_json(tmp_path / "empty.json", {"n": 0, "entries": []})
+    assert main(["commutant", path]) == 2
+    assert capsys.readouterr().err == \
+        f"error: {path}: matrix must be square and nonempty\n"
+
+
 def test_matrix_of_size_max_n_parses(tmp_path):
     path = tmp_path / "m.json"
     path.write_text(zero_matrix(MAX_N))
-    assert _load_matrix(str(path)).n == MAX_N
+    assert _load_matrix(str(path), {}).n == MAX_N
 
 
 # a trace pins the exponent of every pair with a nonzero power trace

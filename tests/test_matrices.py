@@ -1379,10 +1379,16 @@ class TestFromJson:
             parsed.append(text)
             return parse(text)
         monkeypatch.setattr(qgl2.matrices, "scalar", counted)
-        m = Mat.from_json({"n": 3, "entries": entries})
+        table = {}
+        m = Mat.from_json({"n": 3, "entries": entries}, table)
+        # a second matrix that shares the table parses only its new texts
+        second = [["1/q", "q^2"], ["q + 1", "q"]]
+        m2 = Mat.from_json({"n": 2, "entries": second}, table)
         monkeypatch.undo()
-        assert parsed == ["q", "0", "1/q"]
+        assert parsed == ["q", "0", "1/q", "q^2", "q + 1"]
         assert m == Mat([[scalar(x) for x in row] for row in entries])
+        assert m2 == Mat(second)
+        assert table == {x: scalar(x) for x in parsed}
 
     @PROPERTY
     @given(data=st.data())

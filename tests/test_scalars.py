@@ -595,6 +595,28 @@ class TestMonomialOperands:
             # a Laurent value keeps a q^s denominator
             assert not any(v.den[:-1])
 
+    @PROPERTY
+    @given(x=laurent, y=laurent, z=non_monomial)
+    def test_laurent_operands_skip_the_general_pass(self, x, y, z):
+        # +, - and * of two p/q^k build their canonical form directly; an
+        # operand with a non-monomial denominator takes Scalar.__init__
+        assume(any(z.den[:-1]))
+        calls = []
+        init = Scalar.__init__
+
+        def counted(self, *args):
+            calls.append(args)
+            init(self, *args)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(Scalar, "__init__", counted)
+            for op in (operator.add, operator.sub, operator.mul):
+                op(x, y)
+                assert not calls
+                if x:
+                    op(x, z)
+                    assert calls
+                    calls.clear()
+
 
 def canonical_reference(num, den):
     """The canonical pair of num/den by the general route: the gcd from
