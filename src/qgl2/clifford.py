@@ -1,16 +1,15 @@
 """The Clifford algebra of signature (1,3) in its 4x4 matrix realization,
-and inner actions of GL(2) quadruples on it.
+and inner actions of GL(2) quadruples on it.  No command uses this
+module: the tests use it as an oracle and the benchmark harness calls it.
 
 The four generators are the standard Dirac matrices for the metric
-diag(1, -1, -1, -1); their ordered products give the 16-element basis
-(1, the four generators, six bivectors, four trivectors, one top element).
-build_clifford() constructs the basis once, exactly, proves that it spans
-and verifies the Clifford relation (and the grade-2 and grade-3 product
-rules) before returning; to_coords expands any 4x4 matrix over the basis.
+diag(1, -1, -1, -1); their ordered products give the 16-element basis,
+which build_clifford() builds once, exactly, proves to span and checks
+against the Clifford relation and the grade-2 and grade-3 product rules.
+to_coords expands any 4x4 matrix over the basis.
 
-An inner action is built from a quadruple by inverting its 8x8 block
-matrix: with m the 2x2 array of blocks of that matrix and m* the blocks of
-its inverse, generator (i, j) acts by v -> sum_k m[i][k] * v * m*[k][j].
+An inner action inverts a quadruple's 8x8 block matrix M; with m and m* the
+blocks of M and M^-1, generator (i, j) acts by v -> sum_k m[i][k] v m*[k][j].
 """
 
 import random

@@ -21,7 +21,6 @@ from typing import Optional
 
 from .catalog import CATALOG, CatalogEntry, closure_generators, get_entry, \
     instantiate
-from .clifford import build_action, counit_invariance_space
 from .gl2 import gl2_equivalent, invertibility_nilpotency_check, \
     power_commutator_check, quantum_plane_split, verify_relations
 from .matrices import MatSpace, centralizer, subalgebra_closure
@@ -159,17 +158,12 @@ def _gl2_checks(entry: CatalogEntry, rep, q0: Fraction, orientation: str,
                                  "invariant space differs from claimed "
                                  "unit pattern", disc)
 
-    action_ok = False
+    action_ok = rep.block_matrix().is_invertible()
     counit_dim = counit_matches = None
-    try:
-        action = build_action(rep)
-        action_ok = True
-        counit = counit_invariance_space(action)
-        counit_dim = counit.dim
-        if spaces:
-            counit_matches = counit == spaces["single"][1]
-    except ValueError:
-        pass
+    if action_ok and spaces:
+        counit_dim, counit_matches = spaces["single"][1].dim, True
+    elif action_ok:
+        counit_dim = centralizer(list(rep.generators())).dim
     _check(action_ok, True, "inner action undefined (block matrix singular)",
            disc)
 
@@ -190,10 +184,14 @@ def _gl2_checks(entry: CatalogEntry, rep, q0: Fraction, orientation: str,
         "mode_divergence": dims and dims["single"] != dims["family"],
         "operator_space_matches_claim": op_space_claim,
         "invariant_space_matches_claim": inv_space_claim,
-        # M* is the exact inverse of M (Mat.inverse), so act(i,j,1) is
-        # block (i,j) of M M* = I, and M* M = I gives sum_k act(i,k,v)
-        # act(k,j,w) = sum_ab m_ia v (M*M)_ab w m*_bj = act(i,j,v w): a
-        # defined action is unital and satisfies the module-algebra law
+        # M* exists iff M has full rank; then act(i,j,1) is block (i,j) of
+        # M M* = I, and M* M = I gives sum_k act(i,k,v) act(k,j,w) =
+        # sum_ab m_ia v (M*M)_ab w m*_bj = act(i,j,v w): the action is
+        # unital and a module algebra.  With V = diag(v, v) the counit
+        # conditions say M V M* = V, so V M = M V: v commutes with c11,
+        # c12, c21 and c22, so with every word in them, detq^-1 too.  So
+        # the counit space is the centralizer of the closure of the
+        # single-mode generators, or of the four blocks without detq^-1
         "action": {"well_defined": action_ok, "unital": action_ok,
                    "module_algebra": action_ok},
         "counit_invariants_dim": counit_dim,

@@ -12,7 +12,10 @@ rest only searches: Thiele fractions (_thiele, _fold), and the lift
 enter and leave: scalars.py and matrices.py build every GaussRational
 and Scalar and prove or drop each candidate, so a search error that is
 not made anew at every prime costs time, never a byte
-(tests/test_cli.py::TestSearchAdversaries).
+(tests/test_cli.py::TestSearchAdversaries).  Termination, unlike the
+bytes, rests on _thiele's settle test: matrices._residue_fits has no
+point cap, so a fraction that never settled at some prime would draw
+points until a pole.
 """
 
 from math import isqrt

@@ -1,6 +1,7 @@
 """Reference objects that only the tests use."""
 
 import random
+from fractions import Fraction
 
 from qgl2.gl2 import GL2Rep
 from qgl2.matrices import Mat, MatSpace, _sparse, rref
@@ -155,3 +156,53 @@ def singular(x) -> bool:
 def product_vanishes(x, y) -> bool:
     """Whether x y cancels to 0, x and y given as for intertwines."""
     return _cancels(_sympy_matrix(x) * _sympy_matrix(y))
+
+
+def at_point(rows, q0: Fraction) -> list:
+    """The rows of a matrix at q = q0 as Fractions, computed by sympy, each
+    entry given as for intertwines; an entry with i or a pole raises."""
+    import sympy
+
+    point = {sympy.Symbol("q"): sympy.Rational(q0.numerator, q0.denominator)}
+    out = []
+    for row in rows:
+        values = [_sympy_scalar(x).subs(point) for x in row]
+        if not all(v.is_Rational for v in values):
+            raise ValueError(f"no rational value at q = {q0}: {values}")
+        out.append([Fraction(int(v.p), int(v.q)) for v in values])
+    return out
+
+
+def fraction_rank(rows: list) -> int:
+    """The rank of a list of equal-length lists of Fractions, by Gaussian
+    elimination on a copy."""
+    rows = [list(row) for row in rows]
+    rank = 0
+    for col in range(len(rows[0]) if rows else 0):
+        pivot = next((k for k in range(rank, len(rows)) if rows[k][col]),
+                     None)
+        if pivot is None:
+            continue
+        rows[rank], rows[pivot] = rows[pivot], rows[rank]
+        for k in range(rank + 1, len(rows)):
+            f = rows[k][col] / rows[rank][col]
+            if f:
+                rows[k] = [x - f * y for x, y in zip(rows[k], rows[rank])]
+        rank += 1
+    return rank
+
+
+def commutator_rows(g: list) -> list:
+    """The n^2 rows of X -> X G - G X for G an n x n grid, row-major as in
+    sandwich_rows: row i*n+j has G[k][j] at column i*n+k and -G[i][k] at
+    column k*n+j."""
+    n = len(g)
+    rows = []
+    for i in range(n):
+        for j in range(n):
+            row = [0] * (n * n)
+            for k in range(n):
+                row[i * n + k] += g[k][j]
+                row[k * n + j] -= g[i][k]
+            rows.append(row)
+    return rows

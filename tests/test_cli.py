@@ -10,18 +10,23 @@ import subprocess
 import sys
 import tempfile
 import time
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 import qgl2.matrices
+import qgl2.residues
 import qgl2.scalars
-from oracles import dense_conjugator, intertwines, product_vanishes, singular
-from qgl2.catalog import CATALOG, instantiate
+from oracles import (at_point, commutator_rows, dense_conjugator,
+                     fraction_rank, intertwines, product_vanishes, singular)
+from qgl2.catalog import (CATALOG, closure_generators, family_assignments,
+                          instantiate)
 from qgl2.cli import _load_matrix, main
 from qgl2.matrices import Mat
 from qgl2.residues import RESIDUE_P
 from qgl2.scalars import MAX_N, Q
+from test_catalog import DIMS_FAMILY, DIMS_SINGLE
 
 
 def write_json(path, obj):
@@ -117,6 +122,22 @@ class TestVerifyCatalog:
         out = capsys.readouterr().out
         assert code == 1
         assert sha256(out) == CATALOG_DIGESTS["json"]
+
+    def test_full_run_inverts_no_block_matrix(self, monkeypatch, capsys):
+        # one rank of the 2n x 2n block matrix M decides the inner action,
+        # and the counit space is the single-mode invariants, so M is never
+        # inverted: every matrix the report inverts is n x n
+        inverse, sizes = Mat.inverse, []
+
+        def counted(m):
+            sizes.append(m.n)
+            return inverse(m)
+
+        monkeypatch.setattr(Mat, "inverse", counted)
+        assert main(["verify-catalog", "--format", "json"]) == 1
+        assert sha256(capsys.readouterr().out) == CATALOG_DIGESTS["json"]
+        blocks = {2 * instantiate(e).n for e in CATALOG if e.kind == "gl2"}
+        assert sizes and blocks.isdisjoint(sizes)
 
     @pytest.mark.parametrize("fmt,flag,value", sorted(SUBSET_DIGESTS))
     def test_subset_bytes(self, capsys, fmt, flag, value):
@@ -257,6 +278,46 @@ class TestSearchAdversaries:
             return folded
 
         monkeypatch.setattr(qgl2.matrices, "_fold", adversary)
+        self.assert_bytes_kept(capsys, jordan_commutant)
+        assert hits
+
+    def test_rational_reconstruction_off_by_one(self, monkeypatch, capsys,
+                                                jordan_commutant):
+        # at the first modulus, RESIDUE_P, residues._rational returns a/b
+        # with a raised by 1, so every rational that residues._lift
+        # reconstructs there is wrong, in the gcd route and the kernel
+        # route alike; each candidate is refused, and the next modulus,
+        # whose CRT state is honest, proposes the true one
+        rational, hits = qgl2.residues._rational, []
+
+        def adversary(r, m):
+            out = rational(r, m)
+            if m == RESIDUE_P and out is not None:
+                hits.append(out)
+                out = out[0] + 1, out[1]
+            return out
+
+        monkeypatch.setattr(qgl2.residues, "_rational", adversary)
+        self.assert_bytes_kept(capsys, jordan_commutant)
+        assert hits
+
+    def test_thiele_settles_too_early(self, monkeypatch, capsys,
+                                      jordan_commutant):
+        # at RESIDUE_P, matrices._thiele declares a fraction settled where
+        # the honest call extended it past its first term: the fits fold
+        # and lift before they can reach the kernel's entries, the exact
+        # check refuses what they propose, and the later primes, where the
+        # settle test is honest, answer
+        thiele, hits = qgl2.matrices._thiele, []
+
+        def adversary(xs, a, x, y, p):
+            done = thiele(xs, a, x, y, p)
+            if p == RESIDUE_P and done is False and len(a) > 1:
+                hits.append(x)
+                return True
+            return done
+
+        monkeypatch.setattr(qgl2.matrices, "_thiele", adversary)
         self.assert_bytes_kept(capsys, jordan_commutant)
         assert hits
 
@@ -691,6 +752,53 @@ def test_admissibility_witnesses_are_proved(capsys, tmp_path):
         assert intertwines(c, [(g.rows, g.rows, "1/q")
                                for g in (rep.b, rep.a)]), name
         assert not product_vanishes(c, rep.b.rows), name
+
+
+def test_invariant_dimensions_are_proved(capsys, tmp_path):
+    # the report reads its counit dimension off the single-mode
+    # invariants, the centralizer of the c_ij of each instantiation (and
+    # of detq^-1, which every matrix commuting with the c_ij commutes
+    # with).  So each printed invariant basis of k elements is re-proved
+    # here on the c_ij that the builders give, without qgl2's kernel:
+    # sympy checks that each element commutes with every c_ij, and its k
+    # elements are independent at q = 3, so dim >= k; the stacked
+    # commutator operator of the c_ij has rank >= n^2 - k at q = 3, so
+    # over Q(q) too, and dim <= k
+    q0 = Fraction(3)
+    argv = ["verify-catalog", "--format", "json"]
+    for name in DIMS_SINGLE:
+        argv += ["--entry", name]
+    # exit 1: the refuted distinct-class claim of perturbed-a
+    assert main(argv) == 1
+    records = json.loads(capsys.readouterr().out)["entries"]
+    assert [rec["entry"] for rec in records] == list(DIMS_SINGLE)
+    for rec in records:
+        name = rec["entry"]
+        dims = {"single": DIMS_SINGLE[name][1],
+                "family": DIMS_FAMILY[name][1]}
+        assert rec["counit_invariants_dim"] == dims["single"]
+        for mode, k in dims.items():
+            assert rec["dims"][mode]["invariants"] == k
+            files = [write_json(tmp_path / f"{name}-{mode}-{j}.json",
+                                g.to_json()) for j, g in
+                     enumerate(closure_generators(name, mode))]
+            assert main(["centralizer", *files, "--format", "json"]) == 0
+            basis = [m["entries"] for m in
+                     json.loads(capsys.readouterr().out)["basis"]]
+            assert len(basis) == k, (name, mode)
+            values = family_assignments(name) if mode == "family" else [{}]
+            gens = [g.rows for v in values
+                    for g in instantiate(name, **v).generators()]
+            for x in basis:
+                assert intertwines(x, [(g, g, "1") for g in gens]), \
+                    (name, mode)
+            assert fraction_rank([sum(at_point(x, q0), [])
+                                  for x in basis]) == k, (name, mode)
+            n = len(gens[0])
+            assert fraction_rank(
+                [row for g in gens
+                 for row in commutator_rows(at_point(g, q0))]) \
+                >= n * n - k, (name, mode)
 
 
 # sha256 of the exit code and stdout of every command but verify-catalog,

@@ -524,8 +524,8 @@ class TestResidueKernel:
         monkeypatch.setattr(qgl2.residues, "_residues", counted_residues)
         assert main(["verify-catalog", "--format", "json"]) == 1
         capsys.readouterr()
-        assert routes == {"solves": 99, "residue": 40, "abstained": 0,
-                          "centralizer": 12, "gauss": 47, "gcds": 73,
+        assert routes == {"solves": 95, "residue": 40, "abstained": 0,
+                          "centralizer": 8, "gauss": 47, "gcds": 73,
                           "past first step": 0}
 
 
@@ -1232,7 +1232,16 @@ class TestSolvesMatchSandwichReference:
                 terms = [(action.m[i][k], action.mstar[k][j], one)
                          for k in range(2)]
                 ops.append(terms + [(None, None, -one)] * (i == j))
-        assert counit_invariance_space(action) == sandwich_kernel(n, ops)
+        counit = counit_invariance_space(action)
+        assert counit == sandwich_kernel(n, ops)
+        # the report's route: v commutes with the four blocks of M, so with
+        # every word in them, detq^-1 too where it exists
+        gens = list(rep.generators())
+        assert counit == centralizer(gens)
+        detq = rep.detq()
+        if detq.is_invertible():
+            closure = subalgebra_closure(gens + [detq.inverse()])
+            assert counit == centralizer(closure.basis)
 
 
 # ---------------------------------------------------------------------------

@@ -168,6 +168,27 @@ class TestFailedPremise:
         assert "broken                       gl2       DISCREPANCY  " \
             "class broken\n" in table
 
+    def test_singular_quantum_determinant_with_invertible_block_matrix(self):
+        # detq is singular, so there are no dims, but M has full rank: the
+        # action is defined, and its counit space is the centralizer of
+        # the four blocks.  Here they are a 2 x 2 quadruple of a seeded
+        # search, with M invertible and detq singular, summed with the
+        # 1 x 1 quadruple (1, 0, 0, 1), so the two diagonal idempotents
+        # span that space
+        rec, code, _ = broken_record("triangular-dim8", GL2Rep(
+            Mat([[2, 1, 0], [0, 0, 0], [0, 0, 1]]),
+            Mat([[-1, 1, 0], [1, 2, 0], [0, 0, 0]]),
+            Mat([[2, 0, 0], [1, 0, 0], [0, 0, 0]]),
+            Mat([[-1, 0, 0], [-1, 0, 0], [0, 0, 1]])))
+        assert rec["detq_invertible"] is False
+        assert "quantum determinant not invertible" in rec["discrepancies"]
+        assert rec["dims"] is None
+        assert rec["counit_invariants_dim"] == 2
+        assert rec["counit_matches_centralizer"] is None
+        assert rec["action"] == {"well_defined": True, "unital": True,
+                                 "module_algebra": True}
+        assert code == 1
+
     def test_singular_c11(self):
         one, zero = Mat([[1]]), Mat([[0]])
         rec, code, table = broken_record("triangular-dim8",
